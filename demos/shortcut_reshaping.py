@@ -5,13 +5,15 @@ Shortcut reshaping
 The residual adapters that let every convolution carry a shortcut without
 1x1 projection layers: zero padding and tiling for channel expansion,
 neighbor averaging for contraction, and a 3x3 stride-2 average pool for
-spatial downsampling. Ends with a full PokeConv block forward.
+spatial downsampling. Ends with one lowered PokeConv run forward and
+backward by the graph executor.
 """
 
 import numpy as np
 
+from pokebnn.builders import _emit_pokeconv, _GraphBuilder
+from pokebnn.nn import Model
 from pokebnn.nn import autodiff as ad
-from pokebnn.nn import blocks
 from pokebnn.nn.autodiff import Tensor
 
 vec = Tensor(np.array([[[[1.0, 2.0]]]]))
@@ -20,30 +22,29 @@ print("tile [1,2] -> 4ch:", ad.tile_channels(vec, 4).data.ravel())
 quad = Tensor(np.array([[[[1.0, 3.0, 5.0, 7.0]]]]))
 print("avg  [1,3,5,7] -> 2ch:", ad.avg_channels(quad, 2).data.ravel())
 
-# Local shortcuts zero-pad (identity on the existing channels), block
-# shortcuts tile; mixing the two conventions is the point.
-rng = np.random.default_rng(0)
-x = Tensor(np.zeros((1, 4, 4, 8)))
-r = Tensor(rng.normal(size=(1, 8, 8, 4)))
-out = blocks.reshape_add(x, r, expand_mode="tile")
-print(f"shortcut {r.data.shape} added into {x.data.shape}: out {out.data.shape}")
+# One PokeConv: binarized conv, BN, the local shortcut, DPReLU, the 4-bit SE
+# gate computed from the block input, and a trailing BN. A stride-2 conv
+# from 16 to 32 channels makes the local shortcut zero-pad the channels and
+# then pool the spatial size.
+b = _GraphBuilder("pokeconv", (8, 8, 16))
+g = b.finish(_emit_pokeconv(b, "pc_", "in", None, (3, 3), 32, 2))
+for n in g.nodes:
+    if n.id.startswith("pc_local_"):
+        print(f"  {n.id:14} {n.op:14} -> {b.shape[n.id]}")
 
-# One PokeConv: binarized conv, BN, both shortcut adds, DPReLU, the 4-bit
-# SE gate computed from the block input, and a trailing BN.
-params = blocks.PokeConvParams.create(in_channels=16, out_channels=32,
-                                      kernel=3, rng=rng)
-ctx = blocks.QuantContext(training=True, phase=2)
-xin = Tensor(rng.normal(size=(2, 8, 8, 16)), requires_grad=True)
-y = blocks.pokeconv(xin, None, params, stride=2, ctx=ctx)
-print(f"pokeconv {xin.data.shape} -> {y.data.shape}")
+rng = np.random.default_rng(0)
+model = Model(g, seed=0)
+xin = rng.normal(size=(2, 8, 8, 16))
+y = model.forward(xin, training=True, phase=2)
+print(f"pokeconv {xin.shape} -> {y.data.shape}")
 
 # a constant upstream would vanish through the trailing BatchNorm, so use
 # a random one to exercise every gradient path
 y.backward(rng.normal(size=y.data.shape))
 grads = {
-    "conv weight": params.w.grad,
-    "dprelu slope": params.act.gamma.grad,
-    "se hidden weight": params.se.w1.grad,
+    "conv weight": model.params["pc_conv.w"].grad,
+    "dprelu slope": model.params["pc_act.gamma"].grad,
+    "se hidden weight": model.params["pc_se_fc1.w"].grad,
 }
-for name, g in grads.items():
-    print(f"  {name:18} grad norm {np.linalg.norm(g):.4f}")
+for name, grad in grads.items():
+    print(f"  {name:18} grad norm {np.linalg.norm(grad):.4f}")

@@ -6,7 +6,7 @@ Subpackages and modules:
 - ``builders``: ResNet-50, PokeBNN-Mx, and toy-PokeBNN graph builders
 - ``quant``: casting/fake-quantization/binarization math and bound calibration
 - ``kernels``: bit-packed XNOR/popcount and integer kernels with float oracles
-- ``nn``: reverse-mode autodiff, composite blocks, and the graph executor
+- ``nn``: reverse-mode autodiff, the graph executor, and checkpoints
 - ``cost``: MAC buckets, ACE/CPU64, model size, elementwise op analysis
 - ``train``: the two-phase toy trainer
 - ``cli``: the ``pokebnn`` command-line tool

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphir import DType, GraphSpec, NodeSpec, conv_out_size
+from .graphir import DType, GraphSpec, NodeSpec, node_shape
 
 POKE_STAGES = 4
 BLOCKS_PER_STAGE = (3, 4, 6, 3)
@@ -29,39 +29,18 @@ def as_multiplier(m) -> Fraction:
 
 
 class _GraphBuilder:
-    """Tracks ids, shapes, and channel counts while emitting nodes."""
+    """Tracks ids and shapes while emitting nodes."""
 
     def __init__(self, name: str, input_shape):
         self.g = GraphSpec(name=name, input_shape=tuple(input_shape), nodes=[])
         self.shape = {}
-        self.g.nodes.append(NodeSpec("in", "input"))
-        self.shape["in"] = tuple(input_shape)
+        self.emit("in", "input", [])
 
     def emit(self, node_id, op, inputs, **attrs):
-        self.g.nodes.append(NodeSpec(node_id, op, list(inputs), attrs))
-        h, w, c = self.shape[inputs[0]] if inputs else self.g.input_shape
-        if op in ("conv2d", "depthwise_conv2d"):
-            kh, kw = attrs["kernel"]
-            s, pad = attrs["stride"], attrs["padding"]
-            self.shape[node_id] = (conv_out_size(h, kh, s, pad),
-                                   conv_out_size(w, kw, s, pad),
-                                   attrs["out_channels"])
-        elif op in ("avg_pool", "max_pool"):
-            kh, kw = attrs["kernel"]
-            s, pad = attrs["stride"], attrs["padding"]
-            self.shape[node_id] = (conv_out_size(h, kh, s, pad),
-                                   conv_out_size(w, kw, s, pad), c)
-        elif op in ("pad_channels", "tile_channels", "avg_channels"):
-            self.shape[node_id] = (h, w, attrs["out_channels"])
-        elif op == "dense":
-            self.shape[node_id] = (1, 1, attrs["out_channels"])
-        elif op == "spatial_mean":
-            self.shape[node_id] = (1, 1, c)
-        elif op == "multiply":
-            other = self.shape[inputs[1]]
-            self.shape[node_id] = other if (h, w) == (1, 1) else (h, w, c)
-        else:
-            self.shape[node_id] = (h, w, c)
+        node = NodeSpec(node_id, op, list(inputs), attrs)
+        self.g.nodes.append(node)
+        self.shape[node_id] = node_shape(node, [self.shape[i] for i in inputs],
+                                         self.g.input_shape)
         return node_id
 
     def channels(self, node_id) -> int:
@@ -222,7 +201,6 @@ def build_pokebnn(m=1) -> GraphSpec:
     if m <= 0:
         raise ValueError("channel multiplier must be positive")
     b = _GraphBuilder(f"pokebnn-{float(m)}x", (224, 224, 3))
-    b.g.channel_multiplier = m
     x = _emit_pokeinit(b)
 
     block = 0
@@ -257,14 +235,11 @@ def build_pokebnn_toy(m=1, groups: int = 4, input_shape=(32, 32, 3),
     if min(input_shape[0], input_shape[1]) < 16:
         raise ValueError("input spatial size must be at least 16")
     b = _GraphBuilder(f"pokebnn-toy-{float(m)}x{groups}g", tuple(input_shape))
-    b.g.channel_multiplier = m
     x = _emit_pokeinit(b)
 
     for group in range(groups):
         ch = _stage_channels(m, group)
         stride = 2 if group > 0 else 1
-        if min(b.shape[x][:2]) < 1:
-            raise ValueError(f"spatial size underflow at group {group}")
         p = f"b{group:02d}_"
         r1 = x
         x = _emit_pokeconv(b, p + "pc1_", x, None, (1, 1), ch, 1)

@@ -4,16 +4,19 @@ The check builds a scalar objective sum(op(inputs) * projection), runs the
 analytic backward pass, then compares each input gradient against central
 differences in double precision. Quantizer ops run in surrogate mode (the
 rounding/sign removed), where the straight-through gradient is the true
-gradient away from the clip boundaries.
+gradient away from the clip boundaries. The SE path and shortcut reshaping
+are checked as small lowered graphs run by ``Model``, the code training runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import builders
+from .graphir import DType
 from .nn import autodiff as ad
-from .nn import blocks
 from .nn.autodiff import Tensor
+from .nn.model import Model
 
 FD_STEP = 1e-6
 
@@ -69,6 +72,22 @@ def _away_from(x, centers, margin=5e-3):
         near = np.abs(x - c) < margin
         x = np.where(near, c + np.sign(x - c + 1e-12) * margin * 2, x)
     return x
+
+
+def _float_1x1(out_channels: int, stride: int = 1) -> dict:
+    return dict(kernel=[1, 1], stride=stride, padding="same",
+                out_channels=out_channels, groups=1,
+                act_bits=DType.FP32, weight_bits=DType.FP32)
+
+
+def _graph_error(b, last_id, rng, seed: int) -> float:
+    """Gradient error over every parameter of a lowered graph, run by Model
+    in phase 1 with surrogate quantizers."""
+    model = Model(b.finish(last_id), seed=seed)
+    x = rng.normal(size=(2, *b.g.input_shape))
+    return check_gradients(
+        lambda: model.forward(x, training=False, phase=1, surrogate=True),
+        model.params, seed=seed)
 
 
 def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
@@ -133,13 +152,10 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
     record("dprelu", dprelu_case)
 
     def se_case(rng, s):
-        x = Tensor(_away_from(rng.normal(size=(2, 4, 4, 8)), [0.0]),
-                   requires_grad=True)
-        params = blocks.SEParams.create(8, 8, rng)
-        ctx = blocks.QuantContext(training=False, phase=1)
-        tensors = {"x": x, **params.tensors()}
-        return check_gradients(lambda: blocks.se_4b(x, 8, params, ctx),
-                               tensors, seed=s)
+        # a float 1x1 conv puts a parameter upstream of the SE path
+        b = builders._GraphBuilder("se_path", (4, 4, 3))
+        r = b.emit("conv", "conv2d", ["in"], **_float_1x1(16))
+        return _graph_error(b, builders._emit_se(b, "", r, 8), rng, s)
     record("se_path", se_case)
 
     def avg_pool_case(rng, s):
@@ -154,11 +170,15 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
     record("spatial_mean", spatial_mean_case)
 
     def reshape_add_case(rng, s):
-        x = t((2, 3, 3, 8), rng)
-        r = t((2, 6, 6, 4), rng)
-        mode = "pad" if s % 2 else "tile"
-        return check_gradients(lambda: blocks.reshape_add(x, r, mode),
-                               {"x": x, "r": r}, seed=s)
+        # expansion by padding, by tiling, and a non-integral contraction,
+        # each followed by the stride-2 spatial pool
+        r_ch, expand_op = ((4, "pad_channels"), (4, "tile_channels"),
+                           (12, "pad_channels"))[s % 3]
+        b = builders._GraphBuilder("reshape_add", (6, 6, 3))
+        r = b.emit("conv", "conv2d", ["in"], **_float_1x1(r_ch))
+        x = b.emit("down", "conv2d", ["in"], **_float_1x1(8, stride=2))
+        rr = builders._emit_reshape(b, "", r, 8, b.shape[x][:2], expand_op)
+        return _graph_error(b, b.emit("add", "add", [x, rr]), rng, s)
     record("reshape_add", reshape_add_case)
 
     def avg_channels_case(rng, s):

@@ -114,17 +114,11 @@ class NodeSpec:
 
 @dataclass
 class GraphSpec:
-    """Acyclic single-input/single-output network description.
-
-    ``channel_multiplier`` is builder metadata and excluded from equality
-    and serialization; the wire format carries only name, input shape, and
-    the node list.
-    """
+    """Acyclic single-input/single-output network description."""
 
     name: str
     input_shape: tuple[int, int, int]
     nodes: list[NodeSpec] = field(default_factory=list)
-    channel_multiplier: Fraction | None = field(default=None, compare=False)
 
     def node(self, node_id: str) -> NodeSpec:
         for n in self.nodes:
@@ -147,6 +141,16 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: str) -> int:
     raise ShapeError(f"unknown padding mode {padding!r}")
 
 
+def pad_amounts(size: int, kernel: int, stride: int, padding: str) -> tuple[int, int]:
+    """Zero padding (before, after) along one axis; SAME puts the odd pixel after."""
+    if padding == "valid":
+        return 0, 0
+    if padding != "same":
+        raise ShapeError(f"unknown padding mode {padding!r}")
+    total = max((-(-size // stride) - 1) * stride + kernel - size, 0)
+    return total // 2, total - total // 2
+
+
 def _spatial(attrs: dict, h: int, w: int) -> tuple[int, int]:
     kh, kw = attrs["kernel"]
     s = attrs["stride"]
@@ -163,11 +167,12 @@ def infer_shapes(g: GraphSpec) -> ShapeMap:
             if ref not in shapes:
                 raise ShapeError(f"node {node.id!r}: input {ref!r} not yet defined")
             ins.append(shapes[ref])
-        shapes[node.id] = _node_shape(node, ins, g.input_shape)
+        shapes[node.id] = node_shape(node, ins, g.input_shape)
     return shapes
 
 
-def _node_shape(node, ins, input_shape):
+def node_shape(node: NodeSpec, ins: list, input_shape) -> tuple[int, int, int]:
+    """Output shape of one node from its input shapes; raises ShapeError."""
     op = node.op
     a = node.attrs
     if op == "input":

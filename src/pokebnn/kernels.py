@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphir import DType
+from .graphir import DType, pad_amounts
 
 WORD_BITS = 64
 
@@ -98,18 +98,8 @@ def xnor_popcount_dot(a: BitPlane, b: BitPlane, n: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Padding helpers (shared with the float references)
+# Output size, apart from graphir so instrumented_conv_macs stays an oracle
 # ---------------------------------------------------------------------------
-
-def _pad_amounts(size, kernel, stride, padding):
-    if padding == "same":
-        out = -(-size // stride)
-        total = max((out - 1) * stride + kernel - size, 0)
-        return total // 2, total - total // 2
-    if padding == "valid":
-        return 0, 0
-    raise KernelError(f"unknown padding {padding!r}")
-
 
 def _out_size(size, kernel, stride, padding):
     if padding == "same":
@@ -136,8 +126,8 @@ def binary_conv2d(act: BitPlane, weights: BitPlane, stride: int = 1,
     if wc != c:
         raise KernelError(f"channel mismatch: act {c}, weights {wc}")
 
-    pt, pb = _pad_amounts(h, kh, stride, padding)
-    pl, pr = _pad_amounts(w, kw, stride, padding)
+    pt, pb = pad_amounts(h, kh, stride, padding)
+    pl, pr = pad_amounts(w, kw, stride, padding)
     n_words = act.words.shape[-1]
     hp, wp = h + pt + pb, w + pl + pr
     padded = np.zeros((hp, wp, n_words), dtype=np.uint64)
@@ -210,8 +200,8 @@ def int_conv2d(act: IntTensor, w: IntTensor, stride: int = 1,
     h, ww, ca = x.shape
     if ca != c:
         raise KernelError(f"channel mismatch: act {ca}, weights {c}")
-    pt, pb = _pad_amounts(h, kh, stride, padding)
-    pl, pr = _pad_amounts(ww, kw, stride, padding)
+    pt, pb = pad_amounts(h, kh, stride, padding)
+    pl, pr = pad_amounts(ww, kw, stride, padding)
     xp = np.pad(x, ((pt, pb), (pl, pr), (0, 0))).astype(np.int64)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
     win = win[::stride, ::stride]        # [ho, wo, c, kh, kw]
@@ -294,8 +284,8 @@ def float_conv2d(x, w, stride: int = 1, padding: str = "same") -> np.ndarray:
     h, ww, ca = x.shape
     if ca != c:
         raise KernelError(f"channel mismatch: act {ca}, weights {c}")
-    pt, pb = _pad_amounts(h, kh, stride, padding)
-    pl, pr = _pad_amounts(ww, kw, stride, padding)
+    pt, pb = pad_amounts(h, kh, stride, padding)
+    pl, pr = pad_amounts(ww, kw, stride, padding)
     xp = np.pad(x, ((pt, pb), (pl, pr), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
     win = win[::stride, ::stride]
@@ -314,8 +304,8 @@ def avg_pool_ref(x, kernel: int = 3, stride: int = 2,
     """Average pool with the fixed divisor kernel*kernel (zero padding)."""
     x = np.asarray(x, dtype=np.float64)
     h, w, _ = x.shape
-    pt, pb = _pad_amounts(h, kernel, stride, padding)
-    pl, pr = _pad_amounts(w, kernel, stride, padding)
+    pt, pb = pad_amounts(h, kernel, stride, padding)
+    pl, pr = pad_amounts(w, kernel, stride, padding)
     xp = np.pad(x, ((pt, pb), (pl, pr), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(0, 1))
     win = win[::stride, ::stride]

@@ -1,24 +1,5 @@
 from .autodiff import Tensor
-from .blocks import (
-    BatchNormState,
-    DPReLUParams,
-    PokeConvParams,
-    PokeInitParams,
-    QuantContext,
-    SEParams,
-    batchnorm,
-    dprelu,
-    pokeconv,
-    pokeinit,
-    reshape_add,
-    se_4b,
-)
 from .checkpoint import load_tensors, save_tensors
-from .model import Model
+from .model import Model, QuantContext
 
-__all__ = [
-    "Tensor", "Model", "QuantContext",
-    "BatchNormState", "DPReLUParams", "PokeConvParams", "PokeInitParams",
-    "SEParams", "batchnorm", "dprelu", "pokeconv", "pokeinit", "reshape_add",
-    "se_4b", "save_tensors", "load_tensors",
-]
+__all__ = ["Tensor", "Model", "QuantContext", "save_tensors", "load_tensors"]

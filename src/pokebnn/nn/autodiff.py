@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import quant
+from ..graphir import pad_amounts
 
 
 class Tensor:
@@ -245,16 +246,6 @@ def fake_quant(x: Tensor, bound, bits: int, surrogate: bool = False) -> Tensor:
 # Structured ops: convolution, dense, pooling, channel reshaping
 # ---------------------------------------------------------------------------
 
-def _pad_amounts(size, kernel, stride, padding):
-    if padding == "same":
-        out = -(-size // stride)
-        total = max((out - 1) * stride + kernel - size, 0)
-        return total // 2, total - total // 2
-    if padding == "valid":
-        return 0, 0
-    raise ValueError(f"unknown padding {padding!r}")
-
-
 def _windows(xp, kh, kw, stride):
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     return win[:, ::stride, ::stride]    # [N, ho, wo, C, kh, kw]
@@ -266,8 +257,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tens
     n, h, ww, cx = x.data.shape
     if cx != c:
         raise ValueError(f"conv2d channel mismatch: input {cx}, weight {c}")
-    pt, pb = _pad_amounts(h, kh, stride, padding)
-    pl, pr = _pad_amounts(ww, kw, stride, padding)
+    pt, pb = pad_amounts(h, kh, stride, padding)
+    pl, pr = pad_amounts(ww, kw, stride, padding)
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     win = _windows(xp, kh, kw, stride)   # [N, ho, wo, C, kh, kw]
     data = np.tensordot(win, w.data, axes=([3, 4, 5], [2, 0, 1]))
@@ -295,8 +286,8 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
     n, h, ww, cx = x.data.shape
     if cx != c:
         raise ValueError(f"depthwise channel mismatch: input {cx}, weight {c}")
-    pt, pb = _pad_amounts(h, kh, stride, padding)
-    pl, pr = _pad_amounts(ww, kw, stride, padding)
+    pt, pb = pad_amounts(h, kh, stride, padding)
+    pl, pr = pad_amounts(ww, kw, stride, padding)
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     win = _windows(xp, kh, kw, stride)
     out = np.einsum("nhwckl,klcm->nhwcm", win, w.data, optimize=True)
@@ -343,8 +334,8 @@ def avg_pool(x: Tensor, kernel: int = 3, stride: int = 2,
     """Average pool with a fixed divisor (kernel^2 by default, zero padding)."""
     n, h, w, c = x.data.shape
     div = float(divisor) if divisor is not None else 1.0 / (kernel * kernel)
-    pt, pb = _pad_amounts(h, kernel, stride, padding)
-    pl, pr = _pad_amounts(w, kernel, stride, padding)
+    pt, pb = pad_amounts(h, kernel, stride, padding)
+    pl, pr = pad_amounts(w, kernel, stride, padding)
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     win = _windows(xp, kernel, kernel, stride)
     data = win.sum(axis=(4, 5)) * div
@@ -364,8 +355,8 @@ def avg_pool(x: Tensor, kernel: int = 3, stride: int = 2,
 def max_pool(x: Tensor, kernel: int = 3, stride: int = 2,
              padding: str = "same") -> Tensor:
     n, h, w, c = x.data.shape
-    pt, pb = _pad_amounts(h, kernel, stride, padding)
-    pl, pr = _pad_amounts(w, kernel, stride, padding)
+    pt, pb = pad_amounts(h, kernel, stride, padding)
+    pl, pr = pad_amounts(w, kernel, stride, padding)
     neg = np.finfo(x.data.dtype).min
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
                 constant_values=neg)

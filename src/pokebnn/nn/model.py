@@ -8,15 +8,34 @@ and per-quantizer clipping bounds. Forward walks the node list in order;
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .. import quant
 from ..graphir import DType, GraphSpec, infer_shapes
 from . import autodiff as ad
 from .autodiff import Tensor
-from .blocks import QuantContext
 
 WEIGHT_SUFFIX = ".w"
+
+
+@dataclass
+class QuantContext:
+    """Per-forward mode: BN train/eval, the quantization phase (phase 1
+    binarizes activations only; phase 2 also quantizes weights and the 4/8-bit
+    activations), and the smooth-surrogate mode of the gradient oracles."""
+
+    training: bool = True
+    phase: int = 1
+    binary_bound: float = 3.0
+    surrogate: bool = False
+    # override for the binary-weight gradient bound; None = per-channel max
+    binary_weight_bound: float | None = None
+
+    @property
+    def weights_quantized(self) -> bool:
+        return self.phase >= 2
 
 
 class Model:

@@ -95,26 +95,6 @@ def fake_quant_surrogate(x, bound, bits: int, epsilon: float = DEFAULT_EPSILON):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class QuantConfig:
-    bits: int
-    signed: bool = True
-    bound_mode: str = "ema"  # fixed | ema | weight_per_channel
-    fixed_bound: float = 1.0
-    ema_alpha: float = 0.9
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
-        if not 0 < self.ema_alpha < 1:
-            raise ValueError("ema_alpha must be in (0, 1)")
-        if not 0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must be in (0, 0.5)")
-        if self.bound_mode not in ("fixed", "ema", "weight_per_channel"):
-            raise ValueError(f"unknown bound_mode {self.bound_mode!r}")
-
-
-@dataclass
 class BoundState:
     """Clipping bound for one quantizer; scalar for activations.
 

@@ -32,12 +32,89 @@ class TestSTEGradients:
         want = upstream * (np.abs(x.data) < 1.0)
         assert np.array_equal(x.grad, want)
 
+    def test_binarize_gives_only_signs(self):
+        x = tensor(np.random.default_rng(11).normal(size=(1, 6, 6, 8)))
+        assert set(np.unique(ad.binarize(x, 3.0).data)) <= {-1.0, 1.0}
+
     def test_zero_upstream_zero_grads(self):
         x = tensor(np.random.default_rng(2).normal(size=(2, 3, 3, 4)))
         w = tensor(np.random.default_rng(3).normal(size=(3, 3, 4, 4)))
         out = ad.conv2d(x, w)
         out.backward(np.zeros_like(out.data))
         assert np.all(x.grad == 0) and np.all(w.grad == 0)
+
+
+def dprelu_params(channels, alpha=0.0, beta=0.0, gamma=0.25, eta=1.0):
+    """The four DPReLU vectors; the defaults are the executor's init values."""
+    return [tensor(np.full(channels, v)) for v in (alpha, beta, gamma, eta)]
+
+
+class TestDPReLU:
+    def test_positive_side_is_identity(self):
+        x = tensor(np.full((1, 1, 1, 1), 2.0))
+        assert ad.dprelu(x, *dprelu_params(1)).data.item() == 2.0
+
+    def test_negative_slope_quarter(self):
+        x = tensor(np.full((1, 1, 1, 1), -2.0))
+        assert ad.dprelu(x, *dprelu_params(1)).data.item() == -0.5
+
+    def test_shifted_example(self):
+        x = tensor(np.full((1, 1, 1, 1), 3.0))
+        params = dprelu_params(1, alpha=1.0, beta=0.5, eta=2.0)
+        assert ad.dprelu(x, *params).data.item() == 2 * (3 - 1) - 0.5
+
+    def test_channel_mismatch(self):
+        with pytest.raises(ValueError, match="channel"):
+            ad.dprelu(tensor(np.zeros((1, 2, 2, 4))), *dprelu_params(3))
+
+    def test_param_gradients_reduce_over_batch_and_space(self):
+        params = dprelu_params(2)
+        x = tensor(np.random.default_rng(0).normal(size=(3, 4, 4, 2)))
+        out = ad.dprelu(x, *params)
+        out.backward(np.ones_like(out.data))
+        for t in params:
+            assert t.grad.shape == (2,)
+            assert np.all(np.isfinite(t.grad))
+
+
+class TestHardSigmoid:
+    def test_zero_gates_half(self):
+        assert ad.hardsigmoid(tensor(np.zeros((1, 1, 1, 4)))).data.mean() == 0.5
+
+    def test_saturation(self):
+        assert np.all(ad.hardsigmoid(tensor(np.full((1, 1, 1, 2), 3.0))).data == 1.0)
+        assert np.all(ad.hardsigmoid(tensor(np.full((1, 1, 1, 2), -3.0))).data == 0.0)
+
+
+class TestChannelReshape:
+    def test_pad_formula(self):
+        out = ad.pad_channels(tensor([[[[1.0, 2.0]]]]), 4)
+        assert np.array_equal(out.data, [[[[1.0, 2.0, 0.0, 0.0]]]])
+
+    def test_tile_formula(self):
+        out = ad.tile_channels(tensor([[[[1.0, 2.0]]]]), 4)
+        assert np.array_equal(out.data, [[[[1.0, 2.0, 1.0, 2.0]]]])
+
+    def test_avg_formula(self):
+        out = ad.avg_channels(tensor([[[[1.0, 3.0, 5.0, 7.0]]]]), 2)
+        assert np.array_equal(out.data, [[[[2.0, 6.0]]]])
+
+    def test_pad_preserves_sum(self):
+        r = tensor(np.random.default_rng(4).normal(size=(1, 3, 3, 4)))
+        assert ad.pad_channels(r, 8).data.sum() == pytest.approx(r.data.sum())
+
+    def test_tile_doubles_sum_for_double_expansion(self):
+        r = tensor(np.random.default_rng(5).normal(size=(1, 3, 3, 4)))
+        assert ad.tile_channels(r, 8).data.sum() == pytest.approx(2 * r.data.sum())
+
+    def test_avg_preserves_group_means(self):
+        r = np.random.default_rng(6).normal(size=(1, 2, 2, 8))
+        out = ad.avg_channels(tensor(r), 4)
+        assert np.allclose(out.data, r.reshape(1, 2, 2, 4, 2).mean(-1))
+
+    def test_avg_not_integral_rejected(self):
+        with pytest.raises(ValueError, match="integral"):
+            ad.avg_channels(tensor(np.ones((1, 2, 2, 8))), 3)
 
 
 class TestGradcheckSuite:

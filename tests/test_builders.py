@@ -1,8 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pokebnn.builders import (
+    _emit_pokeconv,
+    _emit_reshape,
+    _GraphBuilder,
     build_named,
     build_pokebnn,
     build_pokebnn_toy,
@@ -11,6 +15,7 @@ from pokebnn.builders import (
 )
 from pokebnn.cost import count_macs, node_macs
 from pokebnn.graphir import DType, infer_shapes, validate_graph
+from pokebnn.nn.model import Model
 
 
 def macs_by_dtype(g):
@@ -72,6 +77,53 @@ class TestPokeBNNStructure:
             build_pokebnn(0)
         with pytest.raises(ValueError):
             build_pokebnn(Fraction(1, 100))
+
+
+class TestBlockGrammar:
+    def test_se_hidden_width_is_eighth(self):
+        shapes = infer_shapes(build_pokebnn(1))
+        assert shapes["b00_pc1_se_mean"] == (1, 1, 64)
+        assert shapes["b00_pc1_se_fc1"] == (1, 1, 8)
+        assert shapes["b00_pc1_se_fc2"] == (1, 1, 64)
+
+    def test_se_input_width_need_not_divide_by_8(self):
+        # PokeBNN-1.4x publishes SE inputs of 89, 179, 356, 358 and 716
+        g = build_pokebnn(Fraction(7, 5))
+        assert validate_graph(g) == []
+        shapes = infer_shapes(g)
+        widths = {shapes[n.id][2] for n in g.nodes if n.op == "spatial_mean"
+                  and n.id.endswith("se_mean")}
+        assert {89, 179, 356, 358, 716} <= widths
+        assert shapes["b00_pc2_se_fc1"] == (1, 1, 89 // 8)
+
+    def test_spatial_downsample_path(self):
+        b = _GraphBuilder("reshape", (4, 4, 4))
+        r = _emit_reshape(b, "", "in", 4, (2, 2), "pad_channels")
+        assert [n.op for n in b.g.nodes[1:]] == ["avg_pool"]
+        assert b.shape[r] == (2, 2, 4)
+
+    def test_channel_then_spatial_order(self):
+        b = _GraphBuilder("reshape", (4, 4, 2))
+        r = _emit_reshape(b, "", "in", 4, (2, 2), "tile_channels")
+        assert [n.op for n in b.g.nodes[1:]] == ["tile_channels", "avg_pool"]
+        out = Model(b.finish(r)).forward(np.ones((1, 4, 4, 2)), training=False)
+        # interior output of pooling all-ones is 9/9 = 1
+        assert out.data[0, 0, 0, 0] == pytest.approx(1.0)
+
+    def test_non_integral_contraction_pads_first(self):
+        b = _GraphBuilder("reshape", (2, 2, 12))
+        r = _emit_reshape(b, "", "in", 8, (2, 2), "pad_channels")
+        assert [(n.op, b.shape[n.id][2]) for n in b.g.nodes[1:]] == [
+            ("pad_channels", 16), ("avg_channels", 8)]
+        assert b.shape[r] == (2, 2, 8)
+
+    def test_block_shortcut_only_when_given(self):
+        b = _GraphBuilder("pokeconv", (4, 4, 16))
+        _emit_pokeconv(b, "a_", "in", None, (1, 1), 16, 1)
+        _emit_pokeconv(b, "b_", "in", "in", (1, 1), 16, 1)
+        ids = {n.id for n in b.g.nodes}
+        assert "a_block_add" not in ids
+        assert b.g.node("b_block_add").inputs == ["b_local_add", "in"]
 
 
 class TestResNet50Structure:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from pokebnn.builders import build_pokebnn_toy
+from pokebnn.builders import (
+    _emit_pokeconv,
+    _emit_pokeinit,
+    _emit_se,
+    _GraphBuilder,
+    build_pokebnn_toy,
+)
 from pokebnn.graphir import DType
-from pokebnn.nn import autodiff as ad
-from pokebnn.nn import blocks
 from pokebnn.nn.checkpoint import load_tensors, save_tensors
 from pokebnn.nn.model import Model
 
@@ -18,6 +22,17 @@ def toy():
 @pytest.fixture(scope="module")
 def batch():
     return np.random.default_rng(0).normal(size=(4, 16, 16, 3))
+
+
+class TestInit:
+    def test_dprelu_initial_values(self, toy):
+        model = Model(toy, seed=1)
+        nodes = [n.id for n in toy.nodes if n.op == "dprelu"]
+        assert nodes
+        for nid in nodes:
+            for name, value in (("alpha", 0.0), ("beta", 0.0),
+                                ("gamma", 0.25), ("eta", 1.0)):
+                assert np.all(model.params[f"{nid}.{name}"].data == value)
 
 
 class TestForward:
@@ -150,36 +165,79 @@ class TestCheckpoint:
             load_tensors(path)
 
 
-class TestExecutorMatchesFunctionalBlocks:
-    def test_single_pokeconv_agrees(self, batch):
-        """The lowered-graph executor and the functional block compute the
-        same function given the same parameters."""
-        g = build_pokebnn_toy(m=1, groups=2, input_shape=(16, 16, 3))
-        model = Model(g, seed=3)
-        p = "b00_pc1_"
-        params = blocks.PokeConvParams.create(64, 64, 1, np.random.default_rng(0))
-        params.w = model.params[p + "conv.w"]
-        for bn, nid in ((params.bn1, p + "bn1"), (params.bn2, p + "bn2")):
-            bn.scale = model.params[nid + ".scale"]
-            bn.bias = model.params[nid + ".bias"]
-            bn.running_mean = model.bn_stats[nid]["mean"]
-            bn.running_var = model.bn_stats[nid]["var"]
-        params.act.alpha = model.params[p + "act.alpha"]
-        params.act.beta = model.params[p + "act.beta"]
-        params.act.gamma = model.params[p + "act.gamma"]
-        params.act.eta = model.params[p + "act.eta"]
-        params.se.w1 = model.params[p + "se_fc1.w"]
-        params.se.b1 = model.params[p + "se_fc1.bias"]
-        params.se.w2 = model.params[p + "se_fc2.w"]
-        params.se.b2 = model.params[p + "se_fc2.bias"]
-        params.se.in1_bound = model.bounds[p + "se_q1"]
-        params.se.in2_bound = model.bounds[p + "se_q2"]
+def se_model(channels, seed, gated=False):
+    """The lowered SE gate on the graph input, optionally applied to it."""
+    b = _GraphBuilder("se", (4, 4, channels))
+    last = _emit_se(b, "", "in", channels)
+    if gated:
+        last = b.emit("se_mul", "multiply", ["in", last])
+    return Model(b.finish(last), seed=seed)
 
+
+class TestSEGate:
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_zero_input_gate_is_hardsigmoid_of_bias(self, phase):
+        model = se_model(8, seed=1)
+        b2 = np.linspace(-4, 4, 8)
+        model.params["se_fc2.bias"].data[:] = b2
+        gate = model.forward(np.zeros((2, 4, 4, 8)), training=False, phase=phase)
+        assert np.allclose(gate.data[0, 0, 0], np.clip(b2 + 3, 0, 6) / 6)
+
+    def test_gate_in_unit_interval(self):
+        model = se_model(16, seed=2)
+        x = 5 * np.random.default_rng(2).normal(size=(2, 4, 4, 16))
         for phase in (1, 2):
-            trace = {}
-            model.forward(batch, training=False, phase=phase, trace=trace)
-            ctx = blocks.QuantContext(training=False, phase=phase,
-                                      binary_bound=model.binary_bound)
-            functional = blocks.pokeconv(ad.Tensor(trace["init_act2"]), None,
-                                         params, stride=1, ctx=ctx)
-            assert np.allclose(functional.data, trace[p + "bn2"], atol=1e-12)
+            gate = model.forward(x, training=False, phase=phase).data
+            assert np.all(gate >= 0) and np.all(gate <= 1)
+
+    def test_gating_never_amplifies(self):
+        model = se_model(8, seed=3, gated=True)
+        x = np.random.default_rng(3).normal(size=(2, 4, 4, 8))
+        gated = model.forward(x, training=False, phase=1).data
+        assert np.all(np.abs(gated) <= np.abs(x) + 1e-12)
+
+
+def pokeinit_model(input_shape):
+    b = _GraphBuilder("pokeinit", input_shape)
+    return Model(b.finish(_emit_pokeinit(b)), seed=12)
+
+
+class TestPokeInit:
+    def test_full_scale_shape(self):
+        x = np.random.default_rng(12).normal(size=(1, 224, 224, 3))
+        out = pokeinit_model((224, 224, 3)).forward(x, training=False, phase=1)
+        assert out.data.shape == (1, 56, 56, 64)
+
+    def test_toy_scale_shape(self):
+        x = np.random.default_rng(13).normal(size=(2, 32, 32, 3))
+        out = pokeinit_model((32, 32, 3)).forward(x, training=True, phase=2)
+        assert out.data.shape == (2, 8, 8, 64)
+        assert np.all(np.isfinite(out.data))
+
+
+def pokeconv_model(size, in_ch, out_ch, kernel, stride):
+    b = _GraphBuilder("pokeconv", (size, size, in_ch))
+    last = _emit_pokeconv(b, "", "in", None, (kernel, kernel), out_ch, stride)
+    return Model(b.finish(last), seed=7)
+
+
+class TestPokeConv:
+    def test_toy_shape_contract(self):
+        x = np.random.default_rng(7).normal(size=(2, 8, 8, 16))
+        out = pokeconv_model(8, 16, 16, 1, 1).forward(x, training=True, phase=1)
+        assert out.data.shape == (2, 8, 8, 16)
+        assert np.all(np.isfinite(out.data))
+
+    def test_stride_halves(self):
+        x = np.random.default_rng(8).normal(size=(1, 8, 8, 16))
+        out = pokeconv_model(8, 16, 32, 3, 2).forward(x, training=True, phase=2)
+        assert out.data.shape == (1, 4, 4, 32)
+
+    def test_every_parameter_gets_finite_gradient(self):
+        model = pokeconv_model(4, 8, 8, 3, 1)
+        x = np.random.default_rng(10).normal(size=(2, 4, 4, 8))
+        out = model.forward(x, training=True, phase=2, surrogate=True)
+        out.backward(np.ones_like(out.data))
+        for name, t in model.params.items():
+            assert t.grad is not None, name
+            assert np.all(np.isfinite(t.grad)), name

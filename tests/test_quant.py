@@ -205,22 +205,6 @@ class TestSurrogateGradient:
         assert np.all(np.abs(fd[outside]) < 1e-6)
 
 
-class TestQuantConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            quant.QuantConfig(bits=0)
-        with pytest.raises(ValueError):
-            quant.QuantConfig(bits=4, ema_alpha=1.5)
-        with pytest.raises(ValueError):
-            quant.QuantConfig(bits=4, epsilon=0.7)
-        with pytest.raises(ValueError):
-            quant.QuantConfig(bits=4, bound_mode="nope")
-
-    def test_defaults(self):
-        cfg = quant.QuantConfig(bits=4)
-        assert cfg.signed and cfg.bound_mode == "ema"
-
-
 class TestTernary:
     """Two-bit quantization is supported by the same formula (unused by
     builtins)."""
