@@ -23,7 +23,7 @@ print(f"xnor/popcount dot = {packed_dot}, float dot = {int(a @ b)}")
 
 # The packed convolution must agree with the float reference *exactly*,
 # including at the borders where zero padding contributes a third value
-# that raw XNOR cannot represent; a validity mask handles those taps.
+# that raw XNOR cannot represent; a per-border correction handles those taps.
 act = np.where(rng.random((8, 8, 16)) < 0.5, -1.0, 1.0)
 wts = np.where(rng.random((8, 3, 3, 16)) < 0.5, -1.0, 1.0)
 packed = K.binary_conv2d(K.pack_signs(act), K.pack_signs(wts), stride=1)

@@ -14,11 +14,11 @@ from pokebnn.builders import build_pokebnn
 from pokebnn.graphir import infer_shapes, load_graph, save_graph, validate_graph
 
 g = build_pokebnn(0.5)
-path = Path(tempfile.mkdtemp()) / "pokebnn-0.5x.json"
-save_graph(g, path)
-print(f"wrote {path} ({path.stat().st_size} bytes, {len(g.nodes)} nodes)")
-
-g2 = load_graph(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "pokebnn-0.5x.json"
+    save_graph(g, path)
+    print(f"wrote {path} ({path.stat().st_size} bytes, {len(g.nodes)} nodes)")
+    g2 = load_graph(path)
 print(f"round trip exact: {g2 == g}")
 
 shapes = infer_shapes(g2)

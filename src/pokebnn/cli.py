@@ -85,12 +85,17 @@ def cmd_verify_kernels(args) -> int:
     rng = np.random.default_rng(args.seed)
     failures = []
 
+    # Channels past one word with a partial last word, even kernels (uneven
+    # "same" padding), stride 3 and one-row/one-column inputs reach the
+    # border correction of binary_conv2d on multi-word shapes.
     for case in range(args.cases):
         h, w = rng.integers(3, 12, size=2)
-        c = int(rng.choice([1, 3, 8, 16, 64, 96]))
-        f = int(rng.integers(1, 9))
-        k = int(rng.choice([1, 3]))
-        stride = int(rng.choice([1, 2]))
+        if rng.random() < 0.2:
+            h, w = (1, w) if rng.random() < 0.5 else (h, 1)
+        c = int(rng.choice([1, 3, 8, 16, 64, 65, 96, 130, 200]))
+        f = int(rng.integers(1, 41))
+        k = int(rng.choice([1, 2, 3, 4]))
+        stride = int(rng.choice([1, 2, 3]))
         padding = str(rng.choice(["same", "valid"]))
         if padding == "valid" and (h < k or w < k):
             padding = "same"

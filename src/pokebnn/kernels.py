@@ -1,15 +1,25 @@
 """Bit-packed and integer compute kernels, plus float reference oracles.
 
 Sign tensors pack one bit per element into uint64 words along the channel
-(innermost) axis: bit 1 means +1, bit 0 means -1. A dot product of two
-packed +-1 vectors is then ``n - 2 * popcount(a XOR b)``.
+(innermost) axis: bit k of word j is lane 64*j + k, bit 1 means +1 and bit 0
+means -1, and the trailing pad lanes of the last word are zero. A dot product
+of two packed +-1 vectors is then ``n - 2 * popcount(a XOR b)``.
 
-Zero padding cannot be represented by a sign bit, so padded positions carry
-an explicit validity mask and contribute nothing to the popcount; this keeps
-the binary convolution bit-exact against the float reference with zero
-padding. Accumulators are 32-bit signed: |acc| is bounded by the kernel
-volume times the max operand magnitude (at most 4*4*3*127*127 for the 8-bit
-stem conv), far below 2^31.
+The binary convolution is one XOR/popcount GEMM: im2col gathers the padded
+activation words into ``[kh*kw*n_words, ho*wo]`` and each of those rows is
+XORed against every filter at once. Zero padding has no sign bit; a padded
+word is zero, so the GEMM reads an out-of-bounds tap as an all -1 activation
+and adds ``-sum(w[f, tap])`` where the float reference adds zero. Output
+positions on the border get that term back from the 0/1 matrix of their
+out-of-bounds taps times the per-tap weight sums, which keeps the result
+bit-exact against the float reference. Pad lanes are zero in both operands,
+so they never count as mismatches.
+
+Accumulators are 32-bit signed: |acc| is bounded by the kernel volume times
+the max operand magnitude (at most 4*4*3*127*127 for the 8-bit stem conv),
+far below 2^31. Integer kernels multiply in float64 so that BLAS does the
+work; operands have at most 8 bits, so every partial sum is an integer below
+2^53 and the result is exact.
 """
 
 from __future__ import annotations
@@ -38,46 +48,33 @@ class BitPlane:
 
     shape: tuple
     words: np.ndarray                 # uint64, shape[:-1] + (n_words,)
-    valid_mask: np.ndarray | None = None  # same layout; None = all lanes valid
 
     @property
     def lanes(self) -> int:
         return self.shape[-1]
 
-    def lane_mask(self) -> np.ndarray:
-        """Word mask with one bit set per real (non-pad) lane."""
-        if self.valid_mask is not None:
-            return self.valid_mask
-        n_words = self.words.shape[-1]
-        mask = np.zeros(n_words, dtype=np.uint64)
-        full, rem = divmod(self.lanes, WORD_BITS)
-        mask[:full] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        if rem:
-            mask[full] = np.uint64((1 << rem) - 1)
-        return np.broadcast_to(mask, self.words.shape)
+
+def _pack_lanes(bits) -> np.ndarray:
+    """Packs a boolean array along its last axis into uint64 words; bit k is lane k."""
+    lanes = bits.shape[-1]
+    n_words = -(-lanes // WORD_BITS)
+    buf = np.zeros(bits.shape[:-1] + (n_words * 8,), dtype=np.uint8)
+    buf[..., :-(-lanes // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return buf.view("<u8")
 
 
 def pack_signs(x) -> BitPlane:
-    """Packs a {-1, +1} tensor; raises on any other value."""
+    """Packs a {-1, +1} tensor; raises on any other value, NaN included."""
     x = np.asarray(x)
-    if not np.all(np.isin(x, (-1, 1))):
+    if not np.all((x == 1) | (x == -1)):
         raise KernelError("pack_signs requires entries in {-1, +1}")
-    bits = (x > 0).astype(np.uint64)
-    lanes = x.shape[-1]
-    n_words = -(-lanes // WORD_BITS)
-    padded = np.zeros(x.shape[:-1] + (n_words * WORD_BITS,), dtype=np.uint64)
-    padded[..., :lanes] = bits
-    grouped = padded.reshape(x.shape[:-1] + (n_words, WORD_BITS))
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    words = np.bitwise_or.reduce(grouped << shifts, axis=-1)
-    return BitPlane(shape=x.shape, words=words)
+    return BitPlane(shape=x.shape, words=_pack_lanes(x > 0))
 
 
 def unpack_signs(bp: BitPlane) -> np.ndarray:
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    bits = (bp.words[..., :, None] >> shifts) & np.uint64(1)
-    flat = bits.reshape(bp.shape[:-1] + (-1,))[..., :bp.lanes]
-    return np.where(flat == 1, 1.0, -1.0)
+    octets = bp.words.astype("<u8").view(np.uint8)
+    bits = np.unpackbits(octets, axis=-1, count=bp.lanes, bitorder="little")
+    return np.where(bits == 1, 1.0, -1.0)
 
 
 def popcount(words) -> np.ndarray:
@@ -116,8 +113,8 @@ def binary_conv2d(act: BitPlane, weights: BitPlane, stride: int = 1,
     """XNOR/popcount convolution of packed sign tensors; exact int32 output.
 
     ``act`` is [H, W, C] packed, ``weights`` is [F, kh, kw, C] packed. Zero
-    padding is emulated through the validity mask, so padded taps add zero
-    exactly as in the float reference.
+    padding is restored by a correction on the border outputs, so padded
+    taps add zero exactly as in the float reference.
     """
     if len(act.shape) != 3 or len(weights.shape) != 4:
         raise KernelError("act must be [H,W,C], weights [F,kh,kw,C]")
@@ -129,26 +126,33 @@ def binary_conv2d(act: BitPlane, weights: BitPlane, stride: int = 1,
     pt, pb = pad_amounts(h, kh, stride, padding)
     pl, pr = pad_amounts(w, kw, stride, padding)
     n_words = act.words.shape[-1]
-    hp, wp = h + pt + pb, w + pl + pr
-    padded = np.zeros((hp, wp, n_words), dtype=np.uint64)
+    padded = np.zeros((h + pt + pb, w + pl + pr, n_words), dtype=np.uint64)
     padded[pt:pt + h, pl:pl + w] = act.words
-    mask = np.zeros_like(padded)
-    mask[pt:pt + h, pl:pl + w] = act.lane_mask()
-
-    ho = _out_size(h, kh, stride, padding)
-    wo = _out_size(w, kw, stride, padding)
     win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(0, 1))
     win = win[::stride, ::stride]          # [ho, wo, n_words, kh, kw]
-    mwin = np.lib.stride_tricks.sliding_window_view(mask, (kh, kw), axis=(0, 1))
-    mwin = mwin[::stride, ::stride]
-    valid = popcount(mwin).sum(axis=(2, 3, 4))   # [ho, wo]
+    ho, wo = win.shape[:2]
+    cols = np.ascontiguousarray(win.transpose(3, 4, 2, 0, 1))
+    cols = cols.reshape(kh * kw * n_words, ho * wo)
+    wmat = np.ascontiguousarray(weights.words.reshape(f, -1).T)   # [K, F]
 
-    out = np.empty((ho, wo, f), dtype=np.int32)
-    wplanes = np.moveaxis(weights.words, -1, 1)  # [F, n_words, kh, kw]
-    for fi in range(f):
-        mism = popcount((win ^ wplanes[fi]) & mwin).sum(axis=(2, 3, 4))
-        out[:, :, fi] = valid - 2 * mism
-    return out
+    tmp = np.empty((ho * wo, f), dtype=np.uint64)
+    out = np.zeros((ho * wo, f), dtype=np.int32)     # mismatches, then dots
+    for a_row, w_row in zip(cols, wmat):
+        np.bitwise_xor(a_row[:, None], w_row[None, :], out=tmp)
+        out += np.bitwise_count(tmp)
+    out *= -2
+    out += kh * kw * c
+
+    # Out-of-bounds taps read as -1 activations; add their weight sums back.
+    ry = np.arange(ho)[:, None] * stride + np.arange(kh) - pt
+    rx = np.arange(wo)[:, None] * stride + np.arange(kw) - pl
+    padtap = (((ry < 0) | (ry >= h))[:, None, :, None]
+              | ((rx < 0) | (rx >= w))[None, :, None, :]).reshape(ho * wo, kh * kw)
+    border = padtap.any(axis=1)
+    if border.any():
+        wsum = 2 * np.bitwise_count(weights.words).sum(axis=-1, dtype=np.int32) - c
+        out[border] += padtap[border].astype(np.int32) @ wsum.reshape(f, kh * kw).T
+    return out.reshape(ho, wo, f)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +174,8 @@ class IntTensor:
     signed: bool = True
 
     def __post_init__(self):
+        if self.bits.is_float:
+            raise KernelError(f"IntTensor needs an integer DType, got {self.bits.value}")
         self.values = np.asarray(self.values, dtype=np.int32)
         b = self.bits.bits
         if self.signed:
@@ -202,19 +208,19 @@ def int_conv2d(act: IntTensor, w: IntTensor, stride: int = 1,
         raise KernelError(f"channel mismatch: act {ca}, weights {c}")
     pt, pb = pad_amounts(h, kh, stride, padding)
     pl, pr = pad_amounts(ww, kw, stride, padding)
-    xp = np.pad(x, ((pt, pb), (pl, pr), (0, 0))).astype(np.int64)
+    xp = np.pad(x, ((pt, pb), (pl, pr), (0, 0))).astype(np.float64)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
     win = win[::stride, ::stride]        # [ho, wo, c, kh, kw]
-    acc = np.einsum("hwckl,klcf->hwf", win, k.astype(np.int64))
-    acc = _check_acc_range(acc)
+    acc = _check_acc_range(np.tensordot(win, k.astype(np.float64),
+                                        axes=([2, 3, 4], [2, 0, 1])))
     deq = acc.astype(np.float64) * float(np.asarray(act.scale)) * np.asarray(w.scale, dtype=np.float64)
     return acc, deq
 
 
 def int_dense(act: IntTensor, w: IntTensor) -> tuple[np.ndarray, np.ndarray]:
     """Integer matrix-vector/matrix product with exact int32 accumulation."""
-    x = act.values.astype(np.int64)
-    k = w.values.astype(np.int64)
+    x = act.values.astype(np.float64)
+    k = w.values.astype(np.float64)
     if x.shape[-1] != k.shape[0]:
         raise KernelError(f"shape mismatch: {x.shape} @ {k.shape}")
     acc = _check_acc_range(x @ k)
@@ -229,21 +235,10 @@ def int_dense(act: IntTensor, w: IntTensor) -> tuple[np.ndarray, np.ndarray]:
 EmulatedMatmul = namedtuple("EmulatedMatmul", ["values", "binary_macs"])
 
 
-def _pack_rows(bits01: np.ndarray) -> np.ndarray:
-    """Packs a 0/1 matrix [R, K] into uint64 words [R, ceil(K/64)]."""
-    r, k = bits01.shape
-    n_words = -(-k // WORD_BITS)
-    padded = np.zeros((r, n_words * WORD_BITS), dtype=np.uint64)
-    padded[:, :k] = bits01.astype(np.uint64)
-    grouped = padded.reshape(r, n_words, WORD_BITS)
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    return np.bitwise_or.reduce(grouped << shifts, axis=-1)
-
-
 def and_matmul(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
     """Binary matmul of 0/1 matrices: popcount of ANDed packed rows."""
-    pa = _pack_rows(a_bits)            # [M, W]
-    pb = _pack_rows(b_bits.T)          # [N, W]
+    pa = _pack_lanes(a_bits > 0)       # [M, W]
+    pb = _pack_lanes(b_bits.T > 0)     # [N, W]
     return popcount(pa[:, None, :] & pb[None, :, :]).sum(axis=-1)
 
 

@@ -139,6 +139,9 @@ class Model:
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
             raise ValueError(f"expected [N, H, W, C] input, got shape {x.shape}")
+        if x.shape[1:] != tuple(self.graph.input_shape):
+            raise ValueError(f"graph {self.graph.name!r} expects input "
+                             f"{tuple(self.graph.input_shape)}, got {x.shape[1:]}")
         values: dict[str, Tensor] = {}
         out = None
         for node in self.graph.nodes:

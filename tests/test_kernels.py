@@ -31,9 +31,21 @@ class TestPackSigns:
             x = random_signs(rng, shape)
             assert np.array_equal(K.unpack_signs(K.pack_signs(x)), x)
 
+    @pytest.mark.parametrize("lanes", [1, 2, 63, 64, 65, 127, 128, 129, 191])
+    def test_words_match_explicit_bit_sum(self, lanes):
+        x = random_signs(np.random.default_rng(lanes), (3, lanes))
+        words = K.pack_signs(x).words
+        assert words.shape == (3, -(-lanes // 64))
+        for row, xr in zip(words, x):
+            for j, word in enumerate(row):
+                expect = sum(1 << k for k in range(64)
+                             if 64 * j + k < lanes and xr[64 * j + k] > 0)
+                assert int(word) == expect
+
     def test_rejects_other_values(self):
-        with pytest.raises(K.KernelError):
-            K.pack_signs(np.array([1.0, 0.0, -1.0]))
+        for bad in (0.0, 2.0, np.nan, np.inf):
+            with pytest.raises(K.KernelError):
+                K.pack_signs(np.array([1.0, bad, -1.0]))
 
 
 class TestXnorDot:
@@ -82,13 +94,18 @@ class TestBinaryConv:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_float_oracle(self, seed):
+        # Several words with a partial last one (65, 130, 200 channels),
+        # asymmetric "same" padding (even kernels), stride 3 and one-row or
+        # one-column inputs, where every output sits on the border.
         rng = np.random.default_rng(seed)
         for _ in range(40):
             h, w = rng.integers(3, 12, size=2)
-            c = int(rng.choice([1, 3, 8, 16, 64, 96]))
-            f = int(rng.integers(1, 9))
-            k = int(rng.choice([1, 3]))
-            stride = int(rng.choice([1, 2]))
+            if rng.random() < 0.2:
+                h, w = (1, w) if rng.random() < 0.5 else (h, 1)
+            c = int(rng.choice([1, 3, 8, 16, 64, 65, 96, 130, 200]))
+            f = int(rng.integers(1, 41))
+            k = int(rng.choice([1, 2, 3, 4]))
+            stride = int(rng.choice([1, 2, 3]))
             padding = str(rng.choice(["same", "valid"]))
             if padding == "valid" and (h < k or w < k):
                 padding = "same"
@@ -98,6 +115,7 @@ class TestBinaryConv:
                                   stride=stride, padding=padding)
             ref = K.float_conv2d(act, np.moveaxis(wts, 0, -1),
                                  stride=stride, padding=padding)
+            assert got.dtype == np.int32
             assert np.array_equal(got, ref.astype(np.int64))
 
     def test_channel_mismatch(self):
@@ -110,6 +128,11 @@ class TestIntTensor:
     def test_signed_range_enforced(self):
         with pytest.raises(K.KernelError):
             K.IntTensor(np.array([200]), DType.INT8)
+
+    @pytest.mark.parametrize("dtype", [DType.FP32, DType.BF16])
+    def test_float_dtype_rejected(self, dtype):
+        with pytest.raises(K.KernelError, match="integer DType"):
+            K.IntTensor(np.array([2 ** 30]), dtype)
 
     def test_unsigned_range_enforced(self):
         with pytest.raises(K.KernelError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,13 @@ class TestForward:
         logits = model.logits(batch, training=False, phase=phase)
         assert logits.shape == (4, 10)
         assert np.all(np.isfinite(logits))
+
+    @pytest.mark.parametrize("shape", [(2, 32, 32, 3), (2, 16, 20, 3),
+                                       (2, 16, 16, 4)])
+    def test_rejects_other_input_shape(self, toy, shape):
+        message = f"expects input (16, 16, 3), got {shape[1:]}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Model(toy, seed=1).logits(np.zeros(shape))
 
     def test_eval_mode_deterministic(self, toy, batch):
         model = Model(toy, seed=1)
