@@ -87,7 +87,8 @@ def cmd_verify_kernels(args) -> int:
 
     # Channels past one word with a partial last word, even kernels (uneven
     # "same" padding), stride 3 and one-row/one-column inputs reach the
-    # border correction of binary_conv2d on multi-word shapes.
+    # border correction of binary_conv2d on multi-word shapes. int_conv2d
+    # runs on int8 values over the same geometry.
     for case in range(args.cases):
         h, w = rng.integers(3, 12, size=2)
         if rng.random() < 0.2:
@@ -99,6 +100,8 @@ def cmd_verify_kernels(args) -> int:
         padding = str(rng.choice(["same", "valid"]))
         if padding == "valid" and (h < k or w < k):
             padding = "same"
+        geometry = dict(h=int(h), w=int(w), c=c, f=f, k=k,
+                        stride=stride, padding=padding)
         act = np.where(rng.random((h, w, c)) < 0.5, -1.0, 1.0)
         wts = np.where(rng.random((f, k, k, c)) < 0.5, -1.0, 1.0)
         got = kernels.binary_conv2d(kernels.pack_signs(act),
@@ -110,9 +113,15 @@ def cmd_verify_kernels(args) -> int:
             got = got.copy()
             got.flat[0] ^= 1
         if not np.array_equal(got, ref.astype(np.int64)):
-            failures.append(("binary_conv2d", case,
-                             dict(h=int(h), w=int(w), c=c, f=f, k=k,
-                                  stride=stride, padding=padding)))
+            failures.append(("binary_conv2d", case, geometry))
+        av = rng.integers(-127, 128, size=(h, w, c))
+        wv = rng.integers(-127, 128, size=(k, k, c, f))
+        acc, _ = kernels.int_conv2d(kernels.IntTensor(av, _int_dtype(8)),
+                                    kernels.IntTensor(wv, _int_dtype(8)),
+                                    stride=stride, padding=padding)
+        ref = kernels.float_conv2d(av, wv, stride=stride, padding=padding)
+        if not np.array_equal(acc, ref.astype(np.int64)):
+            failures.append(("int_conv2d", case, geometry))
 
     matmul_cases = max(1, args.cases // 5)
     for case in range(matmul_cases):
@@ -136,13 +145,14 @@ def cmd_verify_kernels(args) -> int:
         if not np.array_equal(kernels.unpack_signs(kernels.pack_signs(x)), x):
             failures.append(("pack_roundtrip", case, dict(shape=shape)))
 
-    total = args.cases + matmul_cases * 5 + max(1, args.cases // 10)
+    total = 2 * args.cases + matmul_cases * 5 + max(1, args.cases // 10)
     if failures:
         print(f"FAIL: {len(failures)} of {total} cases mismatched")
         for kind, case, info in failures[:10]:
             print(f"  {kind} case {case}: {info}")
         return EXIT_CHECK_FAILED
-    print(f"ok: binary_conv2d={args.cases} bitplane_matmul={matmul_cases * 5} "
+    print(f"ok: binary_conv2d={args.cases} int_conv2d={args.cases} "
+          f"bitplane_matmul={matmul_cases * 5} "
           f"pack_roundtrip={max(1, args.cases // 10)} cases, all exact")
     return EXIT_OK
 

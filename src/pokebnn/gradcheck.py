@@ -160,7 +160,7 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
 
     def avg_pool_case(rng, s):
         x = t((2, 6, 6, 2), rng)
-        return check_gradients(lambda: ad.avg_pool(x, 3, 2, "same"),
+        return check_gradients(lambda: ad.avg_pool(x, (3, 3), 2, "same"),
                                {"x": x}, seed=s)
     record("avg_pool", avg_pool_case)
 

@@ -1,4 +1,4 @@
-"""Static network IR: typed nodes, shape inference, validation, JSON serialization.
+"""Static network IR: typed nodes, shapes and windows, validation, JSON serialization.
 
 Graphs are stored pre-lowered: composite blocks (PokeConv, PokeInit, the SE
 gate, shortcut reshaping) appear as expanded primitive subgraphs, so analysis
@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import ceil, floor
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -149,6 +151,25 @@ def pad_amounts(size: int, kernel: int, stride: int, padding: str) -> tuple[int,
         raise ShapeError(f"unknown padding mode {padding!r}")
     total = max((-(-size // stride) - 1) * stride + kernel - size, 0)
     return total // 2, total - total // 2
+
+
+def windows(x, kh: int, kw: int, stride: int, padding: str, fill=0):
+    """Strided kh x kw windows over the H and W axes of an [..., H, W, C] array.
+
+    Returns the view [..., ho, wo, C, kh, kw] of ``x`` padded with ``fill``,
+    and the padding (top, bottom, left, right) from ``pad_amounts``.
+    """
+    h, w = x.shape[-3:-1]
+    pt, pb = pad_amounts(h, kh, stride, padding)
+    pl, pr = pad_amounts(w, kw, stride, padding)
+    if pt or pb or pl or pr:
+        xp = np.full(x.shape[:-3] + (h + pt + pb, w + pl + pr, x.shape[-1]),
+                     fill, dtype=x.dtype)
+        xp[..., pt:pt + h, pl:pl + w, :] = x
+    else:
+        xp = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-3, -2))
+    return win[..., ::stride, ::stride, :, :, :], (pt, pb, pl, pr)
 
 
 def _spatial(attrs: dict, h: int, w: int) -> tuple[int, int]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphir import DType, pad_amounts
+from .graphir import DType, pad_amounts, windows
 
 WORD_BITS = 64
 
@@ -95,16 +95,6 @@ def xnor_popcount_dot(a: BitPlane, b: BitPlane, n: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Output size, apart from graphir so instrumented_conv_macs stays an oracle
-# ---------------------------------------------------------------------------
-
-def _out_size(size, kernel, stride, padding):
-    if padding == "same":
-        return -(-size // stride)
-    return (size - kernel) // stride + 1
-
-
-# ---------------------------------------------------------------------------
 # Binary convolution
 # ---------------------------------------------------------------------------
 
@@ -123,14 +113,8 @@ def binary_conv2d(act: BitPlane, weights: BitPlane, stride: int = 1,
     if wc != c:
         raise KernelError(f"channel mismatch: act {c}, weights {wc}")
 
-    pt, pb = pad_amounts(h, kh, stride, padding)
-    pl, pr = pad_amounts(w, kw, stride, padding)
-    n_words = act.words.shape[-1]
-    padded = np.zeros((h + pt + pb, w + pl + pr, n_words), dtype=np.uint64)
-    padded[pt:pt + h, pl:pl + w] = act.words
-    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(0, 1))
-    win = win[::stride, ::stride]          # [ho, wo, n_words, kh, kw]
-    ho, wo = win.shape[:2]
+    win, (pt, _, pl, _) = windows(act.words, kh, kw, stride, padding)
+    ho, wo, n_words = win.shape[:3]        # win is [ho, wo, n_words, kh, kw]
     cols = np.ascontiguousarray(win.transpose(3, 4, 2, 0, 1))
     cols = cols.reshape(kh * kw * n_words, ho * wo)
     wmat = np.ascontiguousarray(weights.words.reshape(f, -1).T)   # [K, F]
@@ -203,14 +187,10 @@ def int_conv2d(act: IntTensor, w: IntTensor, stride: int = 1,
     x = act.values
     k = w.values
     kh, kw, c, f = k.shape
-    h, ww, ca = x.shape
+    _, _, ca = x.shape
     if ca != c:
         raise KernelError(f"channel mismatch: act {ca}, weights {c}")
-    pt, pb = pad_amounts(h, kh, stride, padding)
-    pl, pr = pad_amounts(ww, kw, stride, padding)
-    xp = np.pad(x, ((pt, pb), (pl, pr), (0, 0))).astype(np.float64)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    win = win[::stride, ::stride]        # [ho, wo, c, kh, kw]
+    win, _ = windows(x.astype(np.float64), kh, kw, stride, padding)  # [ho, wo, c, kh, kw]
     acc = _check_acc_range(np.tensordot(win, k.astype(np.float64),
                                         axes=([2, 3, 4], [2, 0, 1])))
     deq = acc.astype(np.float64) * float(np.asarray(act.scale)) * np.asarray(w.scale, dtype=np.float64)
@@ -285,45 +265,3 @@ def float_conv2d(x, w, stride: int = 1, padding: str = "same") -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
     win = win[::stride, ::stride]
     return np.einsum("hwckl,klcf->hwf", win, w)
-
-
-def float_dense(x, w, bias=None) -> np.ndarray:
-    out = np.asarray(x, dtype=np.float64) @ np.asarray(w, dtype=np.float64)
-    if bias is not None:
-        out = out + bias
-    return out
-
-
-def avg_pool_ref(x, kernel: int = 3, stride: int = 2,
-                 padding: str = "same") -> np.ndarray:
-    """Average pool with the fixed divisor kernel*kernel (zero padding)."""
-    x = np.asarray(x, dtype=np.float64)
-    h, w, _ = x.shape
-    pt, pb = pad_amounts(h, kernel, stride, padding)
-    pl, pr = pad_amounts(w, kernel, stride, padding)
-    xp = np.pad(x, ((pt, pb), (pl, pr), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(0, 1))
-    win = win[::stride, ::stride]
-    return win.sum(axis=(3, 4)) / (kernel * kernel)
-
-
-def instrumented_conv_macs(in_shape, kernel, stride, padding,
-                           out_channels, groups: int = 1) -> int:
-    """MAC count of a conv by explicit loop-trip enumeration.
-
-    Walks every (output row, output column, filter, kernel tap) the reference
-    kernel would visit; each trip covers the C_in/groups innermost products.
-    Independent of the analytic formula in ``pokebnn.cost``.
-    """
-    h, w, c = in_shape
-    kh, kw = kernel
-    ho = _out_size(h, kh, stride, padding)
-    wo = _out_size(w, kw, stride, padding)
-    trips = 0
-    for _y in range(ho):
-        for _x in range(wo):
-            for _f in range(out_channels):
-                for _i in range(kh):
-                    for _j in range(kw):
-                        trips += c // groups
-    return trips

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import quant
-from ..graphir import pad_amounts
+from ..graphir import windows
 
 
 class Tensor:
@@ -223,7 +223,7 @@ def binarize(x: Tensor, bound, surrogate: bool = False) -> Tensor:
         data = quant.binarize(x.data).astype(x.data.dtype)
 
     def backward(g):
-        x._accumulate(g * (np.abs(x.data) < bound))
+        x._accumulate(g * quant.ste_mask(x.data, bound))
 
     return _make(data, (x,), backward, _needs(x))
 
@@ -237,7 +237,7 @@ def fake_quant(x: Tensor, bound, bits: int, surrogate: bool = False) -> Tensor:
         data = quant.fake_quant(x.data, bound, bits).astype(x.data.dtype)
 
     def backward(g):
-        x._accumulate(g * (np.abs(x.data) < bound))
+        x._accumulate(g * quant.ste_mask(x.data, bound))
 
     return _make(data, (x,), backward, _needs(x))
 
@@ -246,21 +246,25 @@ def fake_quant(x: Tensor, bound, bits: int, surrogate: bool = False) -> Tensor:
 # Structured ops: convolution, dense, pooling, channel reshaping
 # ---------------------------------------------------------------------------
 
-def _windows(xp, kh, kw, stride):
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return win[:, ::stride, ::stride]    # [N, ho, wo, C, kh, kw]
+def _fold(x, pads, kh, kw, stride, ho, wo, tap):
+    """Adjoint of ``windows``: sums ``tap(i, j)``, the [N, ho, wo, C] gradient
+    of kernel tap (i, j), back onto the positions of ``x`` it was read from."""
+    pt, pb, pl, pr = pads
+    n, h, w, c = x.shape
+    gx = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += tap(i, j)
+    return gx[:, pt:pt + h, pl:pl + w, :]
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
     """2D convolution, x [N,H,W,C] with w [kh,kw,C,F]."""
     kh, kw, c, f = w.data.shape
-    n, h, ww, cx = x.data.shape
+    cx = x.data.shape[-1]
     if cx != c:
         raise ValueError(f"conv2d channel mismatch: input {cx}, weight {c}")
-    pt, pb = pad_amounts(h, kh, stride, padding)
-    pl, pr = pad_amounts(ww, kw, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    win = _windows(xp, kh, kw, stride)   # [N, ho, wo, C, kh, kw]
+    win, pads = windows(x.data, kh, kw, stride, padding)   # [N, ho, wo, C, kh, kw]
     data = np.tensordot(win, w.data, axes=([3, 4, 5], [2, 0, 1]))
     ho, wo = data.shape[1:3]
 
@@ -269,12 +273,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tens
             gw = np.tensordot(win, g, axes=([0, 1, 2], [0, 1, 2]))  # [C,kh,kw,F]
             w._accumulate(np.ascontiguousarray(gw.transpose(1, 2, 0, 3)))
         if x.requires_grad or x._parents:
-            gx = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += \
-                        np.tensordot(g, w.data[i, j], axes=([3], [1]))
-            x._accumulate(gx[:, pt:pt + h, pl:pl + ww, :])
+            x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo, lambda i, j:
+                                np.tensordot(g, w.data[i, j], axes=([3], [1]))))
 
     return _make(data, (x, w), backward, _needs(x, w))
 
@@ -283,15 +283,12 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
                      padding: str = "same") -> Tensor:
     """Depthwise convolution with channel multiplier, w [kh,kw,C,mult]."""
     kh, kw, c, m = w.data.shape
-    n, h, ww, cx = x.data.shape
+    cx = x.data.shape[-1]
     if cx != c:
         raise ValueError(f"depthwise channel mismatch: input {cx}, weight {c}")
-    pt, pb = pad_amounts(h, kh, stride, padding)
-    pl, pr = pad_amounts(ww, kw, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    win = _windows(xp, kh, kw, stride)
+    win, pads = windows(x.data, kh, kw, stride, padding)
     out = np.einsum("nhwckl,klcm->nhwcm", win, w.data, optimize=True)
-    ho, wo = out.shape[1:3]
+    n, ho, wo = out.shape[:3]
     data = out.reshape(n, ho, wo, c * m)
 
     def backward(g):
@@ -299,12 +296,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
         if w.requires_grad or w._parents:
             w._accumulate(np.einsum("nhwckl,nhwcm->klcm", win, gr, optimize=True))
         if x.requires_grad or x._parents:
-            gx = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += \
-                        np.einsum("nhwcm,cm->nhwc", gr, w.data[i, j], optimize=True)
-            x._accumulate(gx[:, pt:pt + h, pl:pl + ww, :])
+            x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo, lambda i, j:
+                                np.einsum("nhwcm,cm->nhwc", gr, w.data[i, j],
+                                          optimize=True)))
 
     return _make(data, (x, w), backward, _needs(x, w))
 
@@ -329,51 +323,40 @@ def dense(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
                  _needs(*(p for p in parents)))
 
 
-def avg_pool(x: Tensor, kernel: int = 3, stride: int = 2,
+def avg_pool(x: Tensor, kernel=(3, 3), stride: int = 2,
              padding: str = "same", divisor: float | None = None) -> Tensor:
-    """Average pool with a fixed divisor (kernel^2 by default, zero padding)."""
-    n, h, w, c = x.data.shape
-    div = float(divisor) if divisor is not None else 1.0 / (kernel * kernel)
-    pt, pb = pad_amounts(h, kernel, stride, padding)
-    pl, pr = pad_amounts(w, kernel, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    win = _windows(xp, kernel, kernel, stride)
+    """Average pool with a fixed divisor (1/(kh*kw) by default, zero padding)."""
+    kh, kw = kernel
+    div = float(divisor) if divisor is not None else 1.0 / (kh * kw)
+    win, pads = windows(x.data, kh, kw, stride, padding)
     data = win.sum(axis=(4, 5)) * div
     ho, wo = data.shape[1:3]
 
     def backward(g):
-        gx = np.zeros_like(xp)
         gd = g * div
-        for i in range(kernel):
-            for j in range(kernel):
-                gx[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += gd
-        x._accumulate(gx[:, pt:pt + h, pl:pl + w, :])
+        x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo, lambda i, j: gd))
 
     return _make(data, (x,), backward, _needs(x))
 
 
-def max_pool(x: Tensor, kernel: int = 3, stride: int = 2,
+def max_pool(x: Tensor, kernel=(3, 3), stride: int = 2,
              padding: str = "same") -> Tensor:
-    n, h, w, c = x.data.shape
-    pt, pb = pad_amounts(h, kernel, stride, padding)
-    pl, pr = pad_amounts(w, kernel, stride, padding)
-    neg = np.finfo(x.data.dtype).min
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-                constant_values=neg)
-    win = _windows(xp, kernel, kernel, stride)
+    """Max pool; the gradient goes to the first maximal tap in (i, j) order."""
+    kh, kw = kernel
+    win, pads = windows(x.data, kh, kw, stride, padding,
+                        fill=np.finfo(x.data.dtype).min)
     data = win.max(axis=(4, 5))
     ho, wo = data.shape[1:3]
 
     def backward(g):
-        gx = np.zeros_like(xp)
         taken = np.zeros(data.shape, dtype=bool)
-        for i in range(kernel):
-            for j in range(kernel):
-                sl = xp[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :]
-                hit = (sl == data) & ~taken
-                taken |= hit
-                gx[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += g * hit
-        x._accumulate(gx[:, pt:pt + h, pl:pl + w, :])
+
+        def tap(i, j):
+            hit = (win[..., i, j] == data) & ~taken
+            taken[...] |= hit
+            return g * hit
+
+        x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo, tap))
 
     return _make(data, (x,), backward, _needs(x))
 

@@ -66,6 +66,9 @@ class Model:
         for node in self.graph.nodes:
             nid = node.id
             out_c = self.shapes[nid][2]
+            if node.op == "conv2d" and node.attrs.get("groups", 1) != 1:
+                raise ValueError(f"node {nid!r}: conv2d with groups="
+                                 f"{node.attrs['groups']} is costed but not executed")
             if node.op in ("conv2d", "depthwise_conv2d"):
                 kh, kw = node.attrs["kernel"]
                 c_in = self.shapes[node.inputs[0]][2]
@@ -74,9 +77,8 @@ class Model:
                     shape = (kh, kw, c_in, mult)
                     fan_in = kh * kw
                 else:
-                    groups = node.attrs.get("groups", 1)
-                    shape = (kh, kw, c_in // groups, out_c)
-                    fan_in = kh * kw * (c_in // groups)
+                    shape = (kh, kw, c_in, out_c)
+                    fan_in = kh * kw * c_in
                 self._param(nid + WEIGHT_SUFFIX,
                             rng.normal(0.0, (2.0 / fan_in) ** 0.5, size=shape))
             elif node.op == "dense":
@@ -177,7 +179,8 @@ class Model:
                                  surrogate=ctx.surrogate)
         if op in ("conv2d", "depthwise_conv2d", "dense"):
             w = self.params[nid + WEIGHT_SUFFIX]
-            w = self._quantized_weight(w, node.attrs["weight_bits"], ctx)
+            w = self._quantized_weight(w, node.attrs["weight_bits"], ctx,
+                                       depthwise=op == "depthwise_conv2d")
             if op == "conv2d":
                 return ad.conv2d(ins[0], w, stride=node.attrs["stride"],
                                  padding=node.attrs["padding"])
@@ -217,22 +220,28 @@ class Model:
             return ad.avg_channels(ins[0], node.attrs["out_channels"])
         if op == "avg_pool":
             divisor = node.attrs.get("divisor")
-            return ad.avg_pool(ins[0], kernel=node.attrs["kernel"][0],
+            return ad.avg_pool(ins[0], kernel=node.attrs["kernel"],
                                stride=node.attrs["stride"],
                                padding=node.attrs["padding"],
                                divisor=float(divisor) if divisor else None)
         if op == "max_pool":
-            return ad.max_pool(ins[0], kernel=node.attrs["kernel"][0],
+            return ad.max_pool(ins[0], kernel=node.attrs["kernel"],
                                stride=node.attrs["stride"],
                                padding=node.attrs["padding"])
         if op == "spatial_mean":
             return ad.spatial_mean(ins[0])
         raise ValueError(f"node {nid!r}: executor has no handler for {op!r}")
 
-    def _quantized_weight(self, w, bits: DType, ctx: QuantContext) -> Tensor:
+    def _quantized_weight(self, w, bits: DType, ctx: QuantContext,
+                          depthwise: bool = False) -> Tensor:
         if bits.is_float or not ctx.weights_quantized:
             return w
-        bounds = quant.weight_channel_bounds(w.data)
+        if depthwise:   # [kh, kw, C, mult]: output channel (c, m) has its own bound
+            kh, kw, c, m = w.data.shape
+            bounds = quant.weight_channel_bounds(
+                w.data.reshape(kh, kw, c * m)).reshape(c, m)
+        else:
+            bounds = quant.weight_channel_bounds(w.data)
         if bits is DType.BIN:
             grad_bound = (bounds if ctx.binary_weight_bound is None
                           else ctx.binary_weight_bound)

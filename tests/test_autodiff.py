@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pokebnn.gradcheck import check_gradients, run_gradcheck
+from pokebnn.graphir import pad_amounts
+from pokebnn.kernels import float_conv2d
 from pokebnn.nn import autodiff as ad
 from pokebnn.nn.autodiff import Tensor
 
@@ -140,7 +142,7 @@ class TestOpEdgeCases:
 
     def test_max_pool_forward_and_gradient(self):
         x = tensor(np.array([[1.0, 2.0], [4.0, 3.0]]).reshape(1, 2, 2, 1))
-        out = ad.max_pool(x, kernel=2, stride=2, padding="same")
+        out = ad.max_pool(x, kernel=(2, 2), stride=2, padding="same")
         assert out.data.item() == 4.0
         out.backward(np.ones_like(out.data))
         assert np.array_equal(x.grad.reshape(2, 2), [[0, 0], [1, 0]])
@@ -167,6 +169,72 @@ class TestOpEdgeCases:
         out = ad.add(x, x)
         out.backward(np.array([1.0]))
         assert x.grad.item() == 2.0
+
+
+def max_pool_oracle(x, kernel, stride, padding):
+    """Max over the in-bounds taps of each window of an [H, W, C] array."""
+    (kh, kw), (h, w, _) = kernel, x.shape
+    pt, pb = pad_amounts(h, kh, stride, padding)
+    pl, pr = pad_amounts(w, kw, stride, padding)
+    ho, wo = (h + pt + pb - kh) // stride + 1, (w + pl + pr - kw) // stride + 1
+    out = np.empty((ho, wo, x.shape[2]))
+    for y in range(ho):
+        for xx in range(wo):
+            r0, c0 = y * stride - pt, xx * stride - pl
+            out[y, xx] = x[max(r0, 0):r0 + kh, max(c0, 0):c0 + kw].max(axis=(0, 1))
+    return out
+
+
+SPATIAL_CASES = [
+    (kernel, stride, padding, hw)
+    for kernel in [(1, 1), (2, 2), (3, 3), (3, 1), (2, 4)]
+    for stride in (1, 2, 3)
+    for padding in ("same", "valid")
+    for hw in ((7, 6), (1, 9))
+    if padding == "same" or (hw[0] >= kernel[0] and hw[1] >= kernel[1])]
+
+
+class TestSpatialForwardOracles:
+    """Each spatial op against float_conv2d or a brute-force max, then the
+    adjoint identity <out, g> = <x, dx> (all four ops are linear in x on each
+    piece), which checks the gradient fold on the same windows."""
+
+    @pytest.mark.parametrize("kernel,stride,padding,hw", SPATIAL_CASES)
+    def test_matches_oracle(self, kernel, stride, padding, hw):
+        rng = np.random.default_rng(sum(kernel) + 10 * stride + hw[0])
+        (kh, kw), c = kernel, 3
+        xd = rng.normal(size=(2,) + hw + (c,))
+        w = rng.normal(size=(kh, kw, c, 4))
+        dw = rng.normal(size=(kh, kw, c, 2))
+        block = np.zeros((kh, kw, c, 2 * c))      # block-diagonal depthwise
+        for ch in range(c):
+            block[:, :, ch, 2 * ch:2 * ch + 2] = dw[:, :, ch]
+        div_eye = np.broadcast_to(np.eye(c) / (kh * kw), (kh, kw, c, c))
+        ops = [
+            (lambda x: ad.conv2d(x, tensor(w), stride, padding),
+             lambda xi: float_conv2d(xi, w, stride, padding)),
+            (lambda x: ad.depthwise_conv2d(x, tensor(dw), stride, padding),
+             lambda xi: float_conv2d(xi, block, stride, padding)),
+            (lambda x: ad.avg_pool(x, kernel, stride, padding),
+             lambda xi: float_conv2d(xi, div_eye, stride, padding)),
+            (lambda x: ad.max_pool(x, kernel, stride, padding),
+             lambda xi: max_pool_oracle(xi, kernel, stride, padding)),
+        ]
+        for op, oracle in ops:
+            x = tensor(xd)
+            out = op(x)
+            for n in range(2):
+                assert np.allclose(out.data[n], oracle(xd[n]), rtol=1e-12, atol=1e-12)
+            g = rng.normal(size=out.data.shape)
+            out.backward(g)
+            assert np.isclose((out.data * g).sum(), (xd * x.grad).sum(), rtol=1e-10)
+
+    def test_avg_pool_corner(self):
+        # only 4 of 9 taps are in bounds at a padded corner; divisor stays 9
+        out = ad.avg_pool(tensor(np.ones((1, 7, 7, 1))), kernel=(3, 3), stride=2)
+        assert out.data[0, 0, 0, 0] == pytest.approx(4 / 9)
+        out = ad.avg_pool(tensor(np.ones((1, 6, 6, 1))), kernel=(3, 3), stride=2)
+        assert out.data[0, -1, -1, 0] == pytest.approx(4 / 9)
 
 
 class TestLosses:

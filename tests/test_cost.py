@@ -24,7 +24,7 @@ from pokebnn.cost import (
     report_to_json,
 )
 from pokebnn.graphir import DType, GraphSpec, NodeSpec, infer_shapes
-from pokebnn.kernels import instrumented_conv_macs
+from pokebnn.nn.model import WEIGHT_SUFFIX, Model
 
 # Published per-variant totals: multiplier -> (binary 1e6, int8 1e6, int4 1e6)
 VARIANT_TABLE = {
@@ -295,23 +295,31 @@ class TestScalingProperties:
         assert bigger.cpu64 > smaller.cpu64
 
 
-class TestAnalyzerMatchesKernelLoopTrips:
-    def test_toy_graph_conv_counts(self):
+class TestAnalyzerMatchesExecutedMacs:
+    def test_toy_graph_node_and_bucket_counts(self):
+        # MACs that Model.forward actually ran: each output element of a
+        # conv, depthwise or dense node is one dot product of w.size // F terms.
         g = build_pokebnn_toy(m=0.25, groups=4, input_shape=(16, 16, 3))
+        model = Model(g, seed=0)
+        trace = {}
+        model.forward(np.random.default_rng(0).normal(size=(2, 16, 16, 3)),
+                      training=False, phase=2, trace=trace)
         shapes = infer_shapes(g)
+        executed, seen = {}, set()
         for node in g.nodes:
-            if node.op not in ("conv2d", "depthwise_conv2d"):
+            if node.op not in ("conv2d", "depthwise_conv2d", "dense"):
                 continue
-            in_shape = shapes[node.inputs[0]]
-            analytic = cost.node_macs(node, in_shape, shapes[node.id])
-            if node.op == "depthwise_conv2d":
-                groups = in_shape[2]
-            else:
-                groups = node.attrs.get("groups", 1)
-            trips = instrumented_conv_macs(
-                in_shape, node.attrs["kernel"], node.attrs["stride"],
-                node.attrs["padding"], shapes[node.id][2], groups)
-            assert analytic == trips, node.id
+            seen.add(node.op)
+            out = trace[node.id]
+            w = model.params[node.id + WEIGHT_SUFFIX].data
+            macs = out[0].size * (w.size // out.shape[-1])
+            assert macs == cost.node_macs(node, shapes[node.inputs[0]],
+                                          shapes[node.id]), node.id
+            key = (node.attrs["act_bits"], node.attrs["weight_bits"])
+            executed[key] = executed.get(key, 0) + macs
+        assert seen == {"conv2d", "depthwise_conv2d", "dense"}
+        assert executed == {(b.act_bits, b.weight_bits): b.count
+                            for b in count_macs(g)}
 
 
 class TestReports:

@@ -1,8 +1,10 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pokebnn import quant
 from pokebnn.builders import (
     _emit_pokeconv,
     _emit_pokeinit,
@@ -10,7 +12,9 @@ from pokebnn.builders import (
     _GraphBuilder,
     build_pokebnn_toy,
 )
-from pokebnn.graphir import DType
+from pokebnn.cost import count_macs
+from pokebnn.graphir import DType, validate_graph
+from pokebnn.kernels import float_conv2d
 from pokebnn.nn.checkpoint import load_tensors, save_tensors
 from pokebnn.nn.model import Model
 
@@ -250,3 +254,63 @@ class TestPokeConv:
         for name, t in model.params.items():
             assert t.grad is not None, name
             assert np.all(np.isfinite(t.grad)), name
+
+
+def one_node_model(input_shape, op, **attrs):
+    b = _GraphBuilder(op, input_shape)
+    return Model(b.finish(b.emit("n", op, ["in"], **attrs)), seed=5)
+
+
+class TestNonSquarePools:
+    # A [3, 1] pool must not run as the square [3, 3] one.
+    def test_max_pool_3x1_valid(self):
+        model = one_node_model((6, 6, 2), "max_pool", kernel=[3, 1], stride=1,
+                               padding="valid")
+        x = np.random.default_rng(20).normal(size=(1, 6, 6, 2))
+        out = model.forward(x, training=False).data
+        assert out.shape[1:] == model.shapes["n"] == (4, 6, 2)
+        want = np.stack([x[:, y:y + 3].max(axis=1) for y in range(4)], axis=1)
+        assert np.array_equal(out, want)
+
+    def test_avg_pool_3x1_same(self):
+        model = one_node_model((6, 6, 2), "avg_pool", kernel=[3, 1], stride=1,
+                               padding="same", divisor=Fraction(1, 3))
+        x = np.arange(72, dtype=float).reshape(1, 6, 6, 2)
+        out = model.forward(x, training=False).data
+        assert out.shape[1:] == model.shapes["n"] == (6, 6, 2)
+        third_eye = np.broadcast_to(np.eye(2) / 3, (3, 1, 2, 2))
+        assert np.allclose(out[0], float_conv2d(x[0], third_eye), rtol=1e-12)
+
+
+class TestGroupedConv:
+    def test_rejected_at_construction(self):
+        b = _GraphBuilder("grouped", (4, 4, 8))
+        g = b.finish(b.emit("gconv", "conv2d", ["in"], kernel=[3, 3], stride=1,
+                            padding="same", out_channels=8, groups=2,
+                            act_bits=DType.FP32, weight_bits=DType.FP32))
+        assert validate_graph(g) == []
+        assert count_macs(g)[0].count == 4 * 4 * 8 * 9 * 4   # costed...
+        with pytest.raises(ValueError, match=r"'gconv'.*groups=2"):
+            Model(g)                                          # ...not executed
+
+
+class TestDepthwiseWeightBounds:
+    def test_one_bound_per_output_channel(self):
+        # Channel (c, m) = (0, 0) spans 0.01; the others reach 100. With one
+        # bound per multiplier, (0, 0) and (1, 0) would share a 100 bound and
+        # channel (0, 0) would round to zero.
+        model = one_node_model((5, 5, 2), "depthwise_conv2d", kernel=[3, 3],
+                               stride=1, padding="same", out_channels=4,
+                               act_bits=DType.INT8, weight_bits=DType.INT8)
+        w = np.random.default_rng(21).uniform(-1, 1, size=(3, 3, 2, 2))
+        w[:, :, 0, 0] *= 0.01
+        w[:, :, 1, :] *= 100
+        model.params["n.w"].data = w
+        bounds = np.abs(w).max(axis=(0, 1))
+        wq = quant.fake_quant(w, bounds, 8)
+        block = np.zeros((3, 3, 2, 4))
+        block[:, :, 0, :2], block[:, :, 1, 2:] = wq[:, :, 0], wq[:, :, 1]
+        x = np.random.default_rng(22).normal(size=(1, 5, 5, 2))
+        out = model.forward(x, training=False, phase=2).data
+        assert np.any(out[..., 0] != 0)
+        assert np.allclose(out[0], float_conv2d(x[0], block), rtol=1e-12, atol=1e-12)
