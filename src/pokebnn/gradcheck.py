@@ -104,12 +104,25 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
     def t(shape, rng, scale=1.0):
         return Tensor(scale * rng.normal(size=shape), requires_grad=True)
 
+    # (input [N, H, W, C], kernel, stride, padding): 3x3 at strides 1 and 2,
+    # 1x1, the 4x4 stride-4 stem, 3x1, valid padding and one-row inputs
+    conv_shapes = [((2, 5, 5, 3), (3, 3), 1, "same"),
+                   ((2, 5, 5, 3), (3, 3), 2, "same"),
+                   ((2, 4, 4, 5), (1, 1), 1, "same"),
+                   ((2, 4, 4, 5), (1, 1), 2, "same"),
+                   ((2, 8, 8, 3), (4, 4), 4, "same"),
+                   ((2, 5, 4, 3), (3, 1), 1, "same"),
+                   ((2, 6, 5, 3), (3, 3), 1, "valid"),
+                   ((2, 7, 6, 2), (3, 2), 2, "valid"),
+                   ((2, 1, 6, 3), (3, 3), 1, "same"),
+                   ((2, 1, 6, 3), (1, 3), 2, "valid")]
+
     def conv_case(rng, s):
-        x = t((2, 5, 5, 3), rng)
-        w = t((3, 3, 3, 4), rng)
-        stride = int(rng.choice([1, 2]))
+        shape, (kh, kw), stride, padding = conv_shapes[s % len(conv_shapes)]
+        x = t(shape, rng)
+        w = t((kh, kw, shape[-1], 4), rng)
         return check_gradients(
-            lambda: ad.conv2d(x, w, stride=stride, padding="same"),
+            lambda: ad.conv2d(x, w, stride=stride, padding=padding),
             {"x": x, "w": w}, seed=s)
     record("conv2d", conv_case)
 
@@ -150,6 +163,21 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
             lambda: ad.dprelu(x, pa, pb, pg, pe),
             {"x": x, "alpha": pa, "beta": pb, "gamma": pg, "eta": pe}, seed=s)
     record("dprelu", dprelu_case)
+
+    def dprelu_kink_case(rng, s):
+        # half the inputs sit exactly on the kink x == alpha, where the
+        # output is -beta on both sides; beta, gamma and eta are smooth there
+        alpha = rng.normal(size=3) * 0.3
+        xd = _away_from(rng.normal(size=(2, 4, 4, 3)), alpha, margin=0.02)
+        xd = np.where(rng.random(size=xd.shape) < 0.5, alpha, xd)
+        x, pa = Tensor(xd), Tensor(alpha)
+        pb = t((3,), rng)
+        pg = Tensor(np.full(3, 0.25) + 0.1 * rng.normal(size=3), requires_grad=True)
+        pe = Tensor(np.ones(3) + 0.1 * rng.normal(size=3), requires_grad=True)
+        return check_gradients(
+            lambda: ad.dprelu(x, pa, pb, pg, pe),
+            {"beta": pb, "gamma": pg, "eta": pe}, seed=s)
+    record("dprelu_at_alpha", dprelu_kink_case)
 
     def se_case(rng, s):
         # a float 1x1 conv puts a parameter upstream of the SE path

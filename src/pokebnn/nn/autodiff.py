@@ -50,7 +50,11 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this tensor (defaults to d(self)=1)."""
+        """Reverse-mode sweep from this tensor (defaults to d(self)=1).
+
+        The sweep consumes the graph: every node it visits loses its backward
+        closure and parents, so a graph is differentiated once.
+        """
         topo, seen = [], set()
         stack = [(self, False)]
         while stack:
@@ -70,6 +74,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            # A node runs once, after all of its consumers; dropping its
+            # closure and parents frees the tape as the sweep goes.
+            node._backward = None
+            node._parents = ()
 
     # operator sugar
     def __add__(self, other):
@@ -195,16 +203,21 @@ def dprelu(x: Tensor, alpha: Tensor, beta: Tensor, gamma: Tensor,
             f"params have {alpha.data.shape[-1]}")
     shifted = x.data - alpha.data
     pos = shifted > 0
-    slope = np.where(pos, eta.data, gamma.data)
-    data = slope * shifted - beta.data
+    neg = ~pos
+    slope = eta.data * pos
+    slope += gamma.data * neg
+    data = slope * shifted
+    data -= beta.data
     red = tuple(range(x.data.ndim - 1))
 
     def backward(g):
-        x._accumulate(g * slope)
-        alpha._accumulate(-(g * slope).sum(axis=red))
+        g_slope = g * slope
+        x._accumulate(g_slope)
+        alpha._accumulate(-g_slope.sum(axis=red))
         beta._accumulate(-g.sum(axis=red))
-        gamma._accumulate((g * shifted * ~pos).sum(axis=red))
-        eta._accumulate((g * shifted * pos).sum(axis=red))
+        g_shifted = g * shifted
+        gamma._accumulate((g_shifted * neg).sum(axis=red))
+        eta._accumulate((g_shifted * pos).sum(axis=red))
 
     return _make(data, (x, alpha, beta, gamma, eta), backward,
                  _needs(x, alpha, beta, gamma, eta))
@@ -220,7 +233,7 @@ def binarize(x: Tensor, bound, surrogate: bool = False) -> Tensor:
     if surrogate:
         data = np.clip(x.data, -bound, bound)
     else:
-        data = quant.binarize(x.data).astype(x.data.dtype)
+        data = quant.binarize(x.data)
 
     def backward(g):
         x._accumulate(g * quant.ste_mask(x.data, bound))
@@ -259,22 +272,28 @@ def _fold(x, pads, kh, kw, stride, ho, wo, tap):
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
-    """2D convolution, x [N,H,W,C] with w [kh,kw,C,F]."""
+    """2D convolution, x [N,H,W,C] with w [kh,kw,C,F], as one im2col GEMM."""
     kh, kw, c, f = w.data.shape
     cx = x.data.shape[-1]
     if cx != c:
         raise ValueError(f"conv2d channel mismatch: input {cx}, weight {c}")
     win, pads = windows(x.data, kh, kw, stride, padding)   # [N, ho, wo, C, kh, kw]
-    data = np.tensordot(win, w.data, axes=([3, 4, 5], [2, 0, 1]))
-    ho, wo = data.shape[1:3]
+    n, ho, wo = win.shape[:3]
+    # im2col in the (C, kh, kw) order of the window view, made once for the
+    # forward GEMM and both gradient GEMMs
+    cols = win.reshape(n * ho * wo, c * kh * kw)
+    w2 = w.data.transpose(2, 0, 1, 3).reshape(c * kh * kw, f)
+    data = (cols @ w2).reshape(n, ho, wo, f)
 
     def backward(g):
+        g2 = g.reshape(-1, f)
         if w.requires_grad or w._parents:
-            gw = np.tensordot(win, g, axes=([0, 1, 2], [0, 1, 2]))  # [C,kh,kw,F]
+            gw = (cols.T @ g2).reshape(c, kh, kw, f)
             w._accumulate(np.ascontiguousarray(gw.transpose(1, 2, 0, 3)))
         if x.requires_grad or x._parents:
-            x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo, lambda i, j:
-                                np.tensordot(g, w.data[i, j], axes=([3], [1]))))
+            gcols = (g2 @ w2.T).reshape(n, ho, wo, c, kh, kw)
+            x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo,
+                                lambda i, j: gcols[..., i, j]))
 
     return _make(data, (x, w), backward, _needs(x, w))
 
@@ -425,21 +444,29 @@ def batchnorm_train(x: Tensor, scale: Tensor, bias: Tensor):
     returned statistics are plain arrays for the running-average update.
     """
     red = (0, 1, 2)
+    count = x.data.size // x.data.shape[-1]
     mu = x.data.mean(axis=red)
-    var = x.data.var(axis=red)
+    centered = x.data - mu
+    # the arithmetic of np.var: square the centered values, then their mean
+    var = np.square(centered).mean(axis=red)
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu) * inv
-    data = scale.data * xhat + bias.data
+    xhat = np.multiply(centered, inv, out=centered)
+    data = xhat * scale.data
+    data += bias.data
 
     def backward(g):
+        g_sum = g.sum(axis=red)
         if bias.requires_grad or bias._parents:
-            bias._accumulate(g.sum(axis=red))
+            bias._accumulate(g_sum)
         g_xhat = g * xhat
+        g_xhat_sum = g_xhat.sum(axis=red)
         if scale.requires_grad or scale._parents:
-            scale._accumulate(g_xhat.sum(axis=red))
+            scale._accumulate(g_xhat_sum)
         if x.requires_grad or x._parents:
-            x._accumulate(scale.data * inv *
-                          (g - g.mean(axis=red) - xhat * g_xhat.mean(axis=red)))
+            gx = g - g_sum / count
+            gx -= xhat * (g_xhat_sum / count)
+            gx *= scale.data * inv
+            x._accumulate(gx)
 
     out = _make(data, (x, scale, bias), backward, _needs(x, scale, bias))
     return out, mu, var

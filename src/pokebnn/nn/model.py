@@ -38,6 +38,43 @@ class QuantContext:
         return self.phase >= 2
 
 
+class ParamArena:
+    """Named arrays stored as views into one flat buffer.
+
+    ``data`` holds every value, in insertion order, and ``views[name]`` is
+    the slice ``spans[name]`` of it in the array's own shape, so a write
+    through either one is seen by the other. ``grad`` is a second buffer of
+    the same size that ``gather`` fills from per-name gradients.
+    """
+
+    def __init__(self, arrays: dict, dtype):
+        flat = [np.ravel(a) for a in arrays.values()]
+        # the leading empty array keeps a model without parameters valid
+        self.data = np.concatenate([np.empty(0), *flat], dtype=dtype)
+        self.grad = np.zeros(self.data.size, dtype=dtype)
+        self.spans: dict[str, slice] = {}
+        self.views: dict[str, np.ndarray] = {}
+        start = 0
+        for name, a in arrays.items():
+            span = slice(start, start + np.size(a))
+            self.spans[name] = span
+            self.views[name] = self.data[span].reshape(np.shape(a))
+            start = span.stop
+
+    def gather(self, grads: dict) -> list:
+        """Copies each name's gradient into ``grad``; returns the names whose
+        gradient is missing or None, whose spans are zeroed instead."""
+        missing = []
+        for name, span in self.spans.items():
+            g = grads.get(name)
+            if g is None:
+                missing.append(name)
+                self.grad[span] = 0
+            else:
+                self.grad[span] = np.ravel(g)
+        return missing
+
+
 class Model:
     def __init__(self, graph: GraphSpec, seed: int = 0, dtype=np.float64,
                  binary_bound: float = 3.0, bn_momentum: float = 0.9,
@@ -48,21 +85,22 @@ class Model:
         self.binary_bound = binary_bound
         self.bn_momentum = bn_momentum
         self.binary_weight_bound = binary_weight_bound
-        self.params: dict[str, Tensor] = {}
         self.bn_stats: dict[str, dict[str, np.ndarray]] = {}
         self.bounds: dict[str, quant.BoundState] = {}
-        self._init_params(np.random.default_rng(seed), ema_alpha)
+        init = self._init_params(np.random.default_rng(seed), ema_alpha)
+        # every parameter's data is a view into the one arena buffer
+        self.arena = ParamArena(init, self.dtype)
+        self.params: dict[str, Tensor] = {
+            name: Tensor(view, requires_grad=True, name=name)
+            for name, view in self.arena.views.items()}
 
     # ------------------------------------------------------------------
     # Parameter setup
     # ------------------------------------------------------------------
 
-    def _param(self, name, array):
-        t = Tensor(array.astype(self.dtype), requires_grad=True, name=name)
-        self.params[name] = t
-        return t
-
-    def _init_params(self, rng, ema_alpha):
+    def _init_params(self, rng, ema_alpha) -> dict[str, np.ndarray]:
+        """Initial parameter values by name; sets up BN and bound state."""
+        init = {}
         for node in self.graph.nodes:
             nid = node.id
             out_c = self.shapes[nid][2]
@@ -79,29 +117,30 @@ class Model:
                 else:
                     shape = (kh, kw, c_in, out_c)
                     fan_in = kh * kw * c_in
-                self._param(nid + WEIGHT_SUFFIX,
-                            rng.normal(0.0, (2.0 / fan_in) ** 0.5, size=shape))
+                init[nid + WEIGHT_SUFFIX] = rng.normal(0.0, (2.0 / fan_in) ** 0.5,
+                                                       size=shape)
             elif node.op == "dense":
                 c_in = self.shapes[node.inputs[0]][2]
-                self._param(nid + WEIGHT_SUFFIX,
-                            rng.normal(0.0, (1.0 / c_in) ** 0.5, size=(c_in, out_c)))
-                self._param(nid + ".bias", np.zeros(out_c))
+                init[nid + WEIGHT_SUFFIX] = rng.normal(0.0, (1.0 / c_in) ** 0.5,
+                                                       size=(c_in, out_c))
+                init[nid + ".bias"] = np.zeros(out_c)
             elif node.op == "batchnorm":
-                self._param(nid + ".scale", np.ones(out_c))
-                self._param(nid + ".bias", np.zeros(out_c))
+                init[nid + ".scale"] = np.ones(out_c)
+                init[nid + ".bias"] = np.zeros(out_c)
                 self.bn_stats[nid] = {
                     "mean": np.zeros(out_c, dtype=self.dtype),
                     "var": np.ones(out_c, dtype=self.dtype),
                 }
             elif node.op == "dprelu":
-                self._param(nid + ".alpha", np.zeros(out_c))
-                self._param(nid + ".beta", np.zeros(out_c))
-                self._param(nid + ".gamma", np.full(out_c, 0.25))
-                self._param(nid + ".eta", np.ones(out_c))
+                init[nid + ".alpha"] = np.zeros(out_c)
+                init[nid + ".beta"] = np.zeros(out_c)
+                init[nid + ".gamma"] = np.full(out_c, 0.25)
+                init[nid + ".eta"] = np.ones(out_c)
             elif node.op == "quantize_act":
                 if node.attrs["act_bits"] is not DType.BIN:
                     self.bounds[nid] = quant.BoundState(
                         bound=np.float64(1.0), ema_alpha=ema_alpha)
+        return init
 
     def weight_decay_names(self) -> set:
         """Conv/dense weights; BN, DPReLU, bias, and bounds are excluded."""
@@ -267,8 +306,20 @@ class Model:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Copies ``state`` into the model; parameters are written into their
+        arena views in place. Raises one ValueError naming every missing,
+        unexpected and wrong-shaped entry before anything is written."""
+        want = {k: v.shape for k, v in self.state_dict().items()}
+        errors = [f"missing {k} {want[k]}" for k in want if k not in state]
+        errors += [f"unexpected {k} {np.shape(state[k])}"
+                   for k in state if k not in want]
+        errors += [f"{k} has shape {np.shape(state[k])}, expected {want[k]}"
+                   for k in want if k in state and np.shape(state[k]) != want[k]]
+        if errors:
+            raise ValueError("state dict does not match the model: "
+                             + "; ".join(errors))
         for name, t in self.params.items():
-            t.data = np.asarray(state[name], dtype=self.dtype)
+            t.data[...] = state[name]
             t.grad = None
         for nid, stats in self.bn_stats.items():
             stats["mean"] = np.asarray(state[nid + ".running_mean"], dtype=self.dtype)

@@ -66,12 +66,17 @@ def fake_quant(x, bound, bits: int, epsilon: float = DEFAULT_EPSILON):
 
 
 def binarize(x):
-    """sign(x) in {-1, +1} with sign(0) := +1.
+    """sign(x) in {-1, +1} with sign(+-0) := +1 and NaN mapped to -1.
 
-    The forward pass never depends on the clipping bound; only the
-    straight-through gradient does (see ``ste_mask``).
+    Returns the input's float dtype (float64 for other input). The forward
+    pass never depends on the clipping bound; only the straight-through
+    gradient does (see ``ste_mask``).
     """
-    return np.where(np.asarray(x) >= 0, 1.0, -1.0)
+    x = np.asarray(x)
+    out = (x >= 0).astype(x.dtype if x.dtype.kind == "f" else np.float64)
+    out *= 2
+    out -= 1
+    return out
 
 
 def ste_mask(x, bound):

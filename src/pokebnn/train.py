@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import autodiff as ad
-from .nn.model import Model
+from .nn.model import Model, ParamArena
 
 
 class TrainingDiverged(RuntimeError):
@@ -72,38 +72,57 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 # Adam with decoupled weight decay
 # ---------------------------------------------------------------------------
 
-def adam_init(params: dict) -> dict:
+def adam_init(arena: ParamArena, decay_names=frozenset()) -> dict:
+    """Adam state over every parameter of ``arena``: the step count, both
+    moments, the entries that take weight decay, and two scratch buffers."""
+    decay = np.zeros(arena.data.size, dtype=bool)
+    for name in decay_names:
+        decay[arena.spans[name]] = True
     return {
         "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
+        "m": np.zeros_like(arena.data),
+        "v": np.zeros_like(arena.data),
+        "decay": decay if decay.any() else None,
+        "scratch": (np.empty_like(arena.data), np.empty_like(arena.data)),
     }
 
 
-def adam_step(params: dict, grads: dict, state: dict, lr: float,
-              cfg: TrainConfig, decay_names: set = frozenset()) -> None:
-    """In-place Adam update; weight decay applies only to ``decay_names``."""
+def adam_step(arena: ParamArena, grads: dict, state: dict, lr: float,
+              cfg: TrainConfig) -> None:
+    """One in-place Adam update of ``arena.data`` from per-name ``grads``.
+
+    The update runs over the whole arena at once, with the per-element
+    arithmetic of a per-tensor Adam. A name whose gradient is None keeps
+    its parameters and moments; a non-finite gradient raises before any
+    update, naming the first parameter that has one.
+    """
     state["t"] += 1
     t = state["t"]
+    missing = arena.gather(grads)
+    g = arena.grad
+    if not np.isfinite(g).all():
+        bad = next(name for name, span in arena.spans.items()
+                   if not np.isfinite(g[span]).all())
+        raise TrainingDiverged(t, f"non-finite gradient for {bad}")
+    p, m, v = arena.data, state["m"], state["v"]
+    kept = [(span, p[span].copy(), m[span].copy(), v[span].copy())
+            for span in (arena.spans[name] for name in missing)]
+    s1, s2 = state["scratch"]
     b1, b2 = cfg.beta1, cfg.beta2
-    correction1 = 1.0 - b1 ** t
-    correction2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(t, f"non-finite gradient for {name}")
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        update = (m / correction1) / (np.sqrt(v / correction2) + cfg.adam_eps)
-        if cfg.weight_decay and name in decay_names:
-            p -= lr * cfg.weight_decay * p
-        p -= lr * update
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=s1)
+    v *= b2
+    v += np.multiply(np.multiply(g, 1 - b2, out=s1), g, out=s1)
+    # update = (m / correction1) / (sqrt(v / correction2) + eps), in s2
+    np.sqrt(np.divide(v, 1.0 - b2 ** t, out=s1), out=s1)
+    s1 += cfg.adam_eps
+    np.divide(np.divide(m, 1.0 - b1 ** t, out=s2), s1, out=s2)
+    if cfg.weight_decay and state["decay"] is not None:
+        np.subtract(p, np.multiply(p, lr * cfg.weight_decay, out=s1), out=p,
+                    where=state["decay"])
+    p -= np.multiply(s2, lr, out=s2)
+    for span, *saved in kept:
+        p[span], m[span], v[span] = saved
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +216,11 @@ def train_loop(model: Model, dataset: ToyDataset, cfg: TrainConfig,
     schedule = QuantSchedule(cfg.phase_switch_step)
     model.binary_bound = cfg.binary_act_bound
     model.bn_momentum = cfg.bn_momentum
-    params = {name: t.data for name, t in model.params.items()}
-    opt = adam_init(params)
     decay_names = model.weight_decay_names()
     if cfg.decay_dprelu:
         decay_names |= {n for n in model.params
                         if n.endswith((".alpha", ".beta", ".gamma", ".eta"))}
+    opt = adam_init(model.arena, decay_names)
     n = dataset.x.shape[0]
     order = rng.permutation(n)
     cursor = 0
@@ -236,7 +254,7 @@ def train_loop(model: Model, dataset: ToyDataset, cfg: TrainConfig,
 
         lr = lr_at(step, cfg)
         grads = {name: t.grad for name, t in model.params.items()}
-        adam_step(params, grads, opt, lr, cfg, decay_names)
+        adam_step(model.arena, grads, opt, lr, cfg)
 
         records.append({
             "step": step,

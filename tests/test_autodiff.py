@@ -1,11 +1,16 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from pokebnn import train
+from pokebnn.builders import build_pokebnn_toy
 from pokebnn.gradcheck import check_gradients, run_gradcheck
-from pokebnn.graphir import pad_amounts
+from pokebnn.graphir import pad_amounts, windows
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn import autodiff as ad
 from pokebnn.nn.autodiff import Tensor
+from pokebnn.nn.model import Model
 
 
 def tensor(arr):
@@ -38,6 +43,13 @@ class TestSTEGradients:
         x = tensor(np.random.default_rng(11).normal(size=(1, 6, 6, 8)))
         assert set(np.unique(ad.binarize(x, 3.0).data)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_binarize_keeps_dtype(self, dtype):
+        x = Tensor(np.array([-1.0, -0.0, 0.0, 2.0], dtype=dtype), requires_grad=True)
+        out = ad.binarize(x, 3.0)
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, [-1, 1, 1, 1])
+
     def test_zero_upstream_zero_grads(self):
         x = tensor(np.random.default_rng(2).normal(size=(2, 3, 3, 4)))
         w = tensor(np.random.default_rng(3).normal(size=(3, 3, 4, 4)))
@@ -68,6 +80,19 @@ class TestDPReLU:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
             ad.dprelu(tensor(np.zeros((1, 2, 2, 4))), *dprelu_params(3))
+
+    def test_kink_takes_the_gamma_side(self):
+        # x == alpha is not on the positive side: the slope there is gamma
+        alpha, beta, gamma, eta = dprelu_params(2, alpha=0.5, beta=0.25,
+                                                gamma=0.125, eta=2.0)
+        x = tensor(np.array([0.5, 0.5, 1.5, -0.5]).reshape(1, 1, 2, 2))
+        out = ad.dprelu(x, alpha, beta, gamma, eta)
+        assert np.array_equal(out.data.ravel(), [-0.25, -0.25, 1.75, -0.375])
+        out.backward(np.ones_like(out.data))
+        assert np.array_equal(x.grad.ravel(), [0.125, 0.125, 2.0, 0.125])
+        assert np.array_equal(gamma.grad, [0.0, -1.0])
+        assert np.array_equal(eta.grad, [1.0, 0.0])
+        assert np.array_equal(alpha.grad, [-2.125, -0.25])
 
     def test_param_gradients_reduce_over_batch_and_space(self):
         params = dprelu_params(2)
@@ -235,6 +260,126 @@ class TestSpatialForwardOracles:
         assert out.data[0, 0, 0, 0] == pytest.approx(4 / 9)
         out = ad.avg_pool(tensor(np.ones((1, 6, 6, 1))), kernel=(3, 3), stride=2)
         assert out.data[0, -1, -1, 0] == pytest.approx(4 / 9)
+
+
+def bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+# Float32 shapes of the toy network: the stem, 3x3 at 4x4, 2x2 and 1x1
+# spatial size, 1x1 and a 1x1 stride-2 projection.
+TOY_CONVS = [((64, 16, 16, 3), (4, 4, 3, 32), 4), ((64, 4, 4, 16), (3, 3, 16, 16), 1),
+             ((64, 2, 2, 64), (3, 3, 64, 64), 1), ((64, 1, 1, 128), (3, 3, 128, 128), 1),
+             ((64, 4, 4, 64), (1, 1, 64, 16), 1), ((64, 4, 4, 32), (1, 1, 32, 64), 2)]
+
+
+class TestBitwiseAgainstReferences:
+    """The forward and gradients of the rewritten ops, bit for bit against
+    the formulations they replaced, so training loss curves stay identical."""
+
+    @pytest.mark.parametrize("xs,ws,stride", TOY_CONVS)
+    def test_conv2d(self, xs, ws, stride):
+        rng = np.random.default_rng(sum(xs) + sum(ws))
+        xd = rng.normal(size=xs).astype(np.float32)
+        wd = rng.normal(size=ws).astype(np.float32)
+        x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+        out = ad.conv2d(x, w, stride)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(g)
+        kh, kw = ws[:2]
+        win, pads = windows(xd, kh, kw, stride, "same")
+        assert bits(out.data) == bits(np.tensordot(win, wd, axes=([3, 4, 5], [2, 0, 1])))
+        gw = np.tensordot(win, g, axes=([0, 1, 2], [0, 1, 2])).transpose(1, 2, 0, 3)
+        assert bits(w.grad) == bits(gw)
+        gx = ad._fold(xd, pads, kh, kw, stride, *out.shape[1:3], lambda i, j:
+                      np.tensordot(g, wd[i, j], axes=([3], [1])))
+        assert bits(x.grad) == bits(gx)
+
+    @pytest.mark.parametrize("shape", [(64, 4, 4, 16), (64, 2, 2, 128), (64, 1, 1, 512)])
+    def test_batchnorm_train(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        xd = (rng.normal(size=shape) * 3 + 1).astype(np.float32)
+        sd, bd = (rng.normal(size=shape[-1:]).astype(np.float32) for _ in range(2))
+        x, scale, bias = (Tensor(a, requires_grad=True) for a in (xd, sd, bd))
+        out, mu, var = ad.batchnorm_train(x, scale, bias)
+        g = rng.normal(size=shape).astype(np.float32)
+        out.backward(g)
+        red = (0, 1, 2)
+        inv = 1.0 / np.sqrt(xd.var(axis=red) + ad.BN_EPS)
+        xhat = (xd - xd.mean(axis=red)) * inv
+        assert bits(var) == bits(xd.var(axis=red))
+        assert bits(out.data) == bits(sd * xhat + bd)
+        assert bits(bias.grad) == bits(g.sum(axis=red))
+        assert bits(scale.grad) == bits((g * xhat).sum(axis=red))
+        want = sd * inv * (g - g.mean(axis=red) - xhat * (g * xhat).mean(axis=red))
+        assert bits(x.grad) == bits(want)
+
+    @pytest.mark.parametrize("shape", [(64, 4, 4, 16), (64, 1, 1, 256)])
+    def test_dprelu(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        xd = rng.normal(size=shape).astype(np.float32)
+        pd = [rng.normal(size=shape[-1:]).astype(np.float32) for _ in range(4)]
+        xd[0, 0, 0] = pd[0]                      # one row on the kink
+        x = Tensor(xd, requires_grad=True)
+        alpha, beta, gamma, eta = (Tensor(a, requires_grad=True) for a in pd)
+        out = ad.dprelu(x, alpha, beta, gamma, eta)
+        g = rng.normal(size=shape).astype(np.float32)
+        out.backward(g)
+        red = (0, 1, 2)
+        shifted = xd - pd[0]
+        pos = shifted > 0
+        slope = np.where(pos, pd[3], pd[2])
+        assert bits(out.data) == bits(slope * shifted - pd[1])
+        assert bits(x.grad) == bits(g * slope)
+        assert bits(alpha.grad) == bits(-(g * slope).sum(axis=red))
+        assert bits(beta.grad) == bits(-g.sum(axis=red))
+        assert bits(gamma.grad) == bits((g * shifted * ~pos).sum(axis=red))
+        assert bits(eta.grad) == bits((g * shifted * pos).sum(axis=red))
+
+
+def tape(root):
+    """Every node reachable from ``root`` through ``_parents``."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestTapeRelease:
+    def test_backward_drops_closures_and_parents(self):
+        model = Model(build_pokebnn_toy(m=0.125, groups=2, input_shape=(16, 16, 3)),
+                      seed=0, dtype=np.float32)
+        x = np.random.default_rng(0).normal(size=(4, 16, 16, 3))
+        out = model.forward(x, training=True, phase=2)
+        loss = ad.cross_entropy(ad.reshape(out, (4, -1)), np.arange(4))
+        nodes = tape(loss)
+        assert sum(n._backward is not None for n in nodes) > 100
+        loss.backward()
+        assert all(n._backward is None and n._parents == () for n in nodes)
+        assert all(t.grad is not None for t in model.params.values())
+
+    def test_intermediates_die_before_next_forward(self):
+        model = Model(build_pokebnn_toy(m=0.125, groups=2, input_shape=(16, 16, 3)),
+                      seed=0, dtype=np.float32)
+        forward, refs, checked = model.forward, [], []
+
+        def watched(*args, **kwargs):
+            checked.append(all(r() is None for r in refs))
+            out = forward(*args, **kwargs)
+            # every activation the tape alone owns: all but the output, which
+            # the training loop still holds
+            refs[:] = [weakref.ref(n.data) for n in tape(out)[1:]
+                       if n._backward is not None and n.data.base is None]
+            return out
+
+        model.forward = watched
+        cfg = train.TrainConfig(total_steps=4, phase_switch_step=2, seed=0,
+                                batch_size=8)
+        train.train_loop(model, train.make_toy_dataset(n=16, seed=0), cfg)
+        assert checked == [True] * 4 and len(refs) > 100
 
 
 class TestLosses:

@@ -16,7 +16,7 @@ from pokebnn.cost import count_macs
 from pokebnn.graphir import DType, validate_graph
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn.checkpoint import load_tensors, save_tensors
-from pokebnn.nn.model import Model
+from pokebnn.nn.model import Model, ParamArena
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +178,92 @@ class TestCheckpoint:
             load_tensors(path)
 
 
+class TestParamArena:
+    def test_params_are_views_into_one_buffer(self, toy):
+        model = Model(toy, seed=1, dtype=np.float32)
+        arena = model.arena
+        assert arena.data.dtype == np.float32
+        assert arena.data.size == sum(t.data.size for t in model.params.values())
+        for name, t in model.params.items():
+            assert t.data.base is arena.data, name
+            assert np.array_equal(t.data.ravel(), arena.data[arena.spans[name]])
+        arena.data[:] = 0.5
+        assert all(np.all(t.data == 0.5) for t in model.params.values())
+
+    def test_values_equal_per_tensor_init(self, toy):
+        # the arena holds exactly the float64 draws cast to the model dtype
+        for dtype in (np.float32, np.float64):
+            model = Model(toy, seed=3, dtype=dtype)
+            name, first = next(iter(model.params.items()))   # the first draw
+            assert name.endswith(".w") and first.data.ndim == 4
+            fan_in = np.prod(first.data.shape[:3])
+            want = np.random.default_rng(3).normal(0.0, (2.0 / fan_in) ** 0.5,
+                                                   size=first.data.shape)
+            assert first.data.tobytes() == want.astype(dtype).tobytes()
+
+    def test_gather_copies_gradients_and_zeroes_missing(self):
+        arena = ParamArena({"a": np.ones((2, 2)), "b": np.ones(3)}, np.float32)
+        arena.grad[:] = 7.0
+        missing = arena.gather({"a": np.arange(4.0).reshape(2, 2)})
+        assert missing == ["b"]
+        assert np.array_equal(arena.grad, [0, 1, 2, 3, 0, 0, 0])
+
+
+class TestStateDict:
+    def test_load_copies_into_arena(self, toy, batch):
+        model = Model(toy, seed=1, dtype=np.float32)
+        model.forward(batch, training=True, phase=1)
+        state = model.state_dict()
+        fresh = Model(toy, seed=7, dtype=np.float32)
+        views = {name: t.data for name, t in fresh.params.items()}
+        fresh.load_state_dict(state)
+        assert fresh.arena.data.tobytes() == model.arena.data.tobytes()
+        for name, t in fresh.params.items():
+            assert t.data is views[name] and t.data.base is fresh.arena.data
+        # the model does not alias the dict it was loaded from
+        state[next(iter(fresh.params))][...] = 123.0
+        assert fresh.arena.data.tobytes() == model.arena.data.tobytes()
+
+    def test_roundtrip_through_checkpoint_file(self, toy, batch, tmp_path):
+        model = Model(toy, seed=1, dtype=np.float32)
+        model.forward(batch, training=True, phase=1)
+        model.freeze_activation_bounds()
+        path = tmp_path / "model.ckpt"
+        save_tensors(path, model.state_dict())
+        fresh = Model(toy, seed=5, dtype=np.float32)
+        fresh.load_state_dict(load_tensors(path))
+        assert fresh.arena.data.tobytes() == model.arena.data.tobytes()
+        assert fresh.activation_bounds() == model.activation_bounds()
+        assert all(s.frozen for s in fresh.bounds.values())
+        want = model.logits(batch)
+        assert fresh.logits(batch).tobytes() == want.tobytes()
+
+    def test_every_mismatch_reported_at_once(self, toy):
+        model = Model(toy, seed=1)
+        state = model.state_dict()
+        names = list(model.params)
+        missing, reshaped = names[0], names[1]
+        bn = next(iter(model.bn_stats)) + ".running_var"
+        bound = next(iter(model.bounds)) + ".bound"
+        del state[missing]
+        state[reshaped] = np.zeros(3)
+        state[bn] = np.zeros((2, 2))
+        state[bound] = np.ones(2)
+        state["stray.w"] = np.zeros((1, 5))
+        before = model.arena.data.copy()
+        with pytest.raises(ValueError) as err:
+            model.load_state_dict(state)
+        text = str(err.value)
+        want_missing = model.params[missing].data.shape
+        assert f"missing {missing} {want_missing}" in text
+        assert "unexpected stray.w (1, 5)" in text
+        assert (f"{reshaped} has shape (3,), expected "
+                f"{model.params[reshaped].data.shape}") in text
+        assert f"{bn} has shape (2, 2)" in text
+        assert f"{bound} has shape (2,), expected ()" in text
+        assert np.array_equal(model.arena.data, before)
+
+
 def se_model(channels, seed, gated=False):
     """The lowered SE gate on the graph input, optionally applied to it."""
     b = _GraphBuilder("se", (4, 4, channels))
@@ -305,7 +391,7 @@ class TestDepthwiseWeightBounds:
         w = np.random.default_rng(21).uniform(-1, 1, size=(3, 3, 2, 2))
         w[:, :, 0, 0] *= 0.01
         w[:, :, 1, :] *= 100
-        model.params["n.w"].data = w
+        model.params["n.w"].data[...] = w
         bounds = np.abs(w).max(axis=(0, 1))
         wq = quant.fake_quant(w, bounds, 8)
         block = np.zeros((3, 3, 2, 4))

@@ -129,6 +129,24 @@ class TestBinarize:
             assert np.array_equal(quant.binarize(x), out)
             assert np.array_equal(mask.astype(bool), np.abs(x) < bound)
 
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-45, -1e-45])
+        assert np.array_equal(quant.binarize(x), [1, 1, -1, 1, -1, 1, -1])
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_keeps_float_dtype(self, dtype):
+        x = np.array([-2.0, -0.0, 0.0, 0.5], dtype=dtype)
+        out = quant.binarize(x)
+        assert out.dtype == dtype
+        assert np.array_equal(out, [-1, 1, 1, 1])
+
+    @pytest.mark.parametrize("x", [np.array([-3, 0, 2]), np.array([True, False]),
+                                   [-1.5, 2.5], 0.0])
+    def test_other_input_gives_float64(self, x):
+        out = quant.binarize(x)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.where(np.asarray(x) >= 0, 1.0, -1.0))
+
     def test_gradient_gate_examples(self):
         assert quant.ste_mask(np.float64(3.5), 3.0) == 0.0
         assert quant.ste_mask(np.float64(-0.3), 3.0) == 1.0

@@ -3,7 +3,7 @@ import pytest
 
 from pokebnn import train as T
 from pokebnn.builders import build_pokebnn_toy
-from pokebnn.nn.model import Model
+from pokebnn.nn.model import Model, ParamArena
 
 
 def small_model(seed=1):
@@ -67,23 +67,48 @@ class TestQuantSchedule:
         assert [i for i in range(20) if s.freezes_at(i)] == [10]
 
 
+def reference_adam(params, grads, state, lr, cfg, decay_names):
+    """Per-tensor Adam with decoupled weight decay, the loop ``adam_step``
+    vectorizes; ``state`` holds "t" and per-name "m" and "v"."""
+    state["t"] += 1
+    t = state["t"]
+    b1, b2 = cfg.beta1, cfg.beta2
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        m, v = state["m"][name], state["v"][name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + cfg.adam_eps)
+        if cfg.weight_decay and name in decay_names:
+            p -= lr * cfg.weight_decay * p
+        p -= lr * update
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestAdam:
     def cfg(self, **kw):
         return T.TrainConfig(total_steps=10, phase_switch_step=5, **kw)
 
     def test_zero_gradient_no_motion(self):
-        params = {"w": np.ones(4)}
-        state = T.adam_init(params)
-        T.adam_step(params, {"w": np.zeros(4)}, state,
+        arena = ParamArena({"w": np.ones(4)}, np.float64)
+        state = T.adam_init(arena)
+        T.adam_step(arena, {"w": np.zeros(4)}, state,
                     lr=0.1, cfg=self.cfg(weight_decay=0.0))
-        assert np.array_equal(params["w"], np.ones(4))
+        assert np.array_equal(arena.views["w"], np.ones(4))
 
     def test_descends_quadratic(self):
-        w = np.array([1.0])
-        params = {"w": w}
-        state = T.adam_init(params)
+        arena = ParamArena({"w": np.array([1.0])}, np.float64)
+        w = arena.views["w"]
+        state = T.adam_init(arena)
         for _ in range(50):
-            T.adam_step(params, {"w": 2 * w}, state, lr=0.05,
+            T.adam_step(arena, {"w": 2 * w}, state, lr=0.05,
                         cfg=self.cfg(weight_decay=0.0))
         assert abs(w[0]) < 1.0
 
@@ -91,27 +116,109 @@ class TestAdam:
         # closed form of the bias-corrected first step: lr * g / (|g| + eps)
         cfg = self.cfg(weight_decay=0.0)
         for g in (1e-6, 0.5, 100.0):
-            params = {"w": np.array([0.0])}
-            state = T.adam_init(params)
-            T.adam_step(params, {"w": np.array([g])}, state, lr=0.01, cfg=cfg)
+            arena = ParamArena({"w": np.array([0.0])}, np.float64)
+            state = T.adam_init(arena)
+            T.adam_step(arena, {"w": np.array([g])}, state, lr=0.01, cfg=cfg)
             closed_form = 0.01 * g / (abs(g) + cfg.adam_eps)
-            assert params["w"][0] == pytest.approx(-closed_form, rel=1e-12)
-            assert abs(params["w"][0]) == pytest.approx(0.01, rel=0.02)
+            w = arena.views["w"]
+            assert w[0] == pytest.approx(-closed_form, rel=1e-12)
+            assert abs(w[0]) == pytest.approx(0.01, rel=0.02)
 
     def test_weight_decay_only_on_listed(self):
-        params = {"w": np.array([1.0]), "bn": np.array([1.0])}
-        state = T.adam_init(params)
-        T.adam_step(params, {"w": np.zeros(1), "bn": np.zeros(1)}, state,
-                    lr=1.0, cfg=self.cfg(weight_decay=0.1), decay_names={"w"})
-        assert params["w"][0] == pytest.approx(0.9)
-        assert params["bn"][0] == 1.0
+        arena = ParamArena({"w": np.array([1.0]), "bn": np.array([1.0])},
+                           np.float64)
+        state = T.adam_init(arena, decay_names={"w"})
+        T.adam_step(arena, {"w": np.zeros(1), "bn": np.zeros(1)}, state,
+                    lr=1.0, cfg=self.cfg(weight_decay=0.1))
+        assert arena.views["w"][0] == pytest.approx(0.9)
+        assert arena.views["bn"][0] == 1.0
 
     def test_nonfinite_gradient_aborts(self):
-        params = {"w": np.array([1.0])}
-        state = T.adam_init(params)
+        arena = ParamArena({"w": np.array([1.0])}, np.float64)
+        state = T.adam_init(arena)
         with pytest.raises(T.TrainingDiverged):
-            T.adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1,
+            T.adam_step(arena, {"w": np.array([np.nan])}, state, lr=0.1,
                         cfg=self.cfg())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_error_names_parameter_and_updates_nothing(self, bad):
+        arena = ParamArena({"a.w": np.ones(3), "b.w": np.ones((2, 2))},
+                           np.float32)
+        state = T.adam_init(arena)
+        g = np.zeros((2, 2))
+        g[1, 0] = bad
+        before = arena.data.copy()
+        with pytest.raises(T.TrainingDiverged, match="for b.w"):
+            T.adam_step(arena, {"a.w": np.ones(3), "b.w": g}, state, lr=0.1,
+                        cfg=self.cfg())
+        assert same_bits(arena.data, before)
+        assert not state["m"].any() and not state["v"].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_matches_per_tensor_reference_bitwise(self, dtype, weight_decay):
+        rng = np.random.default_rng(3)
+        shapes = {"c.w": (3, 3, 4, 5), "bn.scale": (5,), "d.w": (5, 2),
+                  "act.gamma": (2,), "head.bias": (2,)}
+        init = {k: rng.normal(size=s) for k, s in shapes.items()}
+        arena = ParamArena(init, dtype)
+        ref = {k: v.astype(dtype) for k, v in init.items()}
+        decay = {"c.w", "d.w", "act.gamma"}
+        cfg = self.cfg(weight_decay=weight_decay)
+        state = T.adam_init(arena, decay)
+        ref_state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in ref.items()},
+                     "v": {k: np.zeros_like(v) for k, v in ref.items()}}
+        for step in range(6):
+            # gradients of wide range, with exact zeros; from step 3 on
+            # "bn.scale" gets none and must keep its values and moments
+            grads = {k: (rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, size=s)
+                         * (rng.random(size=s) > 0.2)).astype(dtype)
+                     for k, s in shapes.items()}
+            if step >= 3:
+                grads["bn.scale"] = None
+            lr = 0.05 * (1 - step / 10)
+            T.adam_step(arena, grads, state, lr, cfg)
+            reference_adam(ref, grads, ref_state, lr, cfg, decay)
+            for k in shapes:
+                span = arena.spans[k]
+                assert same_bits(arena.views[k], ref[k]), (step, k)
+                assert same_bits(state["m"][span], ref_state["m"][k].ravel())
+                assert same_bits(state["v"][span], ref_state["v"][k].ravel())
+
+    def test_missing_gradient_keeps_parameter_and_moments(self):
+        arena = ParamArena({"a": np.ones(3), "b": np.ones(2)}, np.float64)
+        state = T.adam_init(arena, {"a", "b"})
+        cfg = self.cfg(weight_decay=0.1)
+        T.adam_step(arena, {"a": np.ones(3), "b": np.ones(2)}, state, 0.1, cfg)
+        before = [arena.data.copy(), state["m"].copy(), state["v"].copy()]
+        T.adam_step(arena, {"a": np.ones(3), "b": None}, state, 0.1, cfg)
+        for now, then in zip((arena.data, state["m"], state["v"]), before):
+            assert np.array_equal(now[3:], then[3:])     # "b" kept
+            assert not np.any(now[:3] == then[:3])       # "a" moved
+
+    @pytest.mark.parametrize("decay_dprelu", [False, True])
+    def test_train_loop_matches_per_tensor_reference(self, monkeypatch,
+                                                     decay_dprelu):
+        g = build_pokebnn_toy(m=0.125, groups=2, input_shape=(16, 16, 3))
+        model = Model(g, seed=2, dtype=np.float64)
+        ref = {k: t.data.copy() for k, t in model.params.items()}
+        ref_state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in ref.items()},
+                     "v": {k: np.zeros_like(v) for k, v in ref.items()}}
+        dprelu = {k for k in ref if k.endswith((".alpha", ".beta", ".gamma", ".eta"))}
+        decay = model.weight_decay_names() | (dprelu if decay_dprelu else set())
+        flat_step = T.adam_step
+
+        def both(arena, grads, state, lr, cfg):
+            reference_adam(ref, grads, ref_state, lr, cfg, decay)
+            flat_step(arena, grads, state, lr, cfg)
+
+        monkeypatch.setattr(T, "adam_step", both)
+        cfg = T.TrainConfig(total_steps=4, phase_switch_step=2, seed=0,
+                            batch_size=16, weight_decay=0.1,
+                            decay_dprelu=decay_dprelu)
+        T.train_loop(model, small_dataset(n=32), cfg)
+        for k, t in model.params.items():
+            assert same_bits(t.data, ref[k]), k
 
 
 class TestKLLoss:
