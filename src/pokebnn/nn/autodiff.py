@@ -7,6 +7,12 @@ rounding/sign forward is ignored in the backward pass and the clip gates the
 gradient to the open interval (-B, B). Passing ``surrogate=True`` replaces
 the discrete forward with its smooth counterpart (clip without rounding) so
 finite-difference oracles see the same gradient field.
+
+Each op the executor runs is two functions. The array forward ``_name``
+takes plain arrays and returns ``(out, saved)``, where ``saved`` holds the
+intermediates its gradient reuses. The Tensor op ``name`` calls it and
+attaches the backward closure only while some input needs a gradient.
+``Model.logits`` calls the array forwards directly and records no tape.
 """
 
 from __future__ import annotations
@@ -79,26 +85,34 @@ class Tensor:
             node._backward = None
             node._parents = ()
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _wrap(other))
 
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other), _const(-1.0)))
-
-    def __neg__(self):
-        return mul(self, _const(-1.0))
+_DATA = Tensor.data     # the slot behind Tensor.data
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+class Parameter(Tensor):
+    """A Tensor whose ``data`` stays the array it was built with, such as a
+    view into a model's parameter arena. Assigning an array to ``data``
+    copies it into that array, which must have the same shape, so every
+    reader of the array sees the new values."""
 
+    __slots__ = ()
 
-def _const(v):
-    return Tensor(np.asarray(v))
+    @property
+    def data(self):
+        return _DATA.__get__(self)
+
+    @data.setter
+    def data(self, value):
+        try:
+            view = _DATA.__get__(self)
+        except AttributeError:      # the first assignment, in Tensor.__init__
+            _DATA.__set__(self, value)
+            return
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise ValueError(f"parameter {self.name!r} has shape {view.shape}, "
+                             f"got an array of shape {value.shape}")
+        view[...] = value
 
 
 def _needs(*tensors):
@@ -127,8 +141,12 @@ def _make(data, parents, backward, needs):
 # Elementwise and reduction primitives
 # ---------------------------------------------------------------------------
 
+def _add(a, b):
+    return a + b, None
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+    data, _ = _add(a.data, b.data)
 
     def backward(g):
         a._accumulate(_unbroadcast(g, a.data.shape))
@@ -137,8 +155,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, _needs(a, b))
 
 
+def _mul(a, b):
+    return a * b, None
+
+
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    data, _ = _mul(a.data, b.data)
 
     def backward(g):
         a._accumulate(_unbroadcast(g * b.data, a.data.shape))
@@ -156,9 +178,13 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make(data, (x,), backward, _needs(x))
 
 
-def mean(x: Tensor, axes, keepdims: bool = True) -> Tensor:
+def _mean(x, axes, keepdims=True):
     axes = tuple(axes)
-    data = x.data.mean(axis=axes, keepdims=keepdims)
+    return x.mean(axis=axes, keepdims=keepdims), axes
+
+
+def mean(x: Tensor, axes, keepdims: bool = True) -> Tensor:
+    data, axes = _mean(x.data, axes, keepdims)
     count = np.prod([x.data.shape[i] for i in axes])
 
     def backward(g):
@@ -169,8 +195,12 @@ def mean(x: Tensor, axes, keepdims: bool = True) -> Tensor:
     return _make(data, (x,), backward, _needs(x))
 
 
+def _relu(x):
+    return np.maximum(x, 0.0), None
+
+
 def relu(x: Tensor) -> Tensor:
-    data = np.maximum(x.data, 0.0)
+    data, _ = _relu(x.data)
 
     def backward(g):
         x._accumulate(g * (x.data > 0))
@@ -178,15 +208,34 @@ def relu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward, _needs(x))
 
 
+def _hardsigmoid(x):
+    return np.clip(x + 3.0, 0.0, 6.0) / 6.0, None
+
+
 def hardsigmoid(x: Tensor) -> Tensor:
     """relu6(x + 3) / 6, the gate nonlinearity of the SE block."""
-    data = np.clip(x.data + 3.0, 0.0, 6.0) / 6.0
+    data, _ = _hardsigmoid(x.data)
 
     def backward(g):
         inside = (x.data > -3.0) & (x.data < 3.0)
         x._accumulate(g * inside / 6.0)
 
     return _make(data, (x,), backward, _needs(x))
+
+
+def _dprelu(x, alpha, beta, gamma, eta):
+    if alpha.shape[-1] != x.shape[-1]:
+        raise ValueError(
+            f"dprelu channel mismatch: x has {x.shape[-1]}, "
+            f"params have {alpha.shape[-1]}")
+    shifted = x - alpha
+    pos = shifted > 0
+    neg = ~pos
+    slope = eta * pos
+    slope += gamma * neg
+    data = slope * shifted
+    data -= beta
+    return data, (shifted, pos, neg, slope)
 
 
 def dprelu(x: Tensor, alpha: Tensor, beta: Tensor, gamma: Tensor,
@@ -197,17 +246,8 @@ def dprelu(x: Tensor, alpha: Tensor, beta: Tensor, gamma: Tensor,
     otherwise; all four parameters are per-channel vectors. Parameter
     gradients reduce over batch and spatial axes.
     """
-    if alpha.data.shape[-1] != x.data.shape[-1]:
-        raise ValueError(
-            f"dprelu channel mismatch: x has {x.data.shape[-1]}, "
-            f"params have {alpha.data.shape[-1]}")
-    shifted = x.data - alpha.data
-    pos = shifted > 0
-    neg = ~pos
-    slope = eta.data * pos
-    slope += gamma.data * neg
-    data = slope * shifted
-    data -= beta.data
+    data, (shifted, pos, neg, slope) = _dprelu(x.data, alpha.data, beta.data,
+                                               gamma.data, eta.data)
     red = tuple(range(x.data.ndim - 1))
 
     def backward(g):
@@ -227,13 +267,16 @@ def dprelu(x: Tensor, alpha: Tensor, beta: Tensor, gamma: Tensor,
 # Straight-through quantizers
 # ---------------------------------------------------------------------------
 
+def _binarize(x, bound, surrogate=False):
+    if surrogate:
+        bound = np.asarray(bound)
+        return np.clip(x, -bound, bound), None
+    return quant.binarize(x), None
+
+
 def binarize(x: Tensor, bound, surrogate: bool = False) -> Tensor:
     """sign(x) forward (clip(x, -B, B) in surrogate mode), STE backward."""
-    bound = np.asarray(bound)
-    if surrogate:
-        data = np.clip(x.data, -bound, bound)
-    else:
-        data = quant.binarize(x.data)
+    data, _ = _binarize(x.data, bound, surrogate)
 
     def backward(g):
         x._accumulate(g * quant.ste_mask(x.data, bound))
@@ -241,13 +284,15 @@ def binarize(x: Tensor, bound, surrogate: bool = False) -> Tensor:
     return _make(data, (x,), backward, _needs(x))
 
 
+def _fake_quant(x, bound, bits, surrogate=False):
+    if surrogate:
+        return quant.fake_quant_surrogate(x, bound, bits), None
+    return quant.fake_quant(x, bound, bits).astype(x.dtype), None
+
+
 def fake_quant(x: Tensor, bound, bits: int, surrogate: bool = False) -> Tensor:
     """Grid projection forward (pure clip in surrogate mode), STE backward."""
-    bound = np.asarray(bound)
-    if surrogate:
-        data = quant.fake_quant_surrogate(x.data, bound, bits)
-    else:
-        data = quant.fake_quant(x.data, bound, bits).astype(x.data.dtype)
+    data, _ = _fake_quant(x.data, bound, bits, surrogate)
 
     def backward(g):
         x._accumulate(g * quant.ste_mask(x.data, bound))
@@ -271,19 +316,24 @@ def _fold(x, pads, kh, kw, stride, ho, wo, tap):
     return gx[:, pt:pt + h, pl:pl + w, :]
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
-    """2D convolution, x [N,H,W,C] with w [kh,kw,C,F], as one im2col GEMM."""
-    kh, kw, c, f = w.data.shape
-    cx = x.data.shape[-1]
-    if cx != c:
-        raise ValueError(f"conv2d channel mismatch: input {cx}, weight {c}")
-    win, pads = windows(x.data, kh, kw, stride, padding)   # [N, ho, wo, C, kh, kw]
+def _conv2d(x, w, stride=1, padding="same"):
+    kh, kw, c, f = w.shape
+    if x.shape[-1] != c:
+        raise ValueError(f"conv2d channel mismatch: input {x.shape[-1]}, weight {c}")
+    win, pads = windows(x, kh, kw, stride, padding)   # [N, ho, wo, C, kh, kw]
     n, ho, wo = win.shape[:3]
     # im2col in the (C, kh, kw) order of the window view, made once for the
     # forward GEMM and both gradient GEMMs
     cols = win.reshape(n * ho * wo, c * kh * kw)
-    w2 = w.data.transpose(2, 0, 1, 3).reshape(c * kh * kw, f)
-    data = (cols @ w2).reshape(n, ho, wo, f)
+    w2 = w.transpose(2, 0, 1, 3).reshape(c * kh * kw, f)
+    return (cols @ w2).reshape(n, ho, wo, f), (cols, w2, pads)
+
+
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
+    """2D convolution, x [N,H,W,C] with w [kh,kw,C,F], as one im2col GEMM."""
+    data, (cols, w2, pads) = _conv2d(x.data, w.data, stride, padding)
+    kh, kw, c, f = w.data.shape
+    n, ho, wo = data.shape[:3]
 
     def backward(g):
         g2 = g.reshape(-1, f)
@@ -298,17 +348,22 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tens
     return _make(data, (x, w), backward, _needs(x, w))
 
 
+def _depthwise_conv2d(x, w, stride=1, padding="same"):
+    kh, kw, c, m = w.shape
+    if x.shape[-1] != c:
+        raise ValueError(f"depthwise channel mismatch: input {x.shape[-1]}, weight {c}")
+    win, pads = windows(x, kh, kw, stride, padding)
+    out = np.einsum("nhwckl,klcm->nhwcm", win, w, optimize=True)
+    n, ho, wo = out.shape[:3]
+    return out.reshape(n, ho, wo, c * m), (win, pads)
+
+
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
                      padding: str = "same") -> Tensor:
     """Depthwise convolution with channel multiplier, w [kh,kw,C,mult]."""
+    data, (win, pads) = _depthwise_conv2d(x.data, w.data, stride, padding)
     kh, kw, c, m = w.data.shape
-    cx = x.data.shape[-1]
-    if cx != c:
-        raise ValueError(f"depthwise channel mismatch: input {cx}, weight {c}")
-    win, pads = windows(x.data, kh, kw, stride, padding)
-    out = np.einsum("nhwckl,klcm->nhwcm", win, w.data, optimize=True)
-    n, ho, wo = out.shape[:3]
-    data = out.reshape(n, ho, wo, c * m)
+    n, ho, wo = data.shape[:3]
 
     def backward(g):
         gr = g.reshape(n, ho, wo, c, m)
@@ -322,11 +377,16 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
     return _make(data, (x, w), backward, _needs(x, w))
 
 
+def _dense(x, w, bias=None):
+    data = x @ w
+    if bias is not None:
+        data = data + bias
+    return data, None
+
+
 def dense(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """Channelwise linear map on the last axis: [..., C] @ [C, F]."""
-    data = x.data @ w.data
-    if bias is not None:
-        data = data + bias.data
+    data, _ = _dense(x.data, w.data, None if bias is None else bias.data)
 
     def backward(g):
         if w.requires_grad or w._parents:
@@ -338,17 +398,21 @@ def dense(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
             bias._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     parents = (x, w) if bias is None else (x, w, bias)
-    return _make(data, parents, backward,
-                 _needs(*(p for p in parents)))
+    return _make(data, parents, backward, _needs(*parents))
+
+
+def _avg_pool(x, kernel=(3, 3), stride=2, padding="same", divisor=None):
+    kh, kw = kernel
+    div = float(divisor) if divisor else 1.0 / (kh * kw)
+    win, pads = windows(x, kh, kw, stride, padding)
+    return win.sum(axis=(4, 5)) * div, (pads, div)
 
 
 def avg_pool(x: Tensor, kernel=(3, 3), stride: int = 2,
              padding: str = "same", divisor: float | None = None) -> Tensor:
     """Average pool with a fixed divisor (1/(kh*kw) by default, zero padding)."""
+    data, (pads, div) = _avg_pool(x.data, kernel, stride, padding, divisor)
     kh, kw = kernel
-    div = float(divisor) if divisor is not None else 1.0 / (kh * kw)
-    win, pads = windows(x.data, kh, kw, stride, padding)
-    data = win.sum(axis=(4, 5)) * div
     ho, wo = data.shape[1:3]
 
     def backward(g):
@@ -358,13 +422,17 @@ def avg_pool(x: Tensor, kernel=(3, 3), stride: int = 2,
     return _make(data, (x,), backward, _needs(x))
 
 
+def _max_pool(x, kernel=(3, 3), stride=2, padding="same"):
+    kh, kw = kernel
+    win, pads = windows(x, kh, kw, stride, padding, fill=np.finfo(x.dtype).min)
+    return win.max(axis=(4, 5)), (win, pads)
+
+
 def max_pool(x: Tensor, kernel=(3, 3), stride: int = 2,
              padding: str = "same") -> Tensor:
     """Max pool; the gradient goes to the first maximal tap in (i, j) order."""
+    data, (win, pads) = _max_pool(x.data, kernel, stride, padding)
     kh, kw = kernel
-    win, pads = windows(x.data, kh, kw, stride, padding,
-                        fill=np.finfo(x.data.dtype).min)
-    data = win.max(axis=(4, 5))
     ho, wo = data.shape[1:3]
 
     def backward(g):
@@ -380,17 +448,25 @@ def max_pool(x: Tensor, kernel=(3, 3), stride: int = 2,
     return _make(data, (x,), backward, _needs(x))
 
 
+def _spatial_mean(x):
+    return _mean(x, axes=(1, 2))
+
+
 def spatial_mean(x: Tensor) -> Tensor:
     """Mean over H and W, keeping [N, 1, 1, C]."""
     return mean(x, axes=(1, 2), keepdims=True)
 
 
-def pad_channels(x: Tensor, out_channels: int) -> Tensor:
-    c = x.data.shape[-1]
+def _pad_channels(x, out_channels):
+    c = x.shape[-1]
     if out_channels < c:
         raise ValueError(f"pad_channels cannot shrink {c} -> {out_channels}")
-    width = [(0, 0)] * (x.data.ndim - 1) + [(0, out_channels - c)]
-    data = np.pad(x.data, width)
+    return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, out_channels - c)]), None
+
+
+def pad_channels(x: Tensor, out_channels: int) -> Tensor:
+    data, _ = _pad_channels(x.data, out_channels)
+    c = x.data.shape[-1]
 
     def backward(g):
         x._accumulate(g[..., :c])
@@ -398,13 +474,18 @@ def pad_channels(x: Tensor, out_channels: int) -> Tensor:
     return _make(data, (x,), backward, _needs(x))
 
 
-def tile_channels(x: Tensor, out_channels: int) -> Tensor:
-    """Channel i of the output is input channel i mod C (any target >= C)."""
-    c = x.data.shape[-1]
+def _tile_channels(x, out_channels):
+    c = x.shape[-1]
     if out_channels < c:
         raise ValueError(f"tile_channels cannot shrink {c} -> {out_channels}")
     reps = -(-out_channels // c)
-    data = np.tile(x.data, (1,) * (x.data.ndim - 1) + (reps,))[..., :out_channels]
+    return np.tile(x, (1,) * (x.ndim - 1) + (reps,))[..., :out_channels], reps
+
+
+def tile_channels(x: Tensor, out_channels: int) -> Tensor:
+    """Channel i of the output is input channel i mod C (any target >= C)."""
+    data, reps = _tile_channels(x.data, out_channels)
+    c = x.data.shape[-1]
 
     def backward(g):
         full = reps * c
@@ -416,13 +497,17 @@ def tile_channels(x: Tensor, out_channels: int) -> Tensor:
     return _make(data, (x,), backward, _needs(x))
 
 
-def avg_channels(x: Tensor, out_channels: int) -> Tensor:
-    """Averages each run of K = C/out consecutive channels."""
-    c = x.data.shape[-1]
+def _avg_channels(x, out_channels):
+    c = x.shape[-1]
     if c % out_channels:
         raise ValueError(f"avg_channels {c} -> {out_channels} not integral")
     k = c // out_channels
-    data = x.data.reshape(x.data.shape[:-1] + (out_channels, k)).mean(axis=-1)
+    return x.reshape(x.shape[:-1] + (out_channels, k)).mean(axis=-1), k
+
+
+def avg_channels(x: Tensor, out_channels: int) -> Tensor:
+    """Averages each run of K = C/out consecutive channels."""
+    data, k = _avg_channels(x.data, out_channels)
 
     def backward(g):
         x._accumulate(np.repeat(g, k, axis=-1) / k)
@@ -437,22 +522,28 @@ def avg_channels(x: Tensor, out_channels: int) -> Tensor:
 BN_EPS = 1e-5
 
 
+def _batchnorm_train(x, scale, bias):
+    red = (0, 1, 2)
+    mu = x.mean(axis=red)
+    centered = x - mu
+    # the arithmetic of np.var: square the centered values, then their mean
+    var = np.square(centered).mean(axis=red)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = np.multiply(centered, inv, out=centered)
+    data = xhat * scale
+    data += bias
+    return (data, mu, var), (xhat, inv)
+
+
 def batchnorm_train(x: Tensor, scale: Tensor, bias: Tensor):
     """Batch normalization over (N, H, W); returns (out, batch_mean, batch_var).
 
     Gradients flow through the batch statistics (biased variance). The
     returned statistics are plain arrays for the running-average update.
     """
+    (data, mu, var), (xhat, inv) = _batchnorm_train(x.data, scale.data, bias.data)
     red = (0, 1, 2)
     count = x.data.size // x.data.shape[-1]
-    mu = x.data.mean(axis=red)
-    centered = x.data - mu
-    # the arithmetic of np.var: square the centered values, then their mean
-    var = np.square(centered).mean(axis=red)
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = np.multiply(centered, inv, out=centered)
-    data = xhat * scale.data
-    data += bias.data
 
     def backward(g):
         g_sum = g.sum(axis=red)
@@ -472,11 +563,32 @@ def batchnorm_train(x: Tensor, scale: Tensor, bias: Tensor):
     return out, mu, var
 
 
+def _batchnorm_eval(x, scale, bias, running_mean, running_var):
+    # every operand in the input's dtype, so a float32 model stays float32
+    inv = (1.0 / np.sqrt(running_var + BN_EPS)).astype(x.dtype)
+    centered = x - np.asarray(running_mean, dtype=x.dtype)
+    k = inv * scale
+    data = centered * k
+    data += bias
+    return data, (centered, inv, k)
+
+
 def batchnorm_eval(x: Tensor, scale: Tensor, bias: Tensor,
                    running_mean, running_var) -> Tensor:
-    inv = (1.0 / np.sqrt(running_var + BN_EPS)).astype(x.data.dtype)
-    centered = x - Tensor(np.asarray(running_mean, dtype=x.data.dtype))
-    return add(mul(centered, mul(Tensor(inv), scale)), bias)
+    """Batch normalization with fixed statistics: (x - mean) * inv * scale + bias."""
+    data, (centered, inv, k) = _batchnorm_eval(x.data, scale.data, bias.data,
+                                               running_mean, running_var)
+    red = (0, 1, 2)
+
+    def backward(g):
+        if bias.requires_grad or bias._parents:
+            bias._accumulate(g.sum(axis=red))
+        if scale.requires_grad or scale._parents:
+            scale._accumulate((g * centered).sum(axis=red) * inv)
+        if x.requires_grad or x._parents:
+            x._accumulate(g * k)
+
+    return _make(data, (x, scale, bias), backward, _needs(x, scale, bias))
 
 
 def log_softmax(x: Tensor) -> Tensor:

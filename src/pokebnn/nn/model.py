@@ -2,40 +2,58 @@
 
 The executor owns every parameter and calibration state keyed by node id:
 conv/dense weights, BatchNorm affine + running statistics, DPReLU vectors,
-and per-quantizer clipping bounds. Forward walks the node list in order;
-``loss.backward()`` then fills parameter gradients.
+and per-quantizer clipping bounds. ``Model.__init__`` lowers the node list
+once into a plan of steps. ``forward`` runs the plan on Tensors, recording
+the tape that ``loss.backward()`` differentiates; ``logits`` runs the same
+plan on plain arrays and records nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .. import quant
-from ..graphir import DType, GraphSpec, infer_shapes
+from ..graphir import DType, GraphSpec, NodeSpec, infer_shapes
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Parameter, Tensor
 
 WEIGHT_SUFFIX = ".w"
 
 
 @dataclass
 class QuantContext:
-    """Per-forward mode: BN train/eval, the quantization phase (phase 1
+    """Per-call mode: BN train/eval, the quantization phase (phase 1
     binarizes activations only; phase 2 also quantizes weights and the 4/8-bit
-    activations), and the smooth-surrogate mode of the gradient oracles."""
+    activations), the smooth-surrogate mode of the gradient oracles, and
+    whether the plan records a tape on Tensors or runs on plain arrays."""
 
     training: bool = True
     phase: int = 1
-    binary_bound: float = 3.0
     surrogate: bool = False
-    # override for the binary-weight gradient bound; None = per-channel max
-    binary_weight_bound: float | None = None
+    record: bool = True
 
-    @property
-    def weights_quantized(self) -> bool:
-        return self.phase >= 2
+
+def _op(name: str) -> tuple:
+    """An autodiff op as a pair indexed by ``ctx.record``: the array forward
+    ``ad._<name>`` with its ``saved`` dropped, and the Tensor op ``ad.<name>``."""
+    array_op = getattr(ad, "_" + name)
+    return lambda *args: array_op(*args)[0], getattr(ad, name)
+
+
+# graph op -> autodiff op, parameter names and the attrs passed positionally
+_AD_NAME = {"multiply": "mul"}
+_PARAM_KEYS = {"dense": ("bias",), "batchnorm": ("scale", "bias"),
+               "dprelu": ("alpha", "beta", "gamma", "eta")}
+_ATTR_ARGS = {"conv2d": ("stride", "padding"),
+              "depthwise_conv2d": ("stride", "padding"),
+              "pad_channels": ("out_channels",),
+              "tile_channels": ("out_channels",),
+              "avg_channels": ("out_channels",),
+              "avg_pool": ("kernel", "stride", "padding"),
+              "max_pool": ("kernel", "stride", "padding")}
 
 
 class ParamArena:
@@ -91,8 +109,17 @@ class Model:
         # every parameter's data is a view into the one arena buffer
         self.arena = ParamArena(init, self.dtype)
         self.params: dict[str, Tensor] = {
-            name: Tensor(view, requires_grad=True, name=name)
+            name: Parameter(view, requires_grad=True, name=name)
             for name, view in self.arena.views.items()}
+        # the plan: one step per node; the slot after the last step holds the batch
+        index = {node.id: i for i, node in enumerate(graph.nodes)}
+        self._plan = [(node, (len(graph.nodes),) if node.op == "input"
+                       else tuple(index[i] for i in node.inputs),
+                       self._lower(node)) for node in graph.nodes]
+        outputs = [i for i, node in enumerate(graph.nodes) if node.op == "output"]
+        if len(outputs) != 1:
+            raise ValueError(f"graph {graph.name!r} has {len(outputs)} output nodes")
+        self._output = outputs[0]
 
     # ------------------------------------------------------------------
     # Parameter setup
@@ -163,129 +190,135 @@ class Model:
         return {nid: float(np.asarray(s.bound)) for nid, s in self.bounds.items()}
 
     # ------------------------------------------------------------------
-    # Forward / backward
+    # Forward: the plan on Tensors (forward) or on plain arrays (logits)
     # ------------------------------------------------------------------
 
     def forward(self, x, training: bool = True, phase: int = 1,
-                surrogate: bool = False, trace: dict | None = None) -> Tensor:
-        """Runs the graph; returns the output-node tensor ([N, 1, 1, classes]).
+                surrogate: bool = False, hooks=()) -> Tensor:
+        """Runs the plan on Tensors, recording the tape that ``backward``
+        differentiates; returns the output-node tensor ([N, 1, 1, classes]).
 
         ``phase`` selects active quantizers: binary activations always, all
-        weights and the 4/8-bit activations from phase 2 on. ``trace``
-        collects per-node outputs when a dict is supplied.
+        weights and the 4/8-bit activations from phase 2 on. Each of
+        ``hooks`` is called as ``hook(node, out)`` after every step, with
+        the node's output array.
         """
-        ctx = QuantContext(training=training, phase=phase,
-                           binary_bound=self.binary_bound, surrogate=surrogate,
-                           binary_weight_bound=self.binary_weight_bound)
+        return self._execute(x, hooks, training=training, phase=phase,
+                             surrogate=surrogate, record=True)
+
+    def logits(self, x, training: bool = False, phase: int = 2,
+               hooks=()) -> np.ndarray:
+        """Runs the plan on plain arrays with no tape; returns [N, classes].
+
+        The inference call. With ``training`` it still updates the BN
+        running statistics and the unfrozen EMA bounds, as ``forward`` does.
+        """
+        out = self._execute(x, hooks, training=training, phase=phase,
+                            surrogate=False, record=False)
+        return out.reshape(out.shape[0], -1)
+
+    def _execute(self, x, hooks, **mode):
+        ctx = QuantContext(**mode)
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
             raise ValueError(f"expected [N, H, W, C] input, got shape {x.shape}")
         if x.shape[1:] != tuple(self.graph.input_shape):
             raise ValueError(f"graph {self.graph.name!r} expects input "
                              f"{tuple(self.graph.input_shape)}, got {x.shape[1:]}")
-        values: dict[str, Tensor] = {}
-        out = None
-        for node in self.graph.nodes:
-            ins = [values[i] for i in node.inputs]
-            values[node.id] = self._run_node(node, ins, x, ctx)
-            if node.op == "output":
-                out = values[node.id]
-            if trace is not None:
-                trace[node.id] = np.array(values[node.id].data)
-        return out
+        values = [None] * len(self._plan) + [Tensor(x) if ctx.record else x]
+        for i, (node, slots, run) in enumerate(self._plan):
+            out = values[i] = run([values[s] for s in slots], ctx)
+            for hook in hooks:
+                hook(node, out.data if ctx.record else out)
+        return values[self._output]
 
-    def logits(self, x, training: bool = False, phase: int = 2) -> np.ndarray:
-        out = self.forward(x, training=training, phase=phase)
-        return out.data.reshape(out.data.shape[0], -1)
+    def _lower(self, node: NodeSpec) -> Callable:
+        """The step function ``run(ins, ctx)`` of one node.
 
-    def _run_node(self, node, ins, x_input, ctx: QuantContext) -> Tensor:
-        op = node.op
-        nid = node.id
-        if op == "input":
-            return Tensor(x_input)
-        if op == "output":
-            return ins[0]
+        Attributes, ops and parameters are resolved here, once. BN statistics
+        and bound state are read when the step runs, since training updates
+        them.
+        """
+        op, a, nid = node.op, node.attrs, node.id
+        if op in ("input", "output"):
+            return lambda ins, ctx: ins[0]
         if op == "quantize_act":
-            bits = node.attrs["act_bits"]
-            if bits is DType.BIN:
-                return ad.binarize(ins[0], ctx.binary_bound, surrogate=ctx.surrogate)
+            return self._lower_act_quant(nid, a["act_bits"])
+        # (arrays, Tensors), indexed by ctx.record like every _op pair
+        tensors = tuple(self.params[f"{nid}.{k}"] for k in _PARAM_KEYS.get(op, ()))
+        params = (tuple(t.data for t in tensors), tensors)
+        if op == "batchnorm":
+            return self._lower_batchnorm(nid, params)
+        args = tuple(a[k] for k in _ATTR_ARGS.get(op, ()))
+        if op == "avg_pool":
+            args += (a.get("divisor"),)
+        fn = _op(_AD_NAME.get(op, op))
+        if op in ("conv2d", "depthwise_conv2d", "dense"):
+            weight = self._lower_weight(nid, a["weight_bits"],
+                                        depthwise=op == "depthwise_conv2d")
+            return lambda ins, ctx: fn[ctx.record](ins[0], weight(ctx),
+                                                   *params[ctx.record], *args)
+        return lambda ins, ctx: fn[ctx.record](*ins, *params[ctx.record], *args)
+
+    def _lower_act_quant(self, nid: str, bits: DType) -> Callable:
+        if bits is DType.BIN:
+            binarize = _op("binarize")
+            return lambda ins, ctx: binarize[ctx.record](ins[0], self.binary_bound,
+                                                         ctx.surrogate)
+        fake_quant = _op("fake_quant")
+
+        def run(ins, ctx):
             state = self.bounds[nid]
             if ctx.training and not state.frozen:
-                self.bounds[nid] = state = quant.update_ema_bound(state, ins[0].data)
+                batch = ins[0].data if ctx.record else ins[0]
+                self.bounds[nid] = state = quant.update_ema_bound(state, batch)
             if ctx.phase < 2:
                 return ins[0]
-            return ad.fake_quant(ins[0], state.bound, bits.bits,
-                                 surrogate=ctx.surrogate)
-        if op in ("conv2d", "depthwise_conv2d", "dense"):
-            w = self.params[nid + WEIGHT_SUFFIX]
-            w = self._quantized_weight(w, node.attrs["weight_bits"], ctx,
-                                       depthwise=op == "depthwise_conv2d")
-            if op == "conv2d":
-                return ad.conv2d(ins[0], w, stride=node.attrs["stride"],
-                                 padding=node.attrs["padding"])
-            if op == "depthwise_conv2d":
-                return ad.depthwise_conv2d(ins[0], w, stride=node.attrs["stride"],
-                                           padding=node.attrs["padding"])
-            return ad.dense(ins[0], w, self.params[nid + ".bias"])
-        if op == "batchnorm":
-            scale, bias = self.params[nid + ".scale"], self.params[nid + ".bias"]
-            stats = self.bn_stats[nid]
-            if ctx.training:
-                out, bm, bv = ad.batchnorm_train(ins[0], scale, bias)
-                m = self.bn_momentum
-                stats["mean"] = m * stats["mean"] + (1 - m) * bm
-                stats["var"] = m * stats["var"] + (1 - m) * bv
-                return out
-            return ad.batchnorm_eval(ins[0], scale, bias,
-                                     stats["mean"], stats["var"])
-        if op == "dprelu":
-            return ad.dprelu(ins[0], self.params[nid + ".alpha"],
-                             self.params[nid + ".beta"],
-                             self.params[nid + ".gamma"],
-                             self.params[nid + ".eta"])
-        if op == "relu":
-            return ad.relu(ins[0])
-        if op == "hardsigmoid":
-            return ad.hardsigmoid(ins[0])
-        if op == "add":
-            return ad.add(ins[0], ins[1])
-        if op == "multiply":
-            return ad.mul(ins[0], ins[1])
-        if op == "pad_channels":
-            return ad.pad_channels(ins[0], node.attrs["out_channels"])
-        if op == "tile_channels":
-            return ad.tile_channels(ins[0], node.attrs["out_channels"])
-        if op == "avg_channels":
-            return ad.avg_channels(ins[0], node.attrs["out_channels"])
-        if op == "avg_pool":
-            divisor = node.attrs.get("divisor")
-            return ad.avg_pool(ins[0], kernel=node.attrs["kernel"],
-                               stride=node.attrs["stride"],
-                               padding=node.attrs["padding"],
-                               divisor=float(divisor) if divisor else None)
-        if op == "max_pool":
-            return ad.max_pool(ins[0], kernel=node.attrs["kernel"],
-                               stride=node.attrs["stride"],
-                               padding=node.attrs["padding"])
-        if op == "spatial_mean":
-            return ad.spatial_mean(ins[0])
-        raise ValueError(f"node {nid!r}: executor has no handler for {op!r}")
+            return fake_quant[ctx.record](ins[0], state.bound, bits.bits,
+                                          ctx.surrogate)
+        return run
 
-    def _quantized_weight(self, w, bits: DType, ctx: QuantContext,
-                          depthwise: bool = False) -> Tensor:
-        if bits.is_float or not ctx.weights_quantized:
-            return w
-        if depthwise:   # [kh, kw, C, mult]: output channel (c, m) has its own bound
-            kh, kw, c, m = w.data.shape
-            bounds = quant.weight_channel_bounds(
-                w.data.reshape(kh, kw, c * m)).reshape(c, m)
-        else:
-            bounds = quant.weight_channel_bounds(w.data)
-        if bits is DType.BIN:
-            grad_bound = (bounds if ctx.binary_weight_bound is None
-                          else ctx.binary_weight_bound)
-            return ad.binarize(w, grad_bound, surrogate=ctx.surrogate)
-        return ad.fake_quant(w, bounds, bits.bits, surrogate=ctx.surrogate)
+    def _lower_batchnorm(self, nid: str, params) -> Callable:
+        train, evaluate = _op("batchnorm_train"), _op("batchnorm_eval")
+
+        def run(ins, ctx):
+            stats = self.bn_stats[nid]
+            if not ctx.training:
+                return evaluate[ctx.record](ins[0], *params[ctx.record],
+                                            stats["mean"], stats["var"])
+            out, bm, bv = train[ctx.record](ins[0], *params[ctx.record])
+            m = self.bn_momentum
+            stats["mean"] = m * stats["mean"] + (1 - m) * bm
+            stats["var"] = m * stats["var"] + (1 - m) * bv
+            return out
+        return run
+
+    def _lower_weight(self, nid: str, bits: DType, depthwise: bool) -> Callable:
+        """``weight(ctx)``: the node's weight as its op reads it, quantized
+        from phase 2 on unless ``bits`` is a float type."""
+        w = self.params[nid + WEIGHT_SUFFIX]
+        plain = (w.data, w)     # indexed by ctx.record
+        if bits.is_float:
+            return lambda ctx: plain[ctx.record]
+        binary = bits is DType.BIN
+        quantize = _op("binarize" if binary else "fake_quant")
+        # one bound per output channel: (C, mult) for depthwise, else the last axis
+        channels = w.data.shape[2:] if depthwise else w.data.shape[-1:]
+        rows = (-1, int(np.prod(channels)))
+
+        def weight(ctx):
+            value = plain[ctx.record]
+            if ctx.phase < 2:
+                return value
+            override = self.binary_weight_bound    # of the binary gradient bound
+            if binary and (override is not None or not ctx.record):
+                # sign() reads no bound; the gradient takes the override if set
+                return quantize[ctx.record](value, override, ctx.surrogate)
+            bounds = quant.weight_channel_bounds(w.data.reshape(rows)).reshape(channels)
+            if binary:
+                return quantize[ctx.record](value, bounds, ctx.surrogate)
+            return quantize[ctx.record](value, bounds, bits.bits, ctx.surrogate)
+        return weight
 
     # ------------------------------------------------------------------
     # State access

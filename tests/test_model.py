@@ -1,10 +1,11 @@
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pokebnn import quant
+from pokebnn import quant, train
 from pokebnn.builders import (
     _emit_pokeconv,
     _emit_pokeinit,
@@ -13,9 +14,10 @@ from pokebnn.builders import (
     build_pokebnn_toy,
 )
 from pokebnn.cost import count_macs
-from pokebnn.graphir import DType, validate_graph
+from pokebnn.graphir import DType, GraphSpec, NodeSpec, validate_graph
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn.checkpoint import load_tensors, save_tensors
+from pokebnn.nn import autodiff as ad
 from pokebnn.nn.model import Model, ParamArena
 
 
@@ -28,6 +30,14 @@ def toy():
 @pytest.fixture(scope="module")
 def batch():
     return np.random.default_rng(0).normal(size=(4, 16, 16, 3))
+
+
+def node_outputs(run, x, **kwargs):
+    """Every node's output array in one call of ``run`` (``Model.forward``
+    or ``Model.logits``), collected by a hook."""
+    outs = {}
+    run(x, hooks=[lambda node, out: outs.__setitem__(node.id, out.copy())], **kwargs)
+    return outs
 
 
 class TestInit:
@@ -74,8 +84,7 @@ class TestForward:
 
     def test_binary_conv_inputs_are_signs(self, toy, batch):
         model = Model(toy, seed=1)
-        trace = {}
-        model.forward(batch, training=False, phase=2, trace=trace)
+        trace = node_outputs(model.forward, batch, training=False, phase=2)
         qbin_nodes = [n.id for n in toy.nodes if n.op == "quantize_act"
                       and n.attrs["act_bits"] is DType.BIN]
         assert qbin_nodes
@@ -85,12 +94,76 @@ class TestForward:
 
     def test_se_gates_in_unit_interval(self, toy, batch):
         model = Model(toy, seed=1)
-        trace = {}
-        model.forward(batch, training=False, phase=2, trace=trace)
+        trace = node_outputs(model.forward, batch, training=False, phase=2)
         gates = [nid for nid in trace if nid.endswith("se_gate")]
         assert gates
         for nid in gates:
             assert trace[nid].min() >= 0.0 and trace[nid].max() <= 1.0
+
+
+class TestPlan:
+    """``logits`` runs the forward plan on plain arrays with no tape."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_logits_equal_forward_and_move_the_same_state(self, toy, batch,
+                                                          dtype, phase, training):
+        taped, plain = Model(toy, seed=4, dtype=dtype), Model(toy, seed=4, dtype=dtype)
+        initial = plain.state_dict()
+        for _ in range(2):     # the second call reads the moved statistics
+            want = taped.forward(batch, training=training, phase=phase).data
+            got = plain.logits(batch, training=training, phase=phase)
+            assert got.dtype == dtype
+            assert got.tobytes() == want.reshape(len(batch), -1).tobytes()
+        state, twin = plain.state_dict(), taped.state_dict()
+        assert all(state[k].tobytes() == twin[k].tobytes() for k in twin)
+        moved = {k for k in state if not np.array_equal(state[k], initial[k])}
+        stats = {k for k in state if k.endswith(("running_mean", "running_var",
+                                                 ".bound"))}
+        assert moved == (stats if training else set())
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_logits_records_no_tape(self, toy, batch, monkeypatch, training):
+        cols, conv2d = [], ad._conv2d
+
+        def watched(*args):
+            out, saved = conv2d(*args)
+            cols.append(weakref.ref(saved[0]))     # the im2col
+            return out, saved
+
+        monkeypatch.setattr(ad, "_conv2d", watched)
+        model = Model(toy, seed=1, dtype=np.float32)   # resolves the patched op
+        alive = []
+
+        def hook(node, out):
+            assert type(out) is np.ndarray
+            if node.op == "conv2d":
+                alive.append(cols[-1]() is not None)
+
+        model.forward(batch, training=training, phase=2, hooks=[hook])
+        assert alive and all(alive)            # the tape holds every im2col
+        alive.clear()
+
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("logits created a Tensor")
+
+        monkeypatch.setattr(ad.Tensor, "__init__", no_tensor)
+        model.logits(batch, training=training, phase=2, hooks=[hook])
+        assert alive and not any(alive)        # each dies with its step
+
+    def test_float32_stays_float32_at_every_node(self, toy, batch):
+        model = Model(toy, seed=1, dtype=np.float32)
+        for run in (model.logits, model.forward):
+            outs = node_outputs(run, batch, training=False, phase=2)
+            assert list(outs) == [n.id for n in toy.nodes]
+            assert {o.dtype for o in outs.values()} == {np.dtype(np.float32)}
+        assert model.logits(batch).dtype == np.float32
+
+    def test_graph_needs_one_output_node(self):
+        g = GraphSpec("no-output", (4, 4, 1), [NodeSpec("in", "input")])
+        with pytest.raises(ValueError, match="'no-output' has 0 output nodes"):
+            Model(g)
 
 
 def downstream_closure(graph, seeds):
@@ -108,9 +181,8 @@ def downstream_closure(graph, seeds):
 class TestPhases:
     def test_phase_diff_confined_to_quantizer_cones(self, toy, batch):
         model = Model(toy, seed=1)
-        t1, t2 = {}, {}
-        model.forward(batch, training=False, phase=1, trace=t1)
-        model.forward(batch, training=False, phase=2, trace=t2)
+        t1 = node_outputs(model.forward, batch, training=False, phase=1)
+        t2 = node_outputs(model.forward, batch, training=False, phase=2)
         switched = [n.id for n in toy.nodes
                     if (n.op == "quantize_act" and n.attrs["act_bits"] is not DType.BIN)
                     or (n.op in ("conv2d", "depthwise_conv2d", "dense")
@@ -207,6 +279,33 @@ class TestParamArena:
         missing = arena.gather({"a": np.arange(4.0).reshape(2, 2)})
         assert missing == ["b"]
         assert np.array_equal(arena.grad, [0, 1, 2, 3, 0, 0, 0])
+
+
+class TestParameterData:
+    def test_assignment_copies_into_the_arena(self, toy):
+        model = Model(toy, seed=1, dtype=np.float32)
+        t = model.params["init_conv.w"]
+        view = t.data
+        new = np.random.default_rng(5).normal(size=view.shape)
+        t.data = new
+        assert t.data is view and t.data.tobytes() == new.astype(np.float32).tobytes()
+        cfg = train.TrainConfig(total_steps=3, phase_switch_step=2, seed=0,
+                                batch_size=8)
+        train.train_loop(model, train.make_toy_dataset(n=16, seed=0), cfg)
+        # the tensor and the arena agree, and training moved both
+        assert np.array_equal(t.data.ravel(),
+                              model.arena.data[model.arena.spans["init_conv.w"]])
+        assert not np.array_equal(t.data, new.astype(np.float32))
+
+    def test_wrong_shape_rejected(self, toy):
+        model = Model(toy, seed=1)
+        t = model.params["init_conv.w"]
+        before = t.data.copy()
+        with pytest.raises(ValueError, match=re.escape(
+                f"parameter 'init_conv.w' has shape {before.shape}, "
+                "got an array of shape (3,)")):
+            t.data = np.zeros(3)
+        assert np.array_equal(t.data, before)
 
 
 class TestStateDict:
