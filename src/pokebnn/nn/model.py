@@ -43,8 +43,7 @@ def _op(name: str) -> tuple:
     return lambda *args: array_op(*args)[0], getattr(ad, name)
 
 
-# graph op -> autodiff op, parameter names and the attrs passed positionally
-_AD_NAME = {"multiply": "mul"}
+# graph op -> its parameter names and the attrs passed positionally
 _PARAM_KEYS = {"dense": ("bias",), "batchnorm": ("scale", "bias"),
                "dprelu": ("alpha", "beta", "gamma", "eta")}
 _ATTR_ARGS = {"conv2d": ("stride", "padding"),
@@ -227,21 +226,22 @@ class Model:
                              f"{tuple(self.graph.input_shape)}, got {x.shape[1:]}")
         values = [None] * len(self._plan) + [Tensor(x) if ctx.record else x]
         for i, (node, slots, run) in enumerate(self._plan):
-            out = values[i] = run([values[s] for s in slots], ctx)
+            out = values[i] = run(self, [values[s] for s in slots], ctx)
             for hook in hooks:
                 hook(node, out.data if ctx.record else out)
         return values[self._output]
 
     def _lower(self, node: NodeSpec) -> Callable:
-        """The step function ``run(ins, ctx)`` of one node.
+        """The step function ``run(model, ins, ctx)`` of one node.
 
         Attributes, ops and parameters are resolved here, once. BN statistics
-        and bound state are read when the step runs, since training updates
-        them.
+        and bound state are read from ``model`` when the step runs, since
+        training updates them; the step holds no reference to the model, so
+        a dropped model is freed at once rather than by the cycle collector.
         """
         op, a, nid = node.op, node.attrs, node.id
         if op in ("input", "output"):
-            return lambda ins, ctx: ins[0]
+            return lambda model, ins, ctx: ins[0]
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
         # (arrays, Tensors), indexed by ctx.record like every _op pair
@@ -252,65 +252,67 @@ class Model:
         args = tuple(a[k] for k in _ATTR_ARGS.get(op, ()))
         if op == "avg_pool":
             args += (a.get("divisor"),)
-        fn = _op(_AD_NAME.get(op, op))
+        fn = _op("mul" if op == "multiply" else op)
         if op in ("conv2d", "depthwise_conv2d", "dense"):
             weight = self._lower_weight(nid, a["weight_bits"],
                                         depthwise=op == "depthwise_conv2d")
-            return lambda ins, ctx: fn[ctx.record](ins[0], weight(ctx),
-                                                   *params[ctx.record], *args)
-        return lambda ins, ctx: fn[ctx.record](*ins, *params[ctx.record], *args)
+            return lambda model, ins, ctx: fn[ctx.record](
+                ins[0], weight(model, ctx), *params[ctx.record], *args)
+        return lambda model, ins, ctx: fn[ctx.record](*ins, *params[ctx.record], *args)
 
-    def _lower_act_quant(self, nid: str, bits: DType) -> Callable:
+    @staticmethod
+    def _lower_act_quant(nid: str, bits: DType) -> Callable:
         if bits is DType.BIN:
             binarize = _op("binarize")
-            return lambda ins, ctx: binarize[ctx.record](ins[0], self.binary_bound,
-                                                         ctx.surrogate)
+            return lambda model, ins, ctx: binarize[ctx.record](
+                ins[0], model.binary_bound, ctx.surrogate)
         fake_quant = _op("fake_quant")
 
-        def run(ins, ctx):
-            state = self.bounds[nid]
+        def run(model, ins, ctx):
+            state = model.bounds[nid]
             if ctx.training and not state.frozen:
                 batch = ins[0].data if ctx.record else ins[0]
-                self.bounds[nid] = state = quant.update_ema_bound(state, batch)
+                model.bounds[nid] = state = quant.update_ema_bound(state, batch)
             if ctx.phase < 2:
                 return ins[0]
             return fake_quant[ctx.record](ins[0], state.bound, bits.bits,
                                           ctx.surrogate)
         return run
 
-    def _lower_batchnorm(self, nid: str, params) -> Callable:
+    @staticmethod
+    def _lower_batchnorm(nid: str, params) -> Callable:
         train, evaluate = _op("batchnorm_train"), _op("batchnorm_eval")
 
-        def run(ins, ctx):
-            stats = self.bn_stats[nid]
+        def run(model, ins, ctx):
+            stats = model.bn_stats[nid]
             if not ctx.training:
                 return evaluate[ctx.record](ins[0], *params[ctx.record],
                                             stats["mean"], stats["var"])
             out, bm, bv = train[ctx.record](ins[0], *params[ctx.record])
-            m = self.bn_momentum
+            m = model.bn_momentum
             stats["mean"] = m * stats["mean"] + (1 - m) * bm
             stats["var"] = m * stats["var"] + (1 - m) * bv
             return out
         return run
 
     def _lower_weight(self, nid: str, bits: DType, depthwise: bool) -> Callable:
-        """``weight(ctx)``: the node's weight as its op reads it, quantized
-        from phase 2 on unless ``bits`` is a float type."""
+        """``weight(model, ctx)``: the node's weight as its op reads it,
+        quantized from phase 2 on unless ``bits`` is a float type."""
         w = self.params[nid + WEIGHT_SUFFIX]
         plain = (w.data, w)     # indexed by ctx.record
         if bits.is_float:
-            return lambda ctx: plain[ctx.record]
+            return lambda model, ctx: plain[ctx.record]
         binary = bits is DType.BIN
         quantize = _op("binarize" if binary else "fake_quant")
         # one bound per output channel: (C, mult) for depthwise, else the last axis
         channels = w.data.shape[2:] if depthwise else w.data.shape[-1:]
         rows = (-1, int(np.prod(channels)))
 
-        def weight(ctx):
+        def weight(model, ctx):
             value = plain[ctx.record]
             if ctx.phase < 2:
                 return value
-            override = self.binary_weight_bound    # of the binary gradient bound
+            override = model.binary_weight_bound   # of the binary gradient bound
             if binary and (override is not None or not ctx.record):
                 # sign() reads no bound; the gradient takes the override if set
                 return quantize[ctx.record](value, override, ctx.surrogate)

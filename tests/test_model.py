@@ -1,3 +1,4 @@
+import gc
 import re
 import weakref
 from fractions import Fraction
@@ -16,8 +17,8 @@ from pokebnn.builders import (
 from pokebnn.cost import count_macs
 from pokebnn.graphir import DType, GraphSpec, NodeSpec, validate_graph
 from pokebnn.kernels import float_conv2d
-from pokebnn.nn.checkpoint import load_tensors, save_tensors
 from pokebnn.nn import autodiff as ad
+from pokebnn.nn.checkpoint import load_tensors, save_tensors
 from pokebnn.nn.model import Model, ParamArena
 
 
@@ -159,6 +160,18 @@ class TestPlan:
             assert list(outs) == [n.id for n in toy.nodes]
             assert {o.dtype for o in outs.values()} == {np.dtype(np.float32)}
         assert model.logits(batch).dtype == np.float32
+
+    def test_dropped_model_is_freed_without_the_cycle_collector(self, toy, batch):
+        gc.disable()
+        try:
+            model = Model(toy, seed=1)
+            model.forward(batch, training=True, phase=2)
+            model.logits(batch)
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_graph_needs_one_output_node(self):
         g = GraphSpec("no-output", (4, 4, 1), [NodeSpec("in", "input")])
