@@ -10,6 +10,7 @@ plan on plain arrays and records nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -113,7 +114,7 @@ class Model:
         # the plan: one step per node; the slot after the last step holds the batch
         index = {node.id: i for i, node in enumerate(graph.nodes)}
         self._plan = [(node, (len(graph.nodes),) if node.op == "input"
-                       else tuple(index[i] for i in node.inputs),
+                       else tuple([index[i] for i in node.inputs]),
                        self._lower(node)) for node in graph.nodes]
         outputs = [i for i, node in enumerate(graph.nodes) if node.op == "output"]
         if len(outputs) != 1:
@@ -245,11 +246,11 @@ class Model:
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
         # (arrays, Tensors), indexed by ctx.record like every _op pair
-        tensors = tuple(self.params[f"{nid}.{k}"] for k in _PARAM_KEYS.get(op, ()))
-        params = (tuple(t.data for t in tensors), tensors)
+        tensors = tuple([self.params[f"{nid}.{k}"] for k in _PARAM_KEYS.get(op, ())])
+        params = (tuple([t.data for t in tensors]), tensors)
         if op == "batchnorm":
             return self._lower_batchnorm(nid, params)
-        args = tuple(a[k] for k in _ATTR_ARGS.get(op, ()))
+        args = tuple([a[k] for k in _ATTR_ARGS.get(op, ())])
         if op == "avg_pool":
             args += (a.get("divisor"),)
         fn = _op("mul" if op == "multiply" else op)
@@ -306,7 +307,7 @@ class Model:
         quantize = _op("binarize" if binary else "fake_quant")
         # one bound per output channel: (C, mult) for depthwise, else the last axis
         channels = w.data.shape[2:] if depthwise else w.data.shape[-1:]
-        rows = (-1, int(np.prod(channels)))
+        rows = (-1, math.prod(channels))
 
         def weight(model, ctx):
             value = plain[ctx.record]
