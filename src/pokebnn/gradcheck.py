@@ -231,4 +231,24 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
                                {"x": x}, seed=s)
     record("cross_entropy", softmax_case)
 
+    def bn_eval_case(rng, s):
+        x = t((4, 3, 3, 2), rng)
+        scale = t((2,), rng)
+        bias = t((2,), rng)
+        mean, var = rng.normal(size=2), 0.5 + rng.random(size=2)
+        return check_gradients(
+            lambda: ad.batchnorm_eval(x, scale, bias, mean, var),
+            {"x": x, "scale": scale, "bias": bias}, seed=s)
+    record("batchnorm_eval", bn_eval_case)
+
+    def kl_case(rng, s):
+        # one teacher probability per row is zero, the log-safe branch
+        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        teacher = np.exp(rng.normal(size=(4, 6)))
+        teacher[np.arange(4), rng.integers(0, 6, size=4)] = 0.0
+        teacher /= teacher.sum(axis=-1, keepdims=True)
+        return check_gradients(lambda: ad.kl_divergence(x, teacher),
+                               {"x": x}, seed=s)
+    record("kl_divergence", kl_case)
+
     return results

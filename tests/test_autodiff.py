@@ -152,7 +152,8 @@ class TestGradcheckSuite:
         results = run_gradcheck(seed=0, instances=4)
         assert set(results) >= {"conv2d", "depthwise_conv2d", "dense",
                                 "batchnorm", "dprelu", "se_path", "avg_pool",
-                                "spatial_mean", "reshape_add", "avg_channels"}
+                                "spatial_mean", "reshape_add", "avg_channels",
+                                "batchnorm_eval", "kl_divergence"}
         for op, err in results.items():
             assert err < 1e-3, (op, err)
 
