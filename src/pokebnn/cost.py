@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
-from .graphir import DType, GraphSpec, ShapeMap, infer_shapes
+from .graphir import DType, GraphSpec, ShapeMap, infer_shapes, weight_shape
 
 ADD_ACE = 16        # int16 fixed-point addition
 WIDE_MUL_ACE = 128  # int16 x int8 multiplication
@@ -92,17 +93,9 @@ class UnsupportedGraph(ValueError):
 # ---------------------------------------------------------------------------
 
 def node_macs(node, in_shape, out_shape) -> int:
-    h, w, c_out = out_shape
-    if node.op == "conv2d":
-        kh, kw = node.attrs["kernel"]
-        groups = node.attrs.get("groups", 1)
-        return h * w * c_out * kh * kw * (in_shape[2] // groups)
-    if node.op == "depthwise_conv2d":
-        kh, kw = node.attrs["kernel"]
-        return h * w * c_out * kh * kw
-    if node.op == "dense":
-        return in_shape[2] * c_out
-    return 0
+    """One MAC per weight per output position; 0 for ops without a weight."""
+    shape = weight_shape(node, in_shape)
+    return 0 if shape is None else out_shape[0] * out_shape[1] * prod(shape)
 
 
 def count_macs(g: GraphSpec, shapes: ShapeMap | None = None) -> list[MacBucket]:
@@ -147,16 +140,11 @@ def cpu64(buckets) -> Fraction:
 
 def _node_params(node, in_shape, out_shape):
     """Yields (bit_count_per_param_tensor) pairs (weight_bits, count)."""
-    c_in, c_out = in_shape[2], out_shape[2]
-    if node.op == "conv2d":
-        kh, kw = node.attrs["kernel"]
-        groups = node.attrs.get("groups", 1)
-        yield node.attrs["weight_bits"].bits, kh * kw * (c_in // groups) * c_out
-    elif node.op == "depthwise_conv2d":
-        kh, kw = node.attrs["kernel"]
-        yield node.attrs["weight_bits"].bits, kh * kw * c_out
-    elif node.op == "dense":
-        yield node.attrs["weight_bits"].bits, c_in * c_out
+    c_out = out_shape[2]
+    shape = weight_shape(node, in_shape)
+    if shape is not None:
+        yield node.attrs["weight_bits"].bits, prod(shape)
+    if node.op == "dense":
         yield AUX_PARAM_BITS, c_out  # bias (dense heads are not BN-followed)
     elif node.op == "batchnorm":
         yield AUX_PARAM_BITS, 2 * c_out

@@ -88,6 +88,8 @@ _OP_ATTRS = {
     "input": set(),
     "output": set(),
 }
+# The attributes a node may leave out; every other allowed key is required.
+_OPTIONAL_ATTRS = {"groups", "divisor"}
 
 
 class GraphError(ValueError):
@@ -271,6 +273,23 @@ def node_shape(node: NodeSpec, ins: list, input_shape) -> tuple[int, int, int]:
     raise ShapeError(f"node {node.id!r}: unhandled op {op!r}")
 
 
+def weight_shape(node: NodeSpec, in_shape) -> tuple | None:
+    """Shape of a node's weight from its input shape [H, W, C], or None for
+    an op without one: [kh, kw, C / groups, out] for conv2d, [kh, kw, C,
+    out / C] (the channel multiplier) for depthwise_conv2d, [C, out] for dense.
+    """
+    c, out = in_shape[2], node.attrs.get("out_channels")
+    if node.op == "conv2d":
+        kh, kw = node.attrs["kernel"]
+        return (kh, kw, c // node.attrs.get("groups", 1), out)
+    if node.op == "depthwise_conv2d":
+        kh, kw = node.attrs["kernel"]
+        return (kh, kw, c, out // c)
+    if node.op == "dense":
+        return (c, out)
+    return None
+
+
 def validate_graph(g: GraphSpec) -> list[str]:
     """All structural invariants; returns one diagnostic string per violation."""
     diags: list[str] = []
@@ -281,6 +300,9 @@ def validate_graph(g: GraphSpec) -> list[str]:
         diags.append(f"graph must have exactly one input node, found {len(inputs)}")
     if len(outputs) != 1:
         diags.append(f"graph must have exactly one output node, found {len(outputs)}")
+    shape = list(g.input_shape)
+    if len(shape) != 3 or not all(type(d) is int and d > 0 for d in shape):
+        diags.append(f"input_shape must be three positive integers, got {shape}")
     for node in g.nodes:
         if node.id in seen:
             diags.append(f"node {node.id!r}: duplicate id")
@@ -291,13 +313,12 @@ def validate_graph(g: GraphSpec) -> list[str]:
         extra = set(node.attrs) - _OP_ATTRS[node.op]
         if extra:
             diags.append(f"node {node.id!r}: unexpected attrs {sorted(extra)}")
-        if node.op in ("conv2d", "depthwise_conv2d", "dense"):
-            for key in ("act_bits", "weight_bits"):
-                if not isinstance(node.attrs.get(key), DType):
-                    diags.append(f"node {node.id!r}: missing or invalid {key}")
-        elif node.op == "quantize_act":
-            if not isinstance(node.attrs.get("act_bits"), DType):
-                diags.append(f"node {node.id!r}: missing or invalid act_bits")
+        missing = _OP_ATTRS[node.op] - _OPTIONAL_ATTRS - set(node.attrs)
+        if missing:
+            diags.append(f"node {node.id!r}: missing attrs {sorted(missing)}")
+        for key in ("act_bits", "weight_bits"):
+            if key in node.attrs and not isinstance(node.attrs[key], DType):
+                diags.append(f"node {node.id!r}: invalid {key}")
     if not diags:
         try:
             infer_shapes(g)
@@ -395,10 +416,16 @@ def save_graph(g: GraphSpec, path) -> None:
 
 
 def load_graph(path) -> GraphSpec:
+    """Reads a graph file; raises GraphSchemaError if it does not parse or
+    ``validate_graph`` finds any problem, with every diagnostic."""
     with open(path) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise GraphSchemaError(
                 f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return graph_from_json(doc)
+    g = graph_from_json(doc)
+    diags = validate_graph(g)
+    if diags:
+        raise GraphSchemaError("; ".join(diags))
+    return g

@@ -8,14 +8,22 @@ gradient to the open interval (-B, B). Passing ``surrogate=True`` replaces
 the discrete forward with its smooth counterpart (clip without rounding) so
 finite-difference oracles see the same gradient field.
 
-Each op the executor runs is two functions. The array forward ``_name``
-takes plain arrays and returns ``(out, saved)``, where ``saved`` holds the
-intermediates its gradient reuses. The Tensor op ``name`` calls it and
-attaches the backward closure only while some input needs a gradient.
-``Model.logits`` calls the array forwards directly and records no tape.
+Each op is written once, as two array functions. The forward ``_name``
+takes plain arrays and attributes and returns ``(out, saved)``, where
+``saved`` holds the intermediates its gradient reuses. The vector-Jacobian
+product ``_name_vjp(g, saved, needs, *args)`` takes the output gradient,
+``saved``, a flag per argument that is a Tensor needing a gradient, and the
+forward's own arguments; it returns one gradient per input, and may return
+None for an input that needs none. One recorder, ``_record``, joins the pair
+into the public op ``name``. Given Tensors, the op returns a Tensor and
+records the tape only while some input needs a gradient; given plain arrays,
+it returns the forward's output and records nothing, which is how
+``Model.logits`` runs with no tape.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -115,10 +123,6 @@ class Parameter(Tensor):
         view[...] = value
 
 
-def _needs(*tensors):
-    return any(t.requires_grad or t._parents for t in tensors)
-
-
 def _unbroadcast(g, shape):
     """Reduces a gradient back to ``shape`` after numpy broadcasting."""
     extra = g.ndim - len(shape)
@@ -130,11 +134,45 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _make(data, parents, backward, needs):
-    out = Tensor(data, parents=tuple(parents) if needs else ())
-    if needs:
-        out._backward = backward
-    return out
+def _record(forward, vjp):
+    """The public op of an array forward and its VJP.
+
+    This is the only code that builds op results, links the tape and
+    accumulates gradients. The op takes the forward's arguments, with Tensors
+    passed positionally in place of the arrays to differentiate. Given no
+    Tensor, it returns the forward's output and records nothing. Otherwise it
+    returns a Tensor and, while some input needs a gradient, records a
+    backward that accumulates ``vjp``'s gradient into each input that needs
+    one. A forward that returns a tuple, as ``batchnorm_train`` does with its
+    batch statistics, differentiates its first element and returns the rest
+    as arrays.
+    """
+    @functools.wraps(forward)
+    def op(*args, **attrs):
+        tensors = [isinstance(a, Tensor) for a in args]
+        if not any(tensors):
+            return forward(*args, **attrs)[0]
+        arrays = [a.data if t else a for a, t in zip(args, tensors)]
+        out, saved = forward(*arrays, **attrs)
+        rest = ()
+        if type(out) is tuple:
+            out, *rest = out
+        result = Tensor(out)
+        needs = [t and (a.requires_grad or bool(a._parents))
+                 for a, t in zip(args, tensors)]
+        if any(needs):
+            def backward(g):
+                grads = vjp(g, saved, needs, *arrays, **attrs)
+                for a, need, grad in zip(args, needs, grads):
+                    if need:
+                        a._accumulate(grad)
+
+            result._parents = tuple([a for a, t in zip(args, tensors) if t])
+            result._backward = backward
+        return (result, *rest) if rest else result
+
+    op.__name__ = op.__qualname__ = forward.__name__.lstrip("_")
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -145,37 +183,24 @@ def _add(a, b):
     return a + b, None
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data, _ = _add(a.data, b.data)
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), backward, _needs(a, b))
+def _add_vjp(g, saved, needs, a, b):
+    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
 
 def _mul(a, b):
     return a * b, None
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data, _ = _mul(a.data, b.data)
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward, _needs(a, b))
+def _mul_vjp(g, saved, needs, a, b):
+    return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    data = x.data.reshape(shape)
+def _reshape(x, shape):
+    return x.reshape(shape), None
 
-    def backward(g):
-        x._accumulate(g.reshape(x.data.shape))
 
-    return _make(data, (x,), backward, _needs(x))
+def _reshape_vjp(g, saved, needs, x, shape):
+    return (g.reshape(x.shape),)
 
 
 def _mean(x, axes, keepdims=True):
@@ -183,47 +208,38 @@ def _mean(x, axes, keepdims=True):
     return x.mean(axis=axes, keepdims=keepdims), axes
 
 
-def mean(x: Tensor, axes, keepdims: bool = True) -> Tensor:
-    data, axes = _mean(x.data, axes, keepdims)
-    count = np.prod([x.data.shape[i] for i in axes])
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        x._accumulate(np.broadcast_to(g, x.data.shape) / count)
-
-    return _make(data, (x,), backward, _needs(x))
+def _mean_vjp(g, saved, needs, x, axes, keepdims=True):
+    if not keepdims:
+        g = np.expand_dims(g, saved)
+    count = np.prod([x.shape[i] for i in saved])
+    return (np.broadcast_to(g, x.shape) / count,)
 
 
 def _relu(x):
     return np.maximum(x, 0.0), None
 
 
-def relu(x: Tensor) -> Tensor:
-    data, _ = _relu(x.data)
-
-    def backward(g):
-        x._accumulate(g * (x.data > 0))
-
-    return _make(data, (x,), backward, _needs(x))
+def _relu_vjp(g, saved, needs, x):
+    return (g * (x > 0),)
 
 
 def _hardsigmoid(x):
+    """relu6(x + 3) / 6, the gate nonlinearity of the SE block."""
     return np.clip(x + 3.0, 0.0, 6.0) / 6.0, None
 
 
-def hardsigmoid(x: Tensor) -> Tensor:
-    """relu6(x + 3) / 6, the gate nonlinearity of the SE block."""
-    data, _ = _hardsigmoid(x.data)
-
-    def backward(g):
-        inside = (x.data > -3.0) & (x.data < 3.0)
-        x._accumulate(g * inside / 6.0)
-
-    return _make(data, (x,), backward, _needs(x))
+def _hardsigmoid_vjp(g, saved, needs, x):
+    inside = (x > -3.0) & (x < 3.0)
+    return (g * inside / 6.0,)
 
 
 def _dprelu(x, alpha, beta, gamma, eta):
+    """Four-parameter piecewise-linear activation.
+
+    eta*(x-alpha)-beta on the positive side of x-alpha, gamma*(x-alpha)-beta
+    otherwise; all four parameters are per-channel vectors. Parameter
+    gradients reduce over batch and spatial axes.
+    """
     if alpha.shape[-1] != x.shape[-1]:
         raise ValueError(
             f"dprelu channel mismatch: x has {x.shape[-1]}, "
@@ -238,29 +254,13 @@ def _dprelu(x, alpha, beta, gamma, eta):
     return data, (shifted, pos, neg, slope)
 
 
-def dprelu(x: Tensor, alpha: Tensor, beta: Tensor, gamma: Tensor,
-           eta: Tensor) -> Tensor:
-    """Four-parameter piecewise-linear activation.
-
-    eta*(x-alpha)-beta on the positive side of x-alpha, gamma*(x-alpha)-beta
-    otherwise; all four parameters are per-channel vectors. Parameter
-    gradients reduce over batch and spatial axes.
-    """
-    data, (shifted, pos, neg, slope) = _dprelu(x.data, alpha.data, beta.data,
-                                               gamma.data, eta.data)
-    red = tuple(range(x.data.ndim - 1))
-
-    def backward(g):
-        g_slope = g * slope
-        x._accumulate(g_slope)
-        alpha._accumulate(-g_slope.sum(axis=red))
-        beta._accumulate(-g.sum(axis=red))
-        g_shifted = g * shifted
-        gamma._accumulate((g_shifted * neg).sum(axis=red))
-        eta._accumulate((g_shifted * pos).sum(axis=red))
-
-    return _make(data, (x, alpha, beta, gamma, eta), backward,
-                 _needs(x, alpha, beta, gamma, eta))
+def _dprelu_vjp(g, saved, needs, x, alpha, beta, gamma, eta):
+    shifted, pos, neg, slope = saved
+    red = tuple(range(x.ndim - 1))
+    g_slope = g * slope
+    g_shifted = g * shifted
+    return (g_slope, -g_slope.sum(axis=red), -g.sum(axis=red),
+            (g_shifted * neg).sum(axis=red), (g_shifted * pos).sum(axis=red))
 
 
 # ---------------------------------------------------------------------------
@@ -268,36 +268,23 @@ def dprelu(x: Tensor, alpha: Tensor, beta: Tensor, gamma: Tensor,
 # ---------------------------------------------------------------------------
 
 def _binarize(x, bound, surrogate=False):
+    """sign(x) forward (clip(x, -B, B) in surrogate mode), STE backward."""
     if surrogate:
         bound = np.asarray(bound)
         return np.clip(x, -bound, bound), None
     return quant.binarize(x), None
 
 
-def binarize(x: Tensor, bound, surrogate: bool = False) -> Tensor:
-    """sign(x) forward (clip(x, -B, B) in surrogate mode), STE backward."""
-    data, _ = _binarize(x.data, bound, surrogate)
-
-    def backward(g):
-        x._accumulate(g * quant.ste_mask(x.data, bound))
-
-    return _make(data, (x,), backward, _needs(x))
-
-
 def _fake_quant(x, bound, bits, surrogate=False):
+    """Grid projection forward (pure clip in surrogate mode), STE backward."""
     if surrogate:
         return quant.fake_quant_surrogate(x, bound, bits), None
     return quant.fake_quant(x, bound, bits).astype(x.dtype), None
 
 
-def fake_quant(x: Tensor, bound, bits: int, surrogate: bool = False) -> Tensor:
-    """Grid projection forward (pure clip in surrogate mode), STE backward."""
-    data, _ = _fake_quant(x.data, bound, bits, surrogate)
-
-    def backward(g):
-        x._accumulate(g * quant.ste_mask(x.data, bound))
-
-    return _make(data, (x,), backward, _needs(x))
+def _ste_vjp(g, saved, needs, x, bound, *attrs, **kwattrs):
+    """The straight-through gradient of both quantizers."""
+    return (g * quant.ste_mask(x, bound),)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +304,7 @@ def _fold(x, pads, kh, kw, stride, ho, wo, tap):
 
 
 def _conv2d(x, w, stride=1, padding="same"):
+    """2D convolution, x [N,H,W,C] with w [kh,kw,C,F], as one im2col GEMM."""
     kh, kw, c, f = w.shape
     if x.shape[-1] != c:
         raise ValueError(f"conv2d channel mismatch: input {x.shape[-1]}, weight {c}")
@@ -329,26 +317,23 @@ def _conv2d(x, w, stride=1, padding="same"):
     return (cols @ w2).reshape(n, ho, wo, f), (cols, w2, pads)
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
-    """2D convolution, x [N,H,W,C] with w [kh,kw,C,F], as one im2col GEMM."""
-    data, (cols, w2, pads) = _conv2d(x.data, w.data, stride, padding)
-    kh, kw, c, f = w.data.shape
-    n, ho, wo = data.shape[:3]
-
-    def backward(g):
-        g2 = g.reshape(-1, f)
-        if w.requires_grad or w._parents:
-            gw = (cols.T @ g2).reshape(c, kh, kw, f)
-            w._accumulate(np.ascontiguousarray(gw.transpose(1, 2, 0, 3)))
-        if x.requires_grad or x._parents:
-            gcols = (g2 @ w2.T).reshape(n, ho, wo, c, kh, kw)
-            x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo,
-                                lambda i, j: gcols[..., i, j]))
-
-    return _make(data, (x, w), backward, _needs(x, w))
+def _conv2d_vjp(g, saved, needs, x, w, stride=1, padding="same"):
+    cols, w2, pads = saved
+    kh, kw, c, f = w.shape
+    n, ho, wo = g.shape[:3]
+    g2 = g.reshape(-1, f)
+    gx = gw = None
+    if needs[1]:
+        gw = (cols.T @ g2).reshape(c, kh, kw, f)
+        gw = np.ascontiguousarray(gw.transpose(1, 2, 0, 3))
+    if needs[0]:
+        gcols = (g2 @ w2.T).reshape(n, ho, wo, c, kh, kw)
+        gx = _fold(x, pads, kh, kw, stride, ho, wo, lambda i, j: gcols[..., i, j])
+    return gx, gw
 
 
 def _depthwise_conv2d(x, w, stride=1, padding="same"):
+    """Depthwise convolution with channel multiplier, w [kh,kw,C,mult]."""
     kh, kw, c, m = w.shape
     if x.shape[-1] != c:
         raise ValueError(f"depthwise channel mismatch: input {x.shape[-1]}, weight {c}")
@@ -358,98 +343,71 @@ def _depthwise_conv2d(x, w, stride=1, padding="same"):
     return out.reshape(n, ho, wo, c * m), (win, pads)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
-                     padding: str = "same") -> Tensor:
-    """Depthwise convolution with channel multiplier, w [kh,kw,C,mult]."""
-    data, (win, pads) = _depthwise_conv2d(x.data, w.data, stride, padding)
-    kh, kw, c, m = w.data.shape
-    n, ho, wo = data.shape[:3]
-
-    def backward(g):
-        gr = g.reshape(n, ho, wo, c, m)
-        if w.requires_grad or w._parents:
-            w._accumulate(np.einsum("nhwckl,nhwcm->klcm", win, gr, optimize=True))
-        if x.requires_grad or x._parents:
-            x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo, lambda i, j:
-                                np.einsum("nhwcm,cm->nhwc", gr, w.data[i, j],
-                                          optimize=True)))
-
-    return _make(data, (x, w), backward, _needs(x, w))
+def _depthwise_conv2d_vjp(g, saved, needs, x, w, stride=1, padding="same"):
+    win, pads = saved
+    kh, kw, c, m = w.shape
+    n, ho, wo = g.shape[:3]
+    gr = g.reshape(n, ho, wo, c, m)
+    gx = gw = None
+    if needs[1]:
+        gw = np.einsum("nhwckl,nhwcm->klcm", win, gr, optimize=True)
+    if needs[0]:
+        gx = _fold(x, pads, kh, kw, stride, ho, wo, lambda i, j:
+                   np.einsum("nhwcm,cm->nhwc", gr, w[i, j], optimize=True))
+    return gx, gw
 
 
 def _dense(x, w, bias=None):
+    """Channelwise linear map on the last axis: [..., C] @ [C, F]."""
     data = x @ w
     if bias is not None:
         data = data + bias
     return data, None
 
 
-def dense(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Channelwise linear map on the last axis: [..., C] @ [C, F]."""
-    data, _ = _dense(x.data, w.data, None if bias is None else bias.data)
-
-    def backward(g):
-        if w.requires_grad or w._parents:
-            c, f = w.data.shape
-            w._accumulate(x.data.reshape(-1, c).T @ g.reshape(-1, f))
-        if x.requires_grad or x._parents:
-            x._accumulate(g @ w.data.T)
-        if bias is not None and (bias.requires_grad or bias._parents):
-            bias._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
-
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _make(data, parents, backward, _needs(*parents))
+def _dense_vjp(g, saved, needs, x, w, bias=None):
+    c, f = w.shape
+    gx = g @ w.T if needs[0] else None
+    gw = x.reshape(-1, c).T @ g.reshape(-1, f) if needs[1] else None
+    gb = None
+    if bias is not None and needs[2]:
+        gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
+    return gx, gw, gb
 
 
 def _avg_pool(x, kernel=(3, 3), stride=2, padding="same", divisor=None):
+    """Average pool with a fixed divisor (1/(kh*kw) by default, zero padding)."""
     kh, kw = kernel
     div = float(divisor) if divisor else 1.0 / (kh * kw)
     win, pads = windows(x, kh, kw, stride, padding)
     return win.sum(axis=(4, 5)) * div, (pads, div)
 
 
-def avg_pool(x: Tensor, kernel=(3, 3), stride: int = 2,
-             padding: str = "same", divisor: float | None = None) -> Tensor:
-    """Average pool with a fixed divisor (1/(kh*kw) by default, zero padding)."""
-    data, (pads, div) = _avg_pool(x.data, kernel, stride, padding, divisor)
-    kh, kw = kernel
-    ho, wo = data.shape[1:3]
-
-    def backward(g):
-        gd = g * div
-        x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo, lambda i, j: gd))
-
-    return _make(data, (x,), backward, _needs(x))
+def _avg_pool_vjp(g, saved, needs, x, kernel=(3, 3), stride=2, padding="same",
+                  divisor=None):
+    pads, div = saved
+    gd = g * div
+    return (_fold(x, pads, *kernel, stride, *g.shape[1:3], lambda i, j: gd),)
 
 
 def _max_pool(x, kernel=(3, 3), stride=2, padding="same"):
+    """Max pool; the gradient goes to the first maximal tap in (i, j) order."""
     kh, kw = kernel
     win, pads = windows(x, kh, kw, stride, padding, fill=np.finfo(x.dtype).min)
-    return win.max(axis=(4, 5)), (win, pads)
+    out = win.max(axis=(4, 5))
+    return out, (win, pads, out)
 
 
-def max_pool(x: Tensor, kernel=(3, 3), stride: int = 2,
-             padding: str = "same") -> Tensor:
-    """Max pool; the gradient goes to the first maximal tap in (i, j) order."""
-    data, (win, pads) = _max_pool(x.data, kernel, stride, padding)
-    kh, kw = kernel
-    ho, wo = data.shape[1:3]
+def _max_pool_vjp(g, saved, needs, x, kernel=(3, 3), stride=2, padding="same"):
+    win, pads, out = saved
+    taken = np.zeros(out.shape, dtype=bool)
 
-    def backward(g):
-        taken = np.zeros(data.shape, dtype=bool)
+    def tap(i, j):
+        hit = (win[..., i, j] == out) & ~taken
+        taken[...] |= hit
+        return g * hit
 
-        def tap(i, j):
-            hit = (win[..., i, j] == data) & ~taken
-            taken[...] |= hit
-            return g * hit
-
-        x._accumulate(_fold(x.data, pads, kh, kw, stride, ho, wo, tap))
-
-    return _make(data, (x,), backward, _needs(x))
-
-
-def _spatial_mean(x):
-    return _mean(x, axes=(1, 2))
+    return (_fold(x, pads, *kernel, stride, *out.shape[1:3], tap),)
 
 
 def spatial_mean(x: Tensor) -> Tensor:
@@ -464,17 +422,12 @@ def _pad_channels(x, out_channels):
     return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, out_channels - c)]), None
 
 
-def pad_channels(x: Tensor, out_channels: int) -> Tensor:
-    data, _ = _pad_channels(x.data, out_channels)
-    c = x.data.shape[-1]
-
-    def backward(g):
-        x._accumulate(g[..., :c])
-
-    return _make(data, (x,), backward, _needs(x))
+def _pad_channels_vjp(g, saved, needs, x, out_channels):
+    return (g[..., :x.shape[-1]],)
 
 
 def _tile_channels(x, out_channels):
+    """Channel i of the output is input channel i mod C (any target >= C)."""
     c = x.shape[-1]
     if out_channels < c:
         raise ValueError(f"tile_channels cannot shrink {c} -> {out_channels}")
@@ -482,22 +435,17 @@ def _tile_channels(x, out_channels):
     return np.tile(x, (1,) * (x.ndim - 1) + (reps,))[..., :out_channels], reps
 
 
-def tile_channels(x: Tensor, out_channels: int) -> Tensor:
-    """Channel i of the output is input channel i mod C (any target >= C)."""
-    data, reps = _tile_channels(x.data, out_channels)
-    c = x.data.shape[-1]
-
-    def backward(g):
-        full = reps * c
-        if full != out_channels:
-            width = [(0, 0)] * (g.ndim - 1) + [(0, full - out_channels)]
-            g = np.pad(g, width)
-        x._accumulate(g.reshape(g.shape[:-1] + (reps, c)).sum(axis=-2))
-
-    return _make(data, (x,), backward, _needs(x))
+def _tile_channels_vjp(g, reps, needs, x, out_channels):
+    c = x.shape[-1]
+    full = reps * c
+    if full != out_channels:
+        width = [(0, 0)] * (g.ndim - 1) + [(0, full - out_channels)]
+        g = np.pad(g, width)
+    return (g.reshape(g.shape[:-1] + (reps, c)).sum(axis=-2),)
 
 
 def _avg_channels(x, out_channels):
+    """Averages each run of K = C/out consecutive channels."""
     c = x.shape[-1]
     if c % out_channels:
         raise ValueError(f"avg_channels {c} -> {out_channels} not integral")
@@ -505,14 +453,8 @@ def _avg_channels(x, out_channels):
     return x.reshape(x.shape[:-1] + (out_channels, k)).mean(axis=-1), k
 
 
-def avg_channels(x: Tensor, out_channels: int) -> Tensor:
-    """Averages each run of K = C/out consecutive channels."""
-    data, k = _avg_channels(x.data, out_channels)
-
-    def backward(g):
-        x._accumulate(np.repeat(g, k, axis=-1) / k)
-
-    return _make(data, (x,), backward, _needs(x))
+def _avg_channels_vjp(g, k, needs, x, out_channels):
+    return (np.repeat(g, k, axis=-1) / k,)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +465,11 @@ BN_EPS = 1e-5
 
 
 def _batchnorm_train(x, scale, bias):
+    """Batch normalization over (N, H, W); returns (out, batch_mean, batch_var).
+
+    Gradients flow through the batch statistics (biased variance). The
+    returned statistics are plain arrays for the running-average update.
+    """
     red = (0, 1, 2)
     mu = x.mean(axis=red)
     centered = x - mu
@@ -535,35 +482,22 @@ def _batchnorm_train(x, scale, bias):
     return (data, mu, var), (xhat, inv)
 
 
-def batchnorm_train(x: Tensor, scale: Tensor, bias: Tensor):
-    """Batch normalization over (N, H, W); returns (out, batch_mean, batch_var).
-
-    Gradients flow through the batch statistics (biased variance). The
-    returned statistics are plain arrays for the running-average update.
-    """
-    (data, mu, var), (xhat, inv) = _batchnorm_train(x.data, scale.data, bias.data)
+def _batchnorm_train_vjp(g, saved, needs, x, scale, bias):
+    xhat, inv = saved
     red = (0, 1, 2)
-    count = x.data.size // x.data.shape[-1]
-
-    def backward(g):
-        g_sum = g.sum(axis=red)
-        if bias.requires_grad or bias._parents:
-            bias._accumulate(g_sum)
-        g_xhat = g * xhat
-        g_xhat_sum = g_xhat.sum(axis=red)
-        if scale.requires_grad or scale._parents:
-            scale._accumulate(g_xhat_sum)
-        if x.requires_grad or x._parents:
-            gx = g - g_sum / count
-            gx -= xhat * (g_xhat_sum / count)
-            gx *= scale.data * inv
-            x._accumulate(gx)
-
-    out = _make(data, (x, scale, bias), backward, _needs(x, scale, bias))
-    return out, mu, var
+    count = x.size // x.shape[-1]
+    g_sum = g.sum(axis=red)
+    g_xhat_sum = (g * xhat).sum(axis=red)
+    gx = None
+    if needs[0]:
+        gx = g - g_sum / count
+        gx -= xhat * (g_xhat_sum / count)
+        gx *= scale * inv
+    return gx, g_xhat_sum, g_sum
 
 
 def _batchnorm_eval(x, scale, bias, running_mean, running_var):
+    """Batch normalization with fixed statistics: (x - mean) * inv * scale + bias."""
     # every operand in the input's dtype, so a float32 model stays float32
     inv = (1.0 / np.sqrt(running_var + BN_EPS)).astype(x.dtype)
     centered = x - np.asarray(running_mean, dtype=x.dtype)
@@ -573,61 +507,77 @@ def _batchnorm_eval(x, scale, bias, running_mean, running_var):
     return data, (centered, inv, k)
 
 
-def batchnorm_eval(x: Tensor, scale: Tensor, bias: Tensor,
-                   running_mean, running_var) -> Tensor:
-    """Batch normalization with fixed statistics: (x - mean) * inv * scale + bias."""
-    data, (centered, inv, k) = _batchnorm_eval(x.data, scale.data, bias.data,
-                                               running_mean, running_var)
+def _batchnorm_eval_vjp(g, saved, needs, x, scale, bias, running_mean,
+                        running_var):
+    centered, inv, k = saved
     red = (0, 1, 2)
-
-    def backward(g):
-        if bias.requires_grad or bias._parents:
-            bias._accumulate(g.sum(axis=red))
-        if scale.requires_grad or scale._parents:
-            scale._accumulate((g * centered).sum(axis=red) * inv)
-        if x.requires_grad or x._parents:
-            x._accumulate(g * k)
-
-    return _make(data, (x, scale, bias), backward, _needs(x, scale, bias))
+    return (g * k if needs[0] else None,
+            (g * centered).sum(axis=red) * inv if needs[1] else None,
+            g.sum(axis=red) if needs[2] else None)
 
 
-def log_softmax(x: Tensor) -> Tensor:
+def _log_softmax(x):
     """Stable log-softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = shifted - lse
-
-    def backward(g):
-        soft = np.exp(data)
-        x._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
-
-    return _make(data, (x,), backward, _needs(x))
+    return data, data
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
+def _log_softmax_vjp(g, data, needs, x):
+    return (g - np.exp(data) * g.sum(axis=-1, keepdims=True),)
+
+
+def _cross_entropy(logits, labels):
     """Mean negative log-likelihood; logits [N, K], integer labels [N]."""
-    ls = log_softmax(logits)
-    n = ls.data.shape[0]
-    labels = np.asarray(labels)
-    picked = ls.data[np.arange(n), labels]
-    data = -picked.mean()
-
-    def backward(g):
-        gl = np.zeros_like(ls.data)
-        gl[np.arange(n), labels] = -g / n
-        ls._accumulate(gl)
-
-    return _make(np.asarray(data), (ls,), backward, _needs(ls))
+    ls, _ = _log_softmax(logits)
+    picked = (np.arange(ls.shape[0]), np.asarray(labels))
+    return np.asarray(-ls[picked].mean()), (ls, picked)
 
 
-def kl_divergence(logits: Tensor, teacher_probs) -> Tensor:
+def _cross_entropy_vjp(g, saved, needs, logits, labels):
+    ls, picked = saved
+    gl = np.zeros_like(ls)
+    gl[picked] = -g / ls.shape[0]
+    return _log_softmax_vjp(gl, ls, needs, logits)
+
+
+def _kl_divergence(logits, teacher_probs):
     """Mean KL(teacher || softmax(logits)) over the batch."""
-    t = np.asarray(teacher_probs, dtype=logits.data.dtype)
-    ls = log_softmax(logits)
+    t = np.asarray(teacher_probs, dtype=logits.dtype)
+    ls, _ = _log_softmax(logits)
     safe = np.where(t > 0, t, 1.0)
-    data = (t * (np.log(safe) - ls.data)).sum(axis=-1).mean()
+    return np.asarray((t * (np.log(safe) - ls)).sum(axis=-1).mean()), (ls, t)
 
-    def backward(g):
-        ls._accumulate(-g * t / t.shape[0])
 
-    return _make(np.asarray(data), (ls,), backward, _needs(ls))
+def _kl_divergence_vjp(g, saved, needs, logits, teacher_probs):
+    ls, t = saved
+    return _log_softmax_vjp(-g * t / t.shape[0], ls, needs, logits)
+
+
+# ---------------------------------------------------------------------------
+# The public ops: each joins an array forward to its VJP
+# ---------------------------------------------------------------------------
+
+add = _record(_add, _add_vjp)
+mul = _record(_mul, _mul_vjp)
+reshape = _record(_reshape, _reshape_vjp)
+mean = _record(_mean, _mean_vjp)
+relu = _record(_relu, _relu_vjp)
+hardsigmoid = _record(_hardsigmoid, _hardsigmoid_vjp)
+dprelu = _record(_dprelu, _dprelu_vjp)
+binarize = _record(_binarize, _ste_vjp)
+fake_quant = _record(_fake_quant, _ste_vjp)
+conv2d = _record(_conv2d, _conv2d_vjp)
+depthwise_conv2d = _record(_depthwise_conv2d, _depthwise_conv2d_vjp)
+dense = _record(_dense, _dense_vjp)
+avg_pool = _record(_avg_pool, _avg_pool_vjp)
+max_pool = _record(_max_pool, _max_pool_vjp)
+pad_channels = _record(_pad_channels, _pad_channels_vjp)
+tile_channels = _record(_tile_channels, _tile_channels_vjp)
+avg_channels = _record(_avg_channels, _avg_channels_vjp)
+batchnorm_train = _record(_batchnorm_train, _batchnorm_train_vjp)
+batchnorm_eval = _record(_batchnorm_eval, _batchnorm_eval_vjp)
+log_softmax = _record(_log_softmax, _log_softmax_vjp)
+cross_entropy = _record(_cross_entropy, _cross_entropy_vjp)
+kl_divergence = _record(_kl_divergence, _kl_divergence_vjp)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .. import quant
-from ..graphir import DType, GraphSpec, NodeSpec, infer_shapes
+from ..graphir import DType, GraphSpec, NodeSpec, infer_shapes, weight_shape
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 
@@ -35,13 +35,6 @@ class QuantContext:
     phase: int = 1
     surrogate: bool = False
     record: bool = True
-
-
-def _op(name: str) -> tuple:
-    """An autodiff op as a pair indexed by ``ctx.record``: the array forward
-    ``ad._<name>`` with its ``saved`` dropped, and the Tensor op ``ad.<name>``."""
-    array_op = getattr(ad, "_" + name)
-    return lambda *args: array_op(*args)[0], getattr(ad, name)
 
 
 # graph op -> its parameter names and the attrs passed positionally
@@ -95,17 +88,15 @@ class ParamArena:
 
 class Model:
     def __init__(self, graph: GraphSpec, seed: int = 0, dtype=np.float64,
-                 binary_bound: float = 3.0, bn_momentum: float = 0.9,
-                 ema_alpha: float = 0.9, binary_weight_bound: float | None = None):
+                 binary_bound: float = 3.0, bn_momentum: float = 0.9):
         self.graph = graph
         self.shapes = infer_shapes(graph)
         self.dtype = np.dtype(dtype)
         self.binary_bound = binary_bound
         self.bn_momentum = bn_momentum
-        self.binary_weight_bound = binary_weight_bound
         self.bn_stats: dict[str, dict[str, np.ndarray]] = {}
         self.bounds: dict[str, quant.BoundState] = {}
-        init = self._init_params(np.random.default_rng(seed), ema_alpha)
+        init = self._init_params(np.random.default_rng(seed))
         # every parameter's data is a view into the one arena buffer
         self.arena = ParamArena(init, self.dtype)
         self.params: dict[str, Tensor] = {
@@ -125,7 +116,7 @@ class Model:
     # Parameter setup
     # ------------------------------------------------------------------
 
-    def _init_params(self, rng, ema_alpha) -> dict[str, np.ndarray]:
+    def _init_params(self, rng) -> dict[str, np.ndarray]:
         """Initial parameter values by name; sets up BN and bound state."""
         init = {}
         for node in self.graph.nodes:
@@ -135,21 +126,15 @@ class Model:
                 raise ValueError(f"node {nid!r}: conv2d with groups="
                                  f"{node.attrs['groups']} is costed but not executed")
             if node.op in ("conv2d", "depthwise_conv2d"):
-                kh, kw = node.attrs["kernel"]
-                c_in = self.shapes[node.inputs[0]][2]
-                if node.op == "depthwise_conv2d":
-                    mult = out_c // c_in
-                    shape = (kh, kw, c_in, mult)
-                    fan_in = kh * kw
-                else:
-                    shape = (kh, kw, c_in, out_c)
-                    fan_in = kh * kw * c_in
+                shape = weight_shape(node, self.shapes[node.inputs[0]])
+                # the taps one output reads: kh*kw*C, or kh*kw for depthwise
+                fan_in = math.prod(shape[:2 if node.op == "depthwise_conv2d" else 3])
                 init[nid + WEIGHT_SUFFIX] = rng.normal(0.0, (2.0 / fan_in) ** 0.5,
                                                        size=shape)
             elif node.op == "dense":
-                c_in = self.shapes[node.inputs[0]][2]
-                init[nid + WEIGHT_SUFFIX] = rng.normal(0.0, (1.0 / c_in) ** 0.5,
-                                                       size=(c_in, out_c))
+                shape = weight_shape(node, self.shapes[node.inputs[0]])
+                init[nid + WEIGHT_SUFFIX] = rng.normal(0.0, (1.0 / shape[0]) ** 0.5,
+                                                       size=shape)
                 init[nid + ".bias"] = np.zeros(out_c)
             elif node.op == "batchnorm":
                 init[nid + ".scale"] = np.ones(out_c)
@@ -165,8 +150,7 @@ class Model:
                 init[nid + ".eta"] = np.ones(out_c)
             elif node.op == "quantize_act":
                 if node.attrs["act_bits"] is not DType.BIN:
-                    self.bounds[nid] = quant.BoundState(
-                        bound=np.float64(1.0), ema_alpha=ema_alpha)
+                    self.bounds[nid] = quant.BoundState(bound=np.float64(1.0))
         return init
 
     def weight_decay_names(self) -> set:
@@ -235,17 +219,20 @@ class Model:
     def _lower(self, node: NodeSpec) -> Callable:
         """The step function ``run(model, ins, ctx)`` of one node.
 
-        Attributes, ops and parameters are resolved here, once. BN statistics
-        and bound state are read from ``model`` when the step runs, since
-        training updates them; the step holds no reference to the model, so
-        a dropped model is freed at once rather than by the cycle collector.
+        Attributes, ops and parameters are resolved here, once. Each op is
+        looked up by its public ``nn.autodiff`` name and runs on Tensors and
+        on plain arrays alike, so only the parameters passed differ by mode.
+        BN statistics and bound state are read from ``model`` when the step
+        runs, since training updates them; the step holds no reference to the
+        model, so a dropped model is freed at once rather than by the cycle
+        collector.
         """
         op, a, nid = node.op, node.attrs, node.id
         if op in ("input", "output"):
             return lambda model, ins, ctx: ins[0]
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
-        # (arrays, Tensors), indexed by ctx.record like every _op pair
+        # (arrays, Tensors), indexed by ctx.record
         tensors = tuple([self.params[f"{nid}.{k}"] for k in _PARAM_KEYS.get(op, ())])
         params = (tuple([t.data for t in tensors]), tensors)
         if op == "batchnorm":
@@ -253,21 +240,21 @@ class Model:
         args = tuple([a[k] for k in _ATTR_ARGS.get(op, ())])
         if op == "avg_pool":
             args += (a.get("divisor"),)
-        fn = _op("mul" if op == "multiply" else op)
+        fn = getattr(ad, "mul" if op == "multiply" else op)
         if op in ("conv2d", "depthwise_conv2d", "dense"):
             weight = self._lower_weight(nid, a["weight_bits"],
                                         depthwise=op == "depthwise_conv2d")
-            return lambda model, ins, ctx: fn[ctx.record](
-                ins[0], weight(model, ctx), *params[ctx.record], *args)
-        return lambda model, ins, ctx: fn[ctx.record](*ins, *params[ctx.record], *args)
+            return lambda model, ins, ctx: fn(ins[0], weight(model, ctx),
+                                              *params[ctx.record], *args)
+        return lambda model, ins, ctx: fn(*ins, *params[ctx.record], *args)
 
     @staticmethod
     def _lower_act_quant(nid: str, bits: DType) -> Callable:
         if bits is DType.BIN:
-            binarize = _op("binarize")
-            return lambda model, ins, ctx: binarize[ctx.record](
-                ins[0], model.binary_bound, ctx.surrogate)
-        fake_quant = _op("fake_quant")
+            binarize = ad.binarize
+            return lambda model, ins, ctx: binarize(ins[0], model.binary_bound,
+                                                    ctx.surrogate)
+        fake_quant = ad.fake_quant
 
         def run(model, ins, ctx):
             state = model.bounds[nid]
@@ -276,20 +263,18 @@ class Model:
                 model.bounds[nid] = state = quant.update_ema_bound(state, batch)
             if ctx.phase < 2:
                 return ins[0]
-            return fake_quant[ctx.record](ins[0], state.bound, bits.bits,
-                                          ctx.surrogate)
+            return fake_quant(ins[0], state.bound, bits.bits, ctx.surrogate)
         return run
 
     @staticmethod
     def _lower_batchnorm(nid: str, params) -> Callable:
-        train, evaluate = _op("batchnorm_train"), _op("batchnorm_eval")
+        train, evaluate = ad.batchnorm_train, ad.batchnorm_eval
 
         def run(model, ins, ctx):
             stats = model.bn_stats[nid]
             if not ctx.training:
-                return evaluate[ctx.record](ins[0], *params[ctx.record],
-                                            stats["mean"], stats["var"])
-            out, bm, bv = train[ctx.record](ins[0], *params[ctx.record])
+                return evaluate(ins[0], *params[ctx.record], stats["mean"], stats["var"])
+            out, bm, bv = train(ins[0], *params[ctx.record])
             m = model.bn_momentum
             stats["mean"] = m * stats["mean"] + (1 - m) * bm
             stats["var"] = m * stats["var"] + (1 - m) * bv
@@ -304,7 +289,7 @@ class Model:
         if bits.is_float:
             return lambda model, ctx: plain[ctx.record]
         binary = bits is DType.BIN
-        quantize = _op("binarize" if binary else "fake_quant")
+        quantize = ad.binarize if binary else ad.fake_quant
         # one bound per output channel: (C, mult) for depthwise, else the last axis
         channels = w.data.shape[2:] if depthwise else w.data.shape[-1:]
         rows = (-1, math.prod(channels))
@@ -313,14 +298,13 @@ class Model:
             value = plain[ctx.record]
             if ctx.phase < 2:
                 return value
-            override = model.binary_weight_bound   # of the binary gradient bound
-            if binary and (override is not None or not ctx.record):
-                # sign() reads no bound; the gradient takes the override if set
-                return quantize[ctx.record](value, override, ctx.surrogate)
+            if binary and not ctx.record:
+                # sign() reads no bound; only a recorded gradient is gated by one
+                return quantize(value, None, ctx.surrogate)
             bounds = quant.weight_channel_bounds(w.data.reshape(rows)).reshape(channels)
             if binary:
-                return quantize[ctx.record](value, bounds, ctx.surrogate)
-            return quantize[ctx.record](value, bounds, bits.bits, ctx.surrogate)
+                return quantize(value, bounds, ctx.surrogate)
+            return quantize(value, bounds, bits.bits, ctx.surrogate)
         return weight
 
     # ------------------------------------------------------------------

@@ -54,6 +54,31 @@ class TestAnalyze:
         path.write_text("{not json")
         assert main(["analyze", "--model", str(path)]) == 1
 
+    @pytest.mark.parametrize("defect, message", [
+        ("duplicate_node", "node 'init_conv': duplicate id"),
+        ("no_output", "exactly one output node, found 0"),
+        ("conv_without_kernel", "node 'init_conv': missing attrs ['kernel']"),
+        ("negative_input_shape", "input_shape must be three positive integers"),
+    ])
+    def test_graph_file_failing_validation(self, tmp_path, capsys, defect, message):
+        path = tmp_path / "toy.json"
+        assert main(["export-graph", "pokebnn-toy", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        conv = next(n for n in doc["nodes"] if n["id"] == "init_conv")
+        if defect == "duplicate_node":
+            doc["nodes"].insert(doc["nodes"].index(conv) + 1, conv)
+        elif defect == "no_output":
+            doc["nodes"] = [n for n in doc["nodes"] if n["op"] != "output"]
+        elif defect == "conv_without_kernel":
+            del conv["attrs"]["kernel"]
+        else:
+            doc["input_shape"][0] = -doc["input_shape"][0]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["analyze", "--model", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
 
 class TestVerifyKernels:
     def test_passes(self, capsys):
