@@ -149,17 +149,17 @@ def _record(forward, vjp):
     """
     @functools.wraps(forward)
     def op(*args, **attrs):
-        tensors = [isinstance(a, Tensor) for a in args]
-        if not any(tensors):
+        inputs = [a for a in args if isinstance(a, Tensor)]
+        if not inputs:
             return forward(*args, **attrs)[0]
-        arrays = [a.data if t else a for a, t in zip(args, tensors)]
+        arrays = [a.data if isinstance(a, Tensor) else a for a in args]
         out, saved = forward(*arrays, **attrs)
         rest = ()
         if type(out) is tuple:
             out, *rest = out
         result = Tensor(out)
-        needs = [t and (a.requires_grad or bool(a._parents))
-                 for a, t in zip(args, tensors)]
+        needs = [isinstance(a, Tensor) and (a.requires_grad or bool(a._parents))
+                 for a in args]
         if any(needs):
             def backward(g):
                 grads = vjp(g, saved, needs, *arrays, **attrs)
@@ -167,7 +167,7 @@ def _record(forward, vjp):
                     if need:
                         a._accumulate(grad)
 
-            result._parents = tuple([a for a, t in zip(args, tensors) if t])
+            result._parents = tuple(inputs)
             result._backward = backward
         return (result, *rest) if rest else result
 
