@@ -278,15 +278,15 @@ def weight_shape(node: NodeSpec, in_shape) -> tuple | None:
     an op without one: [kh, kw, C / groups, out] for conv2d, [kh, kw, C,
     out / C] (the channel multiplier) for depthwise_conv2d, [C, out] for dense.
     """
-    c, out = in_shape[2], node.attrs.get("out_channels")
-    if node.op == "conv2d":
-        kh, kw = node.attrs["kernel"]
-        return (kh, kw, c // node.attrs.get("groups", 1), out)
-    if node.op == "depthwise_conv2d":
-        kh, kw = node.attrs["kernel"]
-        return (kh, kw, c, out // c)
-    if node.op == "dense":
-        return (c, out)
+    op, a, c = node.op, node.attrs, in_shape[2]
+    if op == "conv2d":
+        kh, kw = a["kernel"]
+        return (kh, kw, c // a.get("groups", 1), a["out_channels"])
+    if op == "depthwise_conv2d":
+        kh, kw = a["kernel"]
+        return (kh, kw, c, a["out_channels"] // c)
+    if op == "dense":
+        return (c, a["out_channels"])
     return None
 
 
