@@ -141,9 +141,8 @@ def cpu64(buckets) -> Fraction:
 def _node_params(node, in_shape, out_shape):
     """Yields (bit_count_per_param_tensor) pairs (weight_bits, count)."""
     c_out = out_shape[2]
-    shape = weight_shape(node, in_shape)
-    if shape is not None:
-        yield node.attrs["weight_bits"].bits, prod(shape)
+    if "weight_bits" in node.attrs:     # conv2d, depthwise_conv2d and dense
+        yield node.attrs["weight_bits"].bits, prod(weight_shape(node, in_shape))
     if node.op == "dense":
         yield AUX_PARAM_BITS, c_out  # bias (dense heads are not BN-followed)
     elif node.op == "batchnorm":
