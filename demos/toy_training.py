@@ -18,7 +18,7 @@ graph = build_pokebnn_toy(m=0.25, groups=4, input_shape=(16, 16, 3))
 dataset = T.make_toy_dataset(n=256, classes=10, shape=(16, 16, 3), seed=0)
 cfg = T.TrainConfig(total_steps=400, phase_switch_step=60, base_lr=1e-3,
                     seed=1, batch_size=64)
-model = Model(graph, seed=1, dtype=np.float32, binary_bound=cfg.binary_act_bound)
+model = Model(graph, seed=1, dtype=np.float32)
 
 result = T.train_loop(model, dataset, cfg, tail_checkpoints=3)
 

@@ -17,15 +17,16 @@ from fractions import Fraction
 
 from .graphir import DType, GraphSpec, NodeSpec, node_shape
 
-POKE_STAGES = 4
 BLOCKS_PER_STAGE = (3, 4, 6, 3)
 STEM_CHANNELS = (32, 64)
 
 
 def as_multiplier(m) -> Fraction:
-    if isinstance(m, float):
-        return Fraction(str(m))
-    return Fraction(m)
+    """``m`` as an exact Fraction; raises ValueError unless it is positive."""
+    m = Fraction(str(m)) if isinstance(m, float) else Fraction(m)
+    if m <= 0:
+        raise ValueError("channel multiplier must be positive")
+    return m
 
 
 class _GraphBuilder:
@@ -189,24 +190,22 @@ def _stage_channels(m: Fraction, stage: int) -> int:
     return ch
 
 
-def build_pokebnn(m=1) -> GraphSpec:
-    """PokeBNN-Mx: 8-bit stem, 16 binary bottleneck blocks, 8-bit classifier.
+def _build_poke(name: str, m: Fraction, blocks_per_stage, input_shape,
+                num_classes: int) -> GraphSpec:
+    """8-bit stem, stages of binary bottleneck blocks, 8-bit classifier.
 
-    Blocks come in four stages of 3/4/6/3 with channel widths floor(64*M*2^s)
-    and stride 2 entering stages 2-4. Each block runs three PokeConvs
-    (1x1 -> 3x3 -> 1x1 with 4x expansion); the block-level shortcut feeds the
-    third PokeConv. There are no 1x1 projection layers.
+    Stage s has channel width floor(64*M*2^s), and its first block has
+    stride 2 in every stage after the first. Each block runs three
+    PokeConvs (1x1 -> 3x3 -> 1x1 with 4x expansion); the block-level
+    shortcut feeds the third PokeConv. There are no 1x1 projection layers.
     """
-    m = as_multiplier(m)
-    if m <= 0:
-        raise ValueError("channel multiplier must be positive")
-    b = _GraphBuilder(f"pokebnn-{float(m)}x", (224, 224, 3))
+    b = _GraphBuilder(name, tuple(input_shape))
     x = _emit_pokeinit(b)
 
     block = 0
-    for stage in range(POKE_STAGES):
+    for stage, n_blocks in enumerate(blocks_per_stage):
         ch = _stage_channels(m, stage)
-        for i in range(BLOCKS_PER_STAGE[stage]):
+        for i in range(n_blocks):
             stride = 2 if (stage > 0 and i == 0) else 1
             p = f"b{block:02d}_"
             r1 = x
@@ -215,39 +214,32 @@ def build_pokebnn(m=1) -> GraphSpec:
             x = _emit_pokeconv(b, p + "pc3_", x, r1, (1, 1), 4 * ch, 1)
             block += 1
 
-    x = _emit_classifier(b, x, 1000)
+    x = _emit_classifier(b, x, num_classes)
     return b.finish(x)
+
+
+def build_pokebnn(m=1) -> GraphSpec:
+    """PokeBNN-Mx on 224x224x3: 16 blocks in four stages of 3/4/6/3."""
+    m = as_multiplier(m)
+    return _build_poke(f"pokebnn-{float(m)}x", m, BLOCKS_PER_STAGE,
+                       (224, 224, 3), 1000)
 
 
 def build_pokebnn_toy(m=1, groups: int = 4, input_shape=(32, 32, 3),
                       num_classes: int = 10) -> GraphSpec:
     """Desk-scale PokeBNN: same block grammar, one block per group.
 
-    Group g uses channel width floor(64*M*2^g) with stride 2 on every group
-    after the first, so a 4-group build exercises every shortcut reshape
-    (pad, tile, channel averaging, and spatial average pooling).
+    Each group is a one-block stage, so a 4-group build exercises every
+    shortcut reshape (pad, tile, channel averaging, and spatial average
+    pooling).
     """
     m = as_multiplier(m)
-    if m <= 0:
-        raise ValueError("channel multiplier must be positive")
     if groups < 2:
         raise ValueError("need at least 2 groups")
     if min(input_shape[0], input_shape[1]) < 16:
         raise ValueError("input spatial size must be at least 16")
-    b = _GraphBuilder(f"pokebnn-toy-{float(m)}x{groups}g", tuple(input_shape))
-    x = _emit_pokeinit(b)
-
-    for group in range(groups):
-        ch = _stage_channels(m, group)
-        stride = 2 if group > 0 else 1
-        p = f"b{group:02d}_"
-        r1 = x
-        x = _emit_pokeconv(b, p + "pc1_", x, None, (1, 1), ch, 1)
-        x = _emit_pokeconv(b, p + "pc2_", x, None, (3, 3), ch, stride)
-        x = _emit_pokeconv(b, p + "pc3_", x, r1, (1, 1), 4 * ch, 1)
-
-    x = _emit_classifier(b, x, num_classes)
-    return b.finish(x)
+    return _build_poke(f"pokebnn-toy-{float(m)}x{groups}g", m, (1,) * groups,
+                       input_shape, num_classes)
 
 
 # ---------------------------------------------------------------------------

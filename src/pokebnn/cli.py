@@ -195,8 +195,7 @@ def cmd_train_toy(args) -> int:
                                      seed=cfg.seed)
     if cfg.distill:
         dataset.teacher = train.load_teacher_probs(cfg.distill)
-    model = Model(g, seed=cfg.seed, dtype=np.float32,
-                  binary_bound=cfg.binary_act_bound)
+    model = Model(g, seed=cfg.seed, dtype=np.float32)
     result = train.train_loop(model, dataset, cfg, metrics_path=args.metrics)
     model.load_state_dict(result.state)
     logits = model.logits(dataset.x, training=False, phase=2)

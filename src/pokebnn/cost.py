@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .graphir import DType, GraphSpec, ShapeMap, infer_shapes, weight_shape
+from .graphir import (OP_PARAMS, DType, GraphSpec, ShapeMap, infer_shapes,
+                      param_shapes, weight_shape)
 
 ADD_ACE = 16        # int16 fixed-point addition
 WIDE_MUL_ACE = 128  # int16 x int8 multiplication
@@ -28,7 +29,7 @@ _CPU64_COEF = {
 }
 
 # Parameters that are not conv/dense weights (BN, DPReLU, biases) are sized
-# at 16 bits; configurable via model_size(..., aux_bits=).
+# at 16 bits.
 AUX_PARAM_BITS = 16
 
 
@@ -138,31 +139,17 @@ def cpu64(buckets) -> Fraction:
 # Model size
 # ---------------------------------------------------------------------------
 
-def _node_params(node, in_shape, out_shape):
-    """Yields (bit_count_per_param_tensor) pairs (weight_bits, count)."""
-    c_out = out_shape[2]
-    if "weight_bits" in node.attrs:     # conv2d, depthwise_conv2d and dense
-        yield node.attrs["weight_bits"].bits, prod(weight_shape(node, in_shape))
-    if node.op == "dense":
-        yield AUX_PARAM_BITS, c_out  # bias (dense heads are not BN-followed)
-    elif node.op == "batchnorm":
-        yield AUX_PARAM_BITS, 2 * c_out
-    elif node.op == "dprelu":
-        yield AUX_PARAM_BITS, 4 * c_out
-
-
-def model_size(g: GraphSpec, shapes: ShapeMap | None = None,
-               aux_bits: int = AUX_PARAM_BITS) -> int:
+def model_size(g: GraphSpec, shapes: ShapeMap | None = None) -> int:
     """Total parameter storage in bytes (report with /2**20 for MiB)."""
     shapes = shapes or infer_shapes(g)
     bits = 0
     for node in g.nodes:
-        if not node.inputs:
+        if node.op not in OP_PARAMS:
             continue
-        for b, count in _node_params(node, shapes[node.inputs[0]], shapes[node.id]):
-            if b == AUX_PARAM_BITS:
-                b = aux_bits
-            bits += b * count
+        for key, shape in zip(OP_PARAMS[node.op], param_shapes(
+                node, shapes[node.inputs[0]], shapes[node.id])):
+            b = node.attrs["weight_bits"].bits if key == "w" else AUX_PARAM_BITS
+            bits += b * prod(shape)
     return bits // 8
 
 

@@ -44,7 +44,7 @@ def check_gradients(fn, tensors: dict[str, Tensor], seed: int = 0,
         return float((fn().data * proj).sum())
 
     for t in tensors.values():
-        t.grad = None
+        t.zero_grad()
     out = fn()
     out.backward(proj)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import ceil, floor
+from numbers import Real
 
 import numpy as np
 
@@ -90,6 +91,16 @@ _OP_ATTRS = {
 }
 # The attributes a node may leave out; every other allowed key is required.
 _OPTIONAL_ATTRS = {"groups", "divisor"}
+
+# The parameters of each op that has any, in arena order: the weight "w"
+# first, then one value per output channel for each other name.
+OP_PARAMS = {
+    "conv2d": ("w",),
+    "depthwise_conv2d": ("w",),
+    "dense": ("w", "bias"),
+    "batchnorm": ("scale", "bias"),
+    "dprelu": ("alpha", "beta", "gamma", "eta"),
+}
 
 
 class GraphError(ValueError):
@@ -174,11 +185,15 @@ def windows(x, kh: int, kw: int, stride: int, padding: str, fill=0):
     return win[..., ::stride, ::stride, :, :, :], (pt, pb, pl, pr)
 
 
-def _spatial(attrs: dict, h: int, w: int) -> tuple[int, int]:
-    kh, kw = attrs["kernel"]
-    s = attrs["stride"]
-    pad = attrs["padding"]
-    return conv_out_size(h, kh, s, pad), conv_out_size(w, kw, s, pad)
+def _spatial(node: NodeSpec, h: int, w: int) -> tuple[int, int]:
+    """Output height and width of a windowed op; raises ShapeError if empty."""
+    kh, kw = node.attrs["kernel"]
+    s = node.attrs["stride"]
+    pad = node.attrs["padding"]
+    oh, ow = conv_out_size(h, kh, s, pad), conv_out_size(w, kw, s, pad)
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"node {node.id!r}: spatial size underflow")
+    return oh, ow
 
 
 def infer_shapes(g: GraphSpec) -> ShapeMap:
@@ -210,9 +225,7 @@ def node_shape(node: NodeSpec, ins: list, input_shape) -> tuple[int, int, int]:
             raise ShapeError(
                 f"node {node.id!r}: groups={groups} does not divide "
                 f"channels {c}->{a['out_channels']}")
-        oh, ow = _spatial(a, h, w)
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"node {node.id!r}: spatial size underflow")
+        oh, ow = _spatial(node, h, w)
         return (oh, ow, a["out_channels"])
     if op == "depthwise_conv2d":
         h, w, c = ins[0]
@@ -220,9 +233,7 @@ def node_shape(node: NodeSpec, ins: list, input_shape) -> tuple[int, int, int]:
             raise ShapeError(
                 f"node {node.id!r}: depthwise out_channels {a['out_channels']} "
                 f"not a multiple of input channels {c}")
-        oh, ow = _spatial(a, h, w)
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"node {node.id!r}: spatial size underflow")
+        oh, ow = _spatial(node, h, w)
         return (oh, ow, a["out_channels"])
     if op == "dense":
         h, w, c = ins[0]
@@ -245,16 +256,11 @@ def node_shape(node: NodeSpec, ins: list, input_shape) -> tuple[int, int, int]:
         if s1[:2] == (1, 1) or s0 == s1:
             return s0
         raise ShapeError(f"node {node.id!r}: multiply shape mismatch {s0} vs {s1}")
-    if op == "pad_channels":
+    if op in ("pad_channels", "tile_channels"):
         h, w, c = ins[0]
         if a["out_channels"] < c:
-            raise ShapeError(f"node {node.id!r}: pad cannot shrink {c}->{a['out_channels']}")
-        return (h, w, a["out_channels"])
-    if op == "tile_channels":
-        h, w, c = ins[0]
-        if a["out_channels"] < c:
-            raise ShapeError(
-                f"node {node.id!r}: tile cannot shrink {c}->{a['out_channels']}")
+            raise ShapeError(f"node {node.id!r}: {op.split('_')[0]} cannot shrink "
+                             f"{c}->{a['out_channels']}")
         return (h, w, a["out_channels"])
     if op == "avg_channels":
         h, w, c = ins[0]
@@ -264,9 +270,7 @@ def node_shape(node: NodeSpec, ins: list, input_shape) -> tuple[int, int, int]:
         return (h, w, a["out_channels"])
     if op in ("avg_pool", "max_pool"):
         h, w, c = ins[0]
-        oh, ow = _spatial(a, h, w)
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"node {node.id!r}: spatial size underflow")
+        oh, ow = _spatial(node, h, w)
         return (oh, ow, c)
     if op == "spatial_mean":
         return (1, 1, ins[0][2])
@@ -288,6 +292,34 @@ def weight_shape(node: NodeSpec, in_shape) -> tuple | None:
     if op == "dense":
         return (c, a["out_channels"])
     return None
+
+
+def param_shapes(node: NodeSpec, in_shape, out_shape) -> list:
+    """Shapes of a node's parameters in ``OP_PARAMS`` order: the weight's
+    from ``weight_shape``, and (out channels,) for every other parameter."""
+    keys = OP_PARAMS.get(node.op, ())
+    shapes = [(out_shape[2],)] * len(keys)
+    if keys[:1] == ("w",):
+        shapes[0] = weight_shape(node, in_shape)
+    return shapes
+
+
+def _positive_int(v) -> bool:
+    return type(v) is int and v > 0
+
+
+# attribute key -> (test of its value, what the test accepts)
+_ATTR_VALUES = {
+    "kernel": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+               and all(map(_positive_int, v)), "two positive integers"),
+    "stride": (_positive_int, "a positive integer"),
+    "out_channels": (_positive_int, "a positive integer"),
+    "groups": (_positive_int, "a positive integer"),
+    "padding": (lambda v: v in ("same", "valid"), "'same' or 'valid'"),
+    "divisor": (lambda v: isinstance(v, Real) and v > 0, "positive"),
+    "act_bits": (lambda v: isinstance(v, DType), "a bitwidth"),
+    "weight_bits": (lambda v: isinstance(v, DType), "a bitwidth"),
+}
 
 
 def validate_graph(g: GraphSpec) -> list[str]:
@@ -316,9 +348,10 @@ def validate_graph(g: GraphSpec) -> list[str]:
         missing = _OP_ATTRS[node.op] - _OPTIONAL_ATTRS - set(node.attrs)
         if missing:
             diags.append(f"node {node.id!r}: missing attrs {sorted(missing)}")
-        for key in ("act_bits", "weight_bits"):
-            if key in node.attrs and not isinstance(node.attrs[key], DType):
-                diags.append(f"node {node.id!r}: invalid {key}")
+        for key, value in node.attrs.items():
+            valid, what = _ATTR_VALUES.get(key, (None, ""))
+            if valid is not None and not valid(value):
+                diags.append(f"node {node.id!r}: {key} must be {what}, got {value!r}")
     if not diags:
         try:
             infer_shapes(g)
@@ -349,11 +382,10 @@ def _attr_from_json(op, key, value):
     if key in ("act_bits", "weight_bits"):
         return DType.from_token(value)
     if key == "divisor":
-        if isinstance(value, str):
+        try:
             return Fraction(value)
-        return Fraction(value)
-    if key == "kernel":
-        return list(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            return value        # validate_graph reports it
     return value
 
 

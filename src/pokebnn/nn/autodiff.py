@@ -98,12 +98,23 @@ _DATA = Tensor.data     # the slot behind Tensor.data
 
 
 class Parameter(Tensor):
-    """A Tensor whose ``data`` stays the array it was built with, such as a
-    view into a model's parameter arena. Assigning an array to ``data``
-    copies it into that array, which must have the same shape, so every
-    reader of the array sees the new values."""
+    """A Tensor whose ``data`` and ``grad`` stay the arrays it was built
+    with, such as views into a model's parameter arena. Backward adds each
+    gradient into ``grad`` in place and ``zero_grad`` fills it with zeros.
+    Assigning an array to ``data`` copies it into that array, which must
+    have the same shape, so every reader of the array sees the new values."""
 
     __slots__ = ()
+
+    def __init__(self, data, grad, name=""):
+        super().__init__(data, requires_grad=True, name=name)
+        self.grad = grad
+
+    def zero_grad(self):
+        self.grad.fill(0)
+
+    def _accumulate(self, g):
+        self.grad += g
 
     @property
     def data(self):

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .. import quant
-from ..graphir import DType, GraphSpec, NodeSpec, infer_shapes, weight_shape
+from ..graphir import (OP_PARAMS, DType, GraphSpec, NodeSpec, infer_shapes,
+                       param_shapes)
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 
@@ -37,9 +38,9 @@ class QuantContext:
     record: bool = True
 
 
-# graph op -> its parameter names and the attrs passed positionally
-_PARAM_KEYS = {"dense": ("bias",), "batchnorm": ("scale", "bias"),
-               "dprelu": ("alpha", "beta", "gamma", "eta")}
+# the initial value of each parameter other than a weight, if not 0
+_INIT_VALUES = {"scale": 1.0, "gamma": 0.25, "eta": 1.0}
+# graph op -> the attrs passed positionally
 _ATTR_ARGS = {"conv2d": ("stride", "padding"),
               "depthwise_conv2d": ("stride", "padding"),
               "pad_channels": ("out_channels",),
@@ -55,7 +56,7 @@ class ParamArena:
     ``data`` holds every value, in insertion order, and ``views[name]`` is
     the slice ``spans[name]`` of it in the array's own shape, so a write
     through either one is seen by the other. ``grad`` is a second buffer of
-    the same size that ``gather`` fills from per-name gradients.
+    the same size, with the views ``grad_views[name]`` in the same way.
     """
 
     def __init__(self, arrays: dict, dtype):
@@ -65,42 +66,30 @@ class ParamArena:
         self.grad = np.zeros(self.data.size, dtype=dtype)
         self.spans: dict[str, slice] = {}
         self.views: dict[str, np.ndarray] = {}
+        self.grad_views: dict[str, np.ndarray] = {}
         start = 0
         for name, a in arrays.items():
             span = slice(start, start + np.size(a))
             self.spans[name] = span
             self.views[name] = self.data[span].reshape(np.shape(a))
+            self.grad_views[name] = self.grad[span].reshape(np.shape(a))
             start = span.stop
-
-    def gather(self, grads: dict) -> list:
-        """Copies each name's gradient into ``grad``; returns the names whose
-        gradient is missing or None, whose spans are zeroed instead."""
-        missing = []
-        for name, span in self.spans.items():
-            g = grads.get(name)
-            if g is None:
-                missing.append(name)
-                self.grad[span] = 0
-            else:
-                self.grad[span] = np.ravel(g)
-        return missing
 
 
 class Model:
-    def __init__(self, graph: GraphSpec, seed: int = 0, dtype=np.float64,
-                 binary_bound: float = 3.0, bn_momentum: float = 0.9):
+    def __init__(self, graph: GraphSpec, seed: int = 0, dtype=np.float64):
         self.graph = graph
         self.shapes = infer_shapes(graph)
         self.dtype = np.dtype(dtype)
-        self.binary_bound = binary_bound
-        self.bn_momentum = bn_momentum
+        self.binary_bound = 3.0
+        self.bn_momentum = 0.9
         self.bn_stats: dict[str, dict[str, np.ndarray]] = {}
         self.bounds: dict[str, quant.BoundState] = {}
         init = self._init_params(np.random.default_rng(seed))
-        # every parameter's data is a view into the one arena buffer
+        # every parameter's data and grad are views into the arena's buffers
         self.arena = ParamArena(init, self.dtype)
         self.params: dict[str, Tensor] = {
-            name: Parameter(view, requires_grad=True, name=name)
+            name: Parameter(view, self.arena.grad_views[name], name=name)
             for name, view in self.arena.views.items()}
         # the plan: one step per node; the slot after the last step holds the batch
         index = {node.id: i for i, node in enumerate(graph.nodes)}
@@ -120,37 +109,31 @@ class Model:
         """Initial parameter values by name; sets up BN and bound state."""
         init = {}
         for node in self.graph.nodes:
-            nid = node.id
+            nid, op = node.id, node.op
             out_c = self.shapes[nid][2]
-            if node.op == "conv2d" and node.attrs.get("groups", 1) != 1:
+            if op == "conv2d" and node.attrs.get("groups", 1) != 1:
                 raise ValueError(f"node {nid!r}: conv2d with groups="
                                  f"{node.attrs['groups']} is costed but not executed")
-            if node.op in ("conv2d", "depthwise_conv2d"):
-                shape = weight_shape(node, self.shapes[node.inputs[0]])
-                # the taps one output reads: kh*kw*C, or kh*kw for depthwise
-                fan_in = math.prod(shape[:2 if node.op == "depthwise_conv2d" else 3])
-                init[nid + WEIGHT_SUFFIX] = rng.normal(0.0, (2.0 / fan_in) ** 0.5,
-                                                       size=shape)
-            elif node.op == "dense":
-                shape = weight_shape(node, self.shapes[node.inputs[0]])
-                init[nid + WEIGHT_SUFFIX] = rng.normal(0.0, (1.0 / shape[0]) ** 0.5,
-                                                       size=shape)
-                init[nid + ".bias"] = np.zeros(out_c)
-            elif node.op == "batchnorm":
-                init[nid + ".scale"] = np.ones(out_c)
-                init[nid + ".bias"] = np.zeros(out_c)
+            if op in OP_PARAMS:
+                shapes = param_shapes(node, self.shapes[node.inputs[0]],
+                                      self.shapes[nid])
+                for key, shape in zip(OP_PARAMS[op], shapes):
+                    if key == "w":
+                        # He init for convolutions, LeCun for dense; the
+                        # fan-in is the weights that one output reads
+                        gain = 1.0 if op == "dense" else 2.0
+                        fan_in = math.prod(shape) // out_c
+                        value = rng.normal(0.0, (gain / fan_in) ** 0.5, size=shape)
+                    else:
+                        value = np.full(shape, _INIT_VALUES.get(key, 0.0))
+                    init[f"{nid}.{key}"] = value
+            if op == "batchnorm":
                 self.bn_stats[nid] = {
                     "mean": np.zeros(out_c, dtype=self.dtype),
                     "var": np.ones(out_c, dtype=self.dtype),
                 }
-            elif node.op == "dprelu":
-                init[nid + ".alpha"] = np.zeros(out_c)
-                init[nid + ".beta"] = np.zeros(out_c)
-                init[nid + ".gamma"] = np.full(out_c, 0.25)
-                init[nid + ".eta"] = np.ones(out_c)
-            elif node.op == "quantize_act":
-                if node.attrs["act_bits"] is not DType.BIN:
-                    self.bounds[nid] = quant.BoundState(bound=np.float64(1.0))
+            elif op == "quantize_act" and node.attrs["act_bits"] is not DType.BIN:
+                self.bounds[nid] = quant.BoundState(bound=np.float64(1.0))
         return init
 
     def weight_decay_names(self) -> set:
@@ -232,8 +215,9 @@ class Model:
             return lambda model, ins, ctx: ins[0]
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
-        # (arrays, Tensors), indexed by ctx.record
-        tensors = tuple([self.params[f"{nid}.{k}"] for k in _PARAM_KEYS.get(op, ())])
+        # the parameters after the weight as (arrays, Tensors), indexed by ctx.record
+        tensors = tuple([self.params[f"{nid}.{k}"] for k in OP_PARAMS.get(op, ())
+                         if k != "w"])
         params = (tuple([t.data for t in tensors]), tensors)
         if op == "batchnorm":
             return self._lower_batchnorm(nid, params)
@@ -312,8 +296,7 @@ class Model:
     # ------------------------------------------------------------------
 
     def zero_grad(self):
-        for t in self.params.values():
-            t.grad = None
+        self.arena.grad.fill(0)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: np.array(t.data) for name, t in self.params.items()}
@@ -340,7 +323,7 @@ class Model:
                              + "; ".join(errors))
         for name, t in self.params.items():
             t.data[...] = state[name]
-            t.grad = None
+        self.arena.grad.fill(0)
         for nid, stats in self.bn_stats.items():
             stats["mean"] = np.asarray(state[nid + ".running_mean"], dtype=self.dtype)
             stats["var"] = np.asarray(state[nid + ".running_var"], dtype=self.dtype)

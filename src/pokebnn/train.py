@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphir import OP_PARAMS
 from .nn import autodiff as ad
 from .nn.model import Model, ParamArena
 
@@ -87,26 +88,21 @@ def adam_init(arena: ParamArena, decay_names=frozenset()) -> dict:
     }
 
 
-def adam_step(arena: ParamArena, grads: dict, state: dict, lr: float,
-              cfg: TrainConfig) -> None:
-    """One in-place Adam update of ``arena.data`` from per-name ``grads``.
+def adam_step(arena: ParamArena, state: dict, lr: float, cfg: TrainConfig) -> None:
+    """One in-place Adam update of ``arena.data`` from ``arena.grad``.
 
     The update runs over the whole arena at once, with the per-element
-    arithmetic of a per-tensor Adam. A name whose gradient is None keeps
-    its parameters and moments; a non-finite gradient raises before any
+    arithmetic of a per-tensor Adam. A non-finite gradient raises before any
     update, naming the first parameter that has one.
     """
     state["t"] += 1
     t = state["t"]
-    missing = arena.gather(grads)
     g = arena.grad
     if not np.isfinite(g).all():
         bad = next(name for name, span in arena.spans.items()
                    if not np.isfinite(g[span]).all())
         raise TrainingDiverged(t, f"non-finite gradient for {bad}")
     p, m, v = arena.data, state["m"], state["v"]
-    kept = [(span, p[span].copy(), m[span].copy(), v[span].copy())
-            for span in (arena.spans[name] for name in missing)]
     s1, s2 = state["scratch"]
     b1, b2 = cfg.beta1, cfg.beta2
     m *= b1
@@ -121,8 +117,6 @@ def adam_step(arena: ParamArena, grads: dict, state: dict, lr: float,
         np.subtract(p, np.multiply(p, lr * cfg.weight_decay, out=s1), out=p,
                     where=state["decay"])
     p -= np.multiply(s2, lr, out=s2)
-    for span, *saved in kept:
-        p[span], m[span], v[span] = saved
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +212,8 @@ def train_loop(model: Model, dataset: ToyDataset, cfg: TrainConfig,
     model.bn_momentum = cfg.bn_momentum
     decay_names = model.weight_decay_names()
     if cfg.decay_dprelu:
-        decay_names |= {n for n in model.params
-                        if n.endswith((".alpha", ".beta", ".gamma", ".eta"))}
+        decay_names |= {f"{node.id}.{key}" for node in model.graph.nodes
+                        if node.op == "dprelu" for key in OP_PARAMS["dprelu"]}
     opt = adam_init(model.arena, decay_names)
     n = dataset.x.shape[0]
     order = rng.permutation(n)
@@ -253,8 +247,7 @@ def train_loop(model: Model, dataset: ToyDataset, cfg: TrainConfig,
         loss.backward()
 
         lr = lr_at(step, cfg)
-        grads = {name: t.grad for name, t in model.params.items()}
-        adam_step(model.arena, grads, opt, lr, cfg)
+        adam_step(model.arena, opt, lr, cfg)
 
         records.append({
             "step": step,

@@ -164,10 +164,6 @@ class TestModelSize:
         size = model_size(build_pokebnn(1))
         assert abs(size / 2**20 - 6.2) / 6.2 < 0.10
 
-    def test_aux_bits_configurable(self):
-        g = build_resnet50(DType.FP32)
-        assert model_size(g, aux_bits=32) > model_size(g, aux_bits=16)
-
 
 class TestElementwise:
     # Reference breakdown (1e6 ops) for the 1.0x build: adds, muls per kind.

@@ -116,6 +116,29 @@ class TestValidation:
         del g.nodes[1].attrs["act_bits"]
         assert any("act_bits" in d for d in validate_graph(g))
 
+    @pytest.mark.parametrize("key, value", [
+        ("kernel", [3]), ("kernel", [3, 2.0]), ("stride", 0), ("stride", True),
+        ("out_channels", -4), ("groups", 0), ("padding", "full"),
+        ("weight_bits", "bf16"),
+    ])
+    def test_attribute_value_checked(self, key, value):
+        g = tiny_graph()
+        g.nodes[1].attrs[key] = value
+        diags = validate_graph(g)
+        assert len(diags) == 1 and diags[0].startswith(f"node 'c': {key} must be ")
+
+    @pytest.mark.parametrize("divisor", [0, "-1/9", "abc", None])
+    def test_divisor_from_json_must_be_positive(self, divisor):
+        doc = graph_to_json(GraphSpec("t", (8, 8, 3), [
+            NodeSpec("in", "input"),
+            NodeSpec("p", "avg_pool", ["in"], {
+                "kernel": [3, 3], "stride": 2, "padding": "same"}),
+            NodeSpec("out", "output", ["p"]),
+        ]))
+        doc["nodes"][1]["attrs"]["divisor"] = divisor
+        diags = validate_graph(graph_from_json(doc))
+        assert len(diags) == 1 and diags[0].startswith("node 'p': divisor must be positive")
+
     def test_duplicate_ids(self):
         g = tiny_graph()
         g.nodes.append(NodeSpec("c", "relu", ["c"]))

@@ -7,20 +7,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pokebnn import quant, train
+from pokebnn import gradcheck, quant, train
 from pokebnn.builders import (
     _emit_pokeconv,
     _emit_pokeinit,
+    _emit_reshape,
     _emit_se,
     _GraphBuilder,
     build_pokebnn_toy,
 )
-from pokebnn.cost import count_macs
-from pokebnn.graphir import DType, GraphSpec, NodeSpec, validate_graph
+from pokebnn.cost import count_macs, model_size
+from pokebnn.graphir import OP_PARAMS, DType, GraphSpec, NodeSpec, validate_graph
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn import autodiff as ad
 from pokebnn.nn.checkpoint import load_tensors, save_tensors
-from pokebnn.nn.model import Model, ParamArena
+from pokebnn.nn.model import Model
 
 
 @pytest.fixture(scope="module")
@@ -290,12 +291,75 @@ class TestParamArena:
                                                    size=first.data.shape)
             assert first.data.tobytes() == want.astype(dtype).tobytes()
 
-    def test_gather_copies_gradients_and_zeroes_missing(self):
-        arena = ParamArena({"a": np.ones((2, 2)), "b": np.ones(3)}, np.float32)
-        arena.grad[:] = 7.0
-        missing = arena.gather({"a": np.arange(4.0).reshape(2, 2)})
-        assert missing == ["b"]
-        assert np.array_equal(arena.grad, [0, 1, 2, 3, 0, 0, 0])
+    def test_gradients_accumulate_in_the_arena(self, toy, batch):
+        model = Model(toy, seed=1, dtype=np.float32)
+        model.freeze_activation_bounds()    # so both passes see the same bounds
+        arena = model.arena
+
+        def backward():
+            out = model.forward(batch, training=True, phase=2)
+            ad.cross_entropy(ad.reshape(out, (len(batch), -1)),
+                             np.arange(len(batch))).backward()
+
+        backward()
+        for name, t in model.params.items():
+            assert t.grad.base is arena.grad, name
+            assert np.array_equal(t.grad.ravel(), arena.grad[arena.spans[name]])
+        once = arena.grad.copy()
+        assert once.any()
+        backward()      # a second pass adds onto the first
+        assert np.array_equal(arena.grad, 2 * once)
+        model.zero_grad()
+        assert not arena.grad.any()
+        assert not any(t.grad.any() for t in model.params.values())
+        backward()
+        model.load_state_dict(model.state_dict())
+        assert not arena.grad.any()
+
+
+def se_path_graph():
+    """The SE path behind a float 1x1 conv, as ``gradcheck`` runs it."""
+    b = _GraphBuilder("se_path", (4, 4, 3))
+    r = b.emit("conv", "conv2d", ["in"], **gradcheck._float_1x1(16))
+    return b.finish(_emit_se(b, "", r, 8))
+
+
+def reshape_add_graph():
+    """A non-integral channel contraction and spatial pool added to a
+    stride-2 conv, as ``gradcheck`` runs it."""
+    b = _GraphBuilder("reshape_add", (6, 6, 3))
+    r = b.emit("conv", "conv2d", ["in"], **gradcheck._float_1x1(12))
+    x = b.emit("down", "conv2d", ["in"], **gradcheck._float_1x1(8, stride=2))
+    rr = _emit_reshape(b, "", r, 8, b.shape[x][:2], "pad_channels")
+    return b.finish(b.emit("add", "add", [x, rr]))
+
+
+# graphs whose parameters the executor and the cost model must agree on
+PARAM_GRAPHS = {
+    "toy-0.25x4g": lambda: build_pokebnn_toy(m=0.25, groups=4, input_shape=(16, 16, 3)),
+    "toy-0.125x2g": lambda: build_pokebnn_toy(m=0.125, groups=2, input_shape=(16, 16, 3)),
+    "toy-0.5x3g": lambda: build_pokebnn_toy(m=0.5, groups=3, input_shape=(16, 16, 3)),
+    "se_path": se_path_graph,
+    "reshape_add": reshape_add_graph,
+}
+
+
+@pytest.mark.parametrize("make", PARAM_GRAPHS.values(), ids=PARAM_GRAPHS.keys())
+class TestParamTable:
+    def test_model_size_counts_the_model_parameters(self, make):
+        g = make()
+        nodes = {n.id: n for n in g.nodes}
+        bits = 0
+        for name, t in Model(g).params.items():
+            nid, key = name.rsplit(".", 1)
+            bits += t.data.size * (nodes[nid].attrs["weight_bits"].bits
+                                   if key == "w" else 16)
+        assert model_size(g) == bits // 8
+
+    def test_names_follow_the_table(self, make):
+        g = make()
+        want = [f"{n.id}.{key}" for n in g.nodes for key in OP_PARAMS.get(n.op, ())]
+        assert list(Model(g).params) == want
 
 
 class TestParameterData:
