@@ -54,52 +54,41 @@ class TestAnalyze:
         path.write_text("{not json")
         assert main(["analyze", "--model", str(path)]) == 1
 
-    @staticmethod
-    def analyze_edited_toy(tmp_path, capsys, edit):
-        """Exports the toy graph, applies ``edit(doc, first_conv)`` to its
-        JSON and analyzes the file; returns the exit code and the output."""
-        path = tmp_path / "toy.json"
-        assert main(["export-graph", "pokebnn-toy", "--out", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        edit(doc, next(n for n in doc["nodes"] if n["id"] == "init_conv"))
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        code = main(["analyze", "--model", str(path)])
-        return code, capsys.readouterr()
-
     @pytest.mark.parametrize("defect, message", [
         ("duplicate_node", "node 'init_conv': duplicate id"),
         ("no_output", "exactly one output node, found 0"),
         ("conv_without_kernel", "node 'init_conv': missing attrs ['kernel']"),
         ("negative_input_shape", "input_shape must be three positive integers"),
+        ("scalar_kernel", "node 'init_conv': kernel must be two positive integers, got 3"),
+        ("string_stride", "node 'init_conv': stride must be a positive integer, got '2'"),
+        ("zero_out_channels",
+         "node 'init_conv': out_channels must be a positive integer, got 0"),
+        ("zero_kernel_row",
+         "node 'init_conv': kernel must be two positive integers, got [0, 4]"),
     ])
     def test_graph_file_failing_validation(self, tmp_path, capsys, defect, message):
-        def edit(doc, conv):
-            if defect == "duplicate_node":
-                doc["nodes"].insert(doc["nodes"].index(conv) + 1, conv)
-            elif defect == "no_output":
-                doc["nodes"] = [n for n in doc["nodes"] if n["op"] != "output"]
-            elif defect == "conv_without_kernel":
-                del conv["attrs"]["kernel"]
-            else:
-                doc["input_shape"][0] = -doc["input_shape"][0]
-
-        code, captured = self.analyze_edited_toy(tmp_path, capsys, edit)
-        assert code == 1
+        path = tmp_path / "toy.json"
+        assert main(["export-graph", "pokebnn-toy", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        conv = next(n for n in doc["nodes"] if n["id"] == "init_conv")
+        if defect == "duplicate_node":
+            doc["nodes"].insert(doc["nodes"].index(conv) + 1, conv)
+        elif defect == "no_output":
+            doc["nodes"] = [n for n in doc["nodes"] if n["op"] != "output"]
+        elif defect == "conv_without_kernel":
+            del conv["attrs"]["kernel"]
+        elif defect == "negative_input_shape":
+            doc["input_shape"][0] = -doc["input_shape"][0]
+        else:
+            key, value = {"scalar_kernel": ("kernel", 3), "string_stride": ("stride", "2"),
+                          "zero_out_channels": ("out_channels", 0),
+                          "zero_kernel_row": ("kernel", [0, 4])}[defect]
+            conv["attrs"][key] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["analyze", "--model", str(path)]) == 1
+        captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("kernel", 3, "kernel must be two positive integers, got 3"),
-        ("stride", "2", "stride must be a positive integer, got '2'"),
-        ("out_channels", 0, "out_channels must be a positive integer, got 0"),
-        ("kernel", [0, 4], "kernel must be two positive integers, got [0, 4]"),
-    ])
-    def test_graph_file_with_bad_attribute_value(self, tmp_path, capsys, key,
-                                                 value, message):
-        code, captured = self.analyze_edited_toy(
-            tmp_path, capsys, lambda doc, conv: conv["attrs"].__setitem__(key, value))
-        assert code == 1
-        assert captured.out == "" and f"node 'init_conv': {message}" in captured.err
 
 
 class TestVerifyKernels:
