@@ -90,7 +90,7 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def adam_step(arena, grads, state, lr, cfg):
+def step_with_grads(arena, grads, state, lr, cfg):
     """Writes per-name ``grads`` into the arena's gradient, then steps."""
     for name, g in grads.items():
         arena.grad_views[name][...] = g
@@ -104,8 +104,8 @@ class TestAdam:
     def test_zero_gradient_no_motion(self):
         arena = ParamArena({"w": np.ones(4)}, np.float64)
         state = T.adam_init(arena)
-        adam_step(arena, {"w": np.zeros(4)}, state,
-                    lr=0.1, cfg=self.cfg(weight_decay=0.0))
+        step_with_grads(arena, {"w": np.zeros(4)}, state,
+                        lr=0.1, cfg=self.cfg(weight_decay=0.0))
         assert np.array_equal(arena.views["w"], np.ones(4))
 
     def test_descends_quadratic(self):
@@ -113,8 +113,8 @@ class TestAdam:
         w = arena.views["w"]
         state = T.adam_init(arena)
         for _ in range(50):
-            adam_step(arena, {"w": 2 * w}, state, lr=0.05,
-                        cfg=self.cfg(weight_decay=0.0))
+            step_with_grads(arena, {"w": 2 * w}, state, lr=0.05,
+                            cfg=self.cfg(weight_decay=0.0))
         assert abs(w[0]) < 1.0
 
     def test_first_step_magnitude_is_lr(self):
@@ -123,7 +123,7 @@ class TestAdam:
         for g in (1e-6, 0.5, 100.0):
             arena = ParamArena({"w": np.array([0.0])}, np.float64)
             state = T.adam_init(arena)
-            adam_step(arena, {"w": np.array([g])}, state, lr=0.01, cfg=cfg)
+            step_with_grads(arena, {"w": np.array([g])}, state, lr=0.01, cfg=cfg)
             closed_form = 0.01 * g / (abs(g) + cfg.adam_eps)
             w = arena.views["w"]
             assert w[0] == pytest.approx(-closed_form, rel=1e-12)
@@ -133,8 +133,8 @@ class TestAdam:
         arena = ParamArena({"w": np.array([1.0]), "bn": np.array([1.0])},
                            np.float64)
         state = T.adam_init(arena, decay_names={"w"})
-        adam_step(arena, {"w": np.zeros(1), "bn": np.zeros(1)}, state,
-                    lr=1.0, cfg=self.cfg(weight_decay=0.1))
+        step_with_grads(arena, {"w": np.zeros(1), "bn": np.zeros(1)}, state,
+                        lr=1.0, cfg=self.cfg(weight_decay=0.1))
         assert arena.views["w"][0] == pytest.approx(0.9)
         assert arena.views["bn"][0] == 1.0
 
@@ -142,8 +142,8 @@ class TestAdam:
         arena = ParamArena({"w": np.array([1.0])}, np.float64)
         state = T.adam_init(arena)
         with pytest.raises(T.TrainingDiverged):
-            adam_step(arena, {"w": np.array([np.nan])}, state, lr=0.1,
-                        cfg=self.cfg())
+            step_with_grads(arena, {"w": np.array([np.nan])}, state, lr=0.1,
+                            cfg=self.cfg())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_error_names_parameter_and_updates_nothing(self, bad):
@@ -154,8 +154,8 @@ class TestAdam:
         g[1, 0] = bad
         before = arena.data.copy()
         with pytest.raises(T.TrainingDiverged, match="for b.w"):
-            adam_step(arena, {"a.w": np.ones(3), "b.w": g}, state, lr=0.1,
-                        cfg=self.cfg())
+            step_with_grads(arena, {"a.w": np.ones(3), "b.w": g}, state, lr=0.1,
+                            cfg=self.cfg())
         assert same_bits(arena.data, before)
         assert not state["m"].any() and not state["v"].any()
 
@@ -182,7 +182,7 @@ class TestAdam:
             if step >= 3:
                 grads["bn.scale"] = np.zeros(shapes["bn.scale"], dtype)
             lr = 0.05 * (1 - step / 10)
-            adam_step(arena, grads, state, lr, cfg)
+            step_with_grads(arena, grads, state, lr, cfg)
             reference_adam(ref, grads, ref_state, lr, cfg, decay)
             for k in shapes:
                 span = arena.spans[k]
