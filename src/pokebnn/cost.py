@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .graphir import (OP_PARAMS, DType, GraphSpec, ShapeMap, infer_shapes,
-                      param_shapes, weight_shape)
+from .graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphSpec, ShapeMap,
+                      infer_shapes, param_shapes, weight_shape)
 
 ADD_ACE = 16        # int16 fixed-point addition
 WIDE_MUL_ACE = 128  # int16 x int8 multiplication
@@ -104,7 +104,7 @@ def count_macs(g: GraphSpec, shapes: ShapeMap | None = None) -> list[MacBucket]:
     shapes = shapes or infer_shapes(g)
     totals: dict = {}
     for node in g.nodes:
-        if node.op not in ("conv2d", "depthwise_conv2d", "dense"):
+        if node.op not in WEIGHT_OPS:
             continue
         n = node_macs(node, shapes[node.inputs[0]], shapes[node.id])
         key = (node.attrs["act_bits"], node.attrs["weight_bits"])

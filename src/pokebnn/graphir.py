@@ -101,6 +101,8 @@ OP_PARAMS = {
     "batchnorm": ("scale", "bias"),
     "dprelu": ("alpha", "beta", "gamma", "eta"),
 }
+# The ops with a weight, the only ones that count MACs.
+WEIGHT_OPS = frozenset(op for op, keys in OP_PARAMS.items() if keys[0] == "w")
 
 
 class GraphError(ValueError):
@@ -256,11 +258,16 @@ def node_shape(node: NodeSpec, ins: list, input_shape) -> tuple[int, int, int]:
         if s1[:2] == (1, 1) or s0 == s1:
             return s0
         raise ShapeError(f"node {node.id!r}: multiply shape mismatch {s0} vs {s1}")
-    if op in ("pad_channels", "tile_channels"):
+    if op == "pad_channels":
         h, w, c = ins[0]
         if a["out_channels"] < c:
-            raise ShapeError(f"node {node.id!r}: {op.split('_')[0]} cannot shrink "
-                             f"{c}->{a['out_channels']}")
+            raise ShapeError(f"node {node.id!r}: pad cannot shrink {c}->{a['out_channels']}")
+        return (h, w, a["out_channels"])
+    if op == "tile_channels":
+        h, w, c = ins[0]
+        if a["out_channels"] < c:
+            raise ShapeError(
+                f"node {node.id!r}: tile cannot shrink {c}->{a['out_channels']}")
         return (h, w, a["out_channels"])
     if op == "avg_channels":
         h, w, c = ins[0]
@@ -297,9 +304,8 @@ def weight_shape(node: NodeSpec, in_shape) -> tuple | None:
 def param_shapes(node: NodeSpec, in_shape, out_shape) -> list:
     """Shapes of a node's parameters in ``OP_PARAMS`` order: the weight's
     from ``weight_shape``, and (out channels,) for every other parameter."""
-    keys = OP_PARAMS.get(node.op, ())
-    shapes = [(out_shape[2],)] * len(keys)
-    if keys[:1] == ("w",):
+    shapes = [(out_shape[2],)] * len(OP_PARAMS.get(node.op, ()))
+    if node.op in WEIGHT_OPS:
         shapes[0] = weight_shape(node, in_shape)
     return shapes
 

@@ -17,12 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .. import quant
-from ..graphir import (OP_PARAMS, DType, GraphSpec, NodeSpec, infer_shapes,
-                       param_shapes)
+from ..graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphSpec, NodeSpec,
+                       infer_shapes, param_shapes)
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-
-WEIGHT_SUFFIX = ".w"
 
 
 @dataclass
@@ -136,10 +134,6 @@ class Model:
                 self.bounds[nid] = quant.BoundState(bound=np.float64(1.0))
         return init
 
-    def weight_decay_names(self) -> set:
-        """Conv/dense weights; BN, DPReLU, bias, and bounds are excluded."""
-        return {n for n in self.params if n.endswith(WEIGHT_SUFFIX)}
-
     # ------------------------------------------------------------------
     # Quantizer state
     # ------------------------------------------------------------------
@@ -225,7 +219,7 @@ class Model:
         if op == "avg_pool":
             args += (a.get("divisor"),)
         fn = getattr(ad, "mul" if op == "multiply" else op)
-        if op in ("conv2d", "depthwise_conv2d", "dense"):
+        if op in WEIGHT_OPS:
             weight = self._lower_weight(nid, a["weight_bits"],
                                         depthwise=op == "depthwise_conv2d")
             return lambda model, ins, ctx: fn(ins[0], weight(model, ctx),
@@ -268,7 +262,7 @@ class Model:
     def _lower_weight(self, nid: str, bits: DType, depthwise: bool) -> Callable:
         """``weight(model, ctx)``: the node's weight as its op reads it,
         quantized from phase 2 on unless ``bits`` is a float type."""
-        w = self.params[nid + WEIGHT_SUFFIX]
+        w = self.params[f"{nid}.w"]
         plain = (w.data, w)     # indexed by ctx.record
         if bits.is_float:
             return lambda model, ctx: plain[ctx.record]

@@ -210,10 +210,10 @@ def train_loop(model: Model, dataset: ToyDataset, cfg: TrainConfig,
     schedule = QuantSchedule(cfg.phase_switch_step)
     model.binary_bound = cfg.binary_act_bound
     model.bn_momentum = cfg.bn_momentum
-    decay_names = model.weight_decay_names()
-    if cfg.decay_dprelu:
-        decay_names |= {f"{node.id}.{key}" for node in model.graph.nodes
-                        if node.op == "dprelu" for key in OP_PARAMS["dprelu"]}
+    # weight decay: conv/dense weights, and the DPReLU vectors if decay_dprelu
+    decay_names = {f"{node.id}.{key}" for node in model.graph.nodes
+                   for key in OP_PARAMS.get(node.op, ())
+                   if key == "w" or (cfg.decay_dprelu and node.op == "dprelu")}
     opt = adam_init(model.arena, decay_names)
     n = dataset.x.shape[0]
     order = rng.permutation(n)

@@ -24,7 +24,7 @@ from pokebnn.cost import (
     report_to_json,
 )
 from pokebnn.graphir import DType, GraphSpec, NodeSpec, infer_shapes
-from pokebnn.nn.model import WEIGHT_SUFFIX, Model
+from pokebnn.nn.model import Model
 
 # Published per-variant totals: multiplier -> (binary 1e6, int8 1e6, int4 1e6)
 VARIANT_TABLE = {
@@ -308,7 +308,7 @@ class TestAnalyzerMatchesExecutedMacs:
                 continue
             seen.add(node.op)
             out = trace[node.id]
-            w = model.params[node.id + WEIGHT_SUFFIX].data
+            w = model.params[f"{node.id}.w"].data
             macs = out[0].size * (w.size // out.shape[-1])
             assert macs == cost.node_macs(node, shapes[node.inputs[0]],
                                           shapes[node.id]), node.id

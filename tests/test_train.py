@@ -199,7 +199,8 @@ class TestAdam:
         ref_state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in ref.items()},
                      "v": {k: np.zeros_like(v) for k, v in ref.items()}}
         dprelu = {k for k in ref if k.endswith((".alpha", ".beta", ".gamma", ".eta"))}
-        decay = model.weight_decay_names() | (dprelu if decay_dprelu else set())
+        weights = {k for k in ref if k.endswith(".w")}
+        decay = weights | (dprelu if decay_dprelu else set())
         flat_step = T.adam_step
 
         def both(arena, state, lr, cfg):
