@@ -89,6 +89,8 @@ _OP_ATTRS = {
     "input": set(),
     "output": set(),
 }
+# The number of inputs of each op that does not take exactly one.
+_ARITY = {"input": 0, "add": 2, "multiply": 2}
 # The attributes a node may leave out; every other allowed key is required.
 _OPTIONAL_ATTRS = {"groups", "divisor"}
 
@@ -171,8 +173,8 @@ def pad_amounts(size: int, kernel: int, stride: int, padding: str) -> tuple[int,
 def windows(x, kh: int, kw: int, stride: int, padding: str, fill=0):
     """Strided kh x kw windows over the H and W axes of an [..., H, W, C] array.
 
-    Returns the view [..., ho, wo, C, kh, kw] of ``x`` padded with ``fill``,
-    and the padding (top, bottom, left, right) from ``pad_amounts``.
+    Returns the read-only view [..., ho, wo, C, kh, kw] of ``x`` padded with
+    ``fill``, and the padding (top, bottom, left, right) from ``pad_amounts``.
     """
     h, w = x.shape[-3:-1]
     pt, pb = pad_amounts(h, kh, stride, padding)
@@ -183,8 +185,15 @@ def windows(x, kh: int, kw: int, stride: int, padding: str, fill=0):
         xp[..., pt:pt + h, pl:pl + w, :] = x
     else:
         xp = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-3, -2))
-    return win[..., ::stride, ::stride, :, :, :], (pt, pb, pl, pr)
+    hp, wp = xp.shape[-3:-1]
+    if kh > hp or kw > wp:
+        raise ValueError(f"window {kh}x{kw} is larger than the padded input {hp}x{wp}")
+    *lead, sh, sw, sc = xp.strides
+    shape = (*xp.shape[:-3], (hp - kh) // stride + 1, (wp - kw) // stride + 1,
+             xp.shape[-1], kh, kw)
+    win = np.lib.stride_tricks.as_strided(
+        xp, shape, (*lead, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+    return win, (pt, pb, pl, pr)
 
 
 def _spatial(node: NodeSpec, h: int, w: int) -> tuple[int, int]:
@@ -344,8 +353,12 @@ def validate_graph(g: GraphSpec) -> list[str]:
     for node in g.nodes:
         if node.id in seen:
             diags.append(f"node {node.id!r}: duplicate id")
+        arity = _ARITY.get(node.op, 1)
+        if len(node.inputs) != arity:
+            diags.append(f"node {node.id!r}: {node.op} takes {arity} inputs, "
+                         f"got {len(node.inputs)}")
         for ref in node.inputs:
-            if ref not in seen:
+            if type(ref) is not str or ref not in seen:
                 diags.append(f"node {node.id!r}: unresolved input {ref!r}")
         seen.add(node.id)
         extra = set(node.attrs) - _OP_ATTRS[node.op]
@@ -424,26 +437,38 @@ def graph_from_json(doc: dict) -> GraphSpec:
     if doc["version"] != SCHEMA_VERSION:
         raise GraphSchemaError(
             f"schema version mismatch: expected {SCHEMA_VERSION}, got {doc['version']}")
+    if not isinstance(doc["nodes"], list):
+        raise GraphSchemaError(f"nodes must be a list, got {doc['nodes']!r}")
     nodes = []
     for i, nd in enumerate(doc["nodes"]):
-        extra = set(nd) - _NODE_KEYS
-        if extra:
-            raise GraphSchemaError(f"node #{i}: unknown keys {sorted(extra)}")
+        if not isinstance(nd, dict):
+            raise GraphSchemaError(f"node #{i}: must be an object, got {nd!r}")
+        if not _NODE_KEYS.issuperset(nd):
+            raise GraphSchemaError(f"node #{i}: unknown keys {sorted(set(nd) - _NODE_KEYS)}")
         if "id" not in nd or "op" not in nd:
             raise GraphSchemaError(f"node #{i}: missing id or op")
-        op = nd["op"]
-        if op not in OPS:
+        nid, op = nd["id"], nd["op"]
+        if type(nid) is not str:
+            raise GraphSchemaError(f"node #{i}: id must be a string, got {nid!r}")
+        if type(op) is not str or op not in OPS:
             raise GraphSchemaError(f"node #{i}: unknown op {op!r}")
+        # the ids themselves are checked by validate_graph
+        inputs = nd.get("inputs", [])
+        if not isinstance(inputs, list):
+            raise GraphSchemaError(
+                f"node {nid!r}: inputs must be a list of node ids, got {inputs!r}")
         raw_attrs = nd.get("attrs", {})
-        extra = set(raw_attrs) - _OP_ATTRS[op]
-        if extra:
-            raise GraphSchemaError(f"node {nd.get('id')!r}: unknown attrs {sorted(extra)}")
+        if not isinstance(raw_attrs, dict):
+            raise GraphSchemaError(
+                f"node {nid!r}: attrs must be an object, got {raw_attrs!r}")
+        if not _OP_ATTRS[op].issuperset(raw_attrs):
+            raise GraphSchemaError(f"node {nid!r}: unknown attrs "
+                                   f"{sorted(set(raw_attrs) - _OP_ATTRS[op])}")
         attrs = {k: _attr_from_json(op, k, v) for k, v in raw_attrs.items()}
-        nodes.append(NodeSpec(id=nd["id"], op=op, inputs=list(nd.get("inputs", [])),
-                              attrs=attrs))
+        nodes.append(NodeSpec(id=nid, op=op, inputs=list(inputs), attrs=attrs))
     shape = doc["input_shape"]
-    if len(shape) != 3:
-        raise GraphSchemaError(f"input_shape must be [H, W, C], got {shape}")
+    if not isinstance(shape, list) or len(shape) != 3:
+        raise GraphSchemaError(f"input_shape must be a list [H, W, C], got {shape!r}")
     return GraphSpec(name=doc["name"], input_shape=tuple(shape), nodes=nodes)
 
 

@@ -1,5 +1,6 @@
 from .autodiff import Tensor
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import CheckpointError, load_tensors, save_tensors
 from .model import Model, QuantContext
 
-__all__ = ["Tensor", "Model", "QuantContext", "save_tensors", "load_tensors"]
+__all__ = ["Tensor", "Model", "QuantContext", "save_tensors", "load_tensors",
+           "CheckpointError"]

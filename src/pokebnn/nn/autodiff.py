@@ -426,11 +426,18 @@ def spatial_mean(x: Tensor) -> Tensor:
     return mean(x, axes=(1, 2), keepdims=True)
 
 
+def _zero_pad_last(x, size):
+    """``x`` with zeros appended along its last axis up to ``size``."""
+    out = np.zeros(x.shape[:-1] + (size,), dtype=x.dtype)
+    out[..., :x.shape[-1]] = x
+    return out
+
+
 def _pad_channels(x, out_channels):
     c = x.shape[-1]
     if out_channels < c:
         raise ValueError(f"pad_channels cannot shrink {c} -> {out_channels}")
-    return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, out_channels - c)]), None
+    return _zero_pad_last(x, out_channels), None
 
 
 def _pad_channels_vjp(g, saved, needs, x, out_channels):
@@ -450,8 +457,7 @@ def _tile_channels_vjp(g, reps, needs, x, out_channels):
     c = x.shape[-1]
     full = reps * c
     if full != out_channels:
-        width = [(0, 0)] * (g.ndim - 1) + [(0, full - out_channels)]
-        g = np.pad(g, width)
+        g = _zero_pad_last(g, full)
     return (g.reshape(g.shape[:-1] + (reps, c)).sum(axis=-2),)
 
 

@@ -9,6 +9,8 @@ in sorted name order.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -39,17 +41,65 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
             f.write(raw)
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that is not well formed; names the tensor if one is at fault."""
+
+
+def _index_entry(entry, blob_size: int):
+    """(name, dtype, shape, offset, nbytes) of one index entry, checked
+    against the size of the tensor data; raises CheckpointError."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise CheckpointError(f"index entry {entry!r} has no name")
+    name = entry["name"]
+    try:
+        dtype = np.dtype(entry["dtype"])
+        shape = tuple(entry["shape"])
+        offset, nbytes = entry["offset"], entry["nbytes"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"tensor {name!r}: bad index entry ({e})") from None
+    if dtype.hasobject or dtype.itemsize == 0:
+        raise CheckpointError(f"tensor {name!r}: dtype {dtype} cannot be read from bytes")
+    counts = (*shape, offset, nbytes)
+    if not all(type(v) is int and v >= 0 for v in counts):
+        raise CheckpointError(f"tensor {name!r}: shape, offset and nbytes must be "
+                              f"non-negative integers, got {list(shape)}, {offset!r}, "
+                              f"{nbytes!r}")
+    if math.prod(shape) * dtype.itemsize != nbytes:
+        raise CheckpointError(f"tensor {name!r}: shape {list(shape)} of {dtype} "
+                              f"needs {math.prod(shape) * dtype.itemsize} bytes, "
+                              f"index says {nbytes}")
+    if offset + nbytes > blob_size:
+        raise CheckpointError(f"tensor {name!r}: bytes {offset}..{offset + nbytes} "
+                              f"run past the end of the file's {blob_size} data bytes")
+    return name, dtype, shape, offset, nbytes
+
+
 def load_tensors(path) -> dict[str, np.ndarray]:
+    """Reads a checkpoint; raises CheckpointError, naming the tensor, if the
+    header or any index entry does not fit the file."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
         if magic != MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<Q", f.read(8))
-        index = json.loads(f.read(header_len).decode("utf-8"))
+            raise CheckpointError(f"not a checkpoint file: bad magic {magic!r}")
+        head = f.read(8)
+        if len(head) != 8:
+            raise CheckpointError("checkpoint ends inside its header length")
+        (header_len,) = struct.unpack("<Q", head)
+        if header_len > size - 12:
+            raise CheckpointError(f"header length {header_len} exceeds the "
+                                  f"{size - 12} bytes after it")
+        try:
+            index = json.loads(f.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointError(f"unreadable checkpoint index: {e}") from None
         blob = f.read()
+    if not isinstance(index, list):
+        raise CheckpointError("checkpoint index must be a list")
     tensors = {}
     for entry in index:
-        raw = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]))
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        name, dtype, shape, offset, nbytes = _index_entry(entry, len(blob))
+        arr = np.frombuffer(blob, dtype=dtype, count=nbytes // dtype.itemsize,
+                            offset=offset)
+        tensors[name] = arr.reshape(shape).copy()
     return tensors

@@ -5,7 +5,8 @@ conv/dense weights, BatchNorm affine + running statistics, DPReLU vectors,
 and per-quantizer clipping bounds. ``Model.__init__`` lowers the node list
 once into a plan of steps. ``forward`` runs the plan on Tensors, recording
 the tape that ``loss.backward()`` differentiates; ``logits`` runs the same
-plan on plain arrays and records nothing.
+plan on plain arrays and records nothing. From phase 2 on, ``logits``
+quantizes each weight once and reuses it until the arena's bytes change.
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ class Model:
         self.params: dict[str, Tensor] = {
             name: Parameter(view, self.arena.grad_views[name], name=name)
             for name, view in self.arena.views.items()}
+        # logits' quantized weights by node id, valid while the arena's bytes
+        # equal the snapshot taken when the cache was emptied
+        self._quantized: dict[str, np.ndarray] = {}
+        self._snapshot: np.ndarray | None = None
         # the plan: one step per node; the slot after the last step holds the batch
         index = {node.id: i for i, node in enumerate(graph.nodes)}
         self._plan = [(node, (len(graph.nodes),) if node.op == "input"
@@ -186,12 +191,27 @@ class Model:
         if x.shape[1:] != tuple(self.graph.input_shape):
             raise ValueError(f"graph {self.graph.name!r} expects input "
                              f"{tuple(self.graph.input_shape)}, got {x.shape[1:]}")
+        if not ctx.record and ctx.phase >= 2:
+            self._check_quantized()
         values = [None] * len(self._plan) + [Tensor(x) if ctx.record else x]
         for i, (node, slots, run) in enumerate(self._plan):
             out = values[i] = run(self, [values[s] for s in slots], ctx)
             for hook in hooks:
                 hook(node, out.data if ctx.record else out)
         return values[self._output]
+
+    def _check_quantized(self):
+        """Empties the quantized-weight cache unless the arena's bytes equal
+        the snapshot, which is then retaken. One exact compare catches every
+        writer: Adam, ``load_state_dict``, the ``Parameter.data`` setter and
+        in-place writes through a view or to ``arena.data``."""
+        data = self.arena.data
+        # the bits as unsigned words of the element size: as exact as bytes,
+        # and fewer elements to compare
+        data = data.view(f"u{data.itemsize}" if data.itemsize <= 8 else np.uint8)
+        if self._snapshot is None or not np.array_equal(data, self._snapshot):
+            self._quantized = {}
+            self._snapshot = data.copy()
 
     def _lower(self, node: NodeSpec) -> Callable:
         """The step function ``run(model, ins, ctx)`` of one node.
@@ -261,7 +281,9 @@ class Model:
 
     def _lower_weight(self, nid: str, bits: DType, depthwise: bool) -> Callable:
         """``weight(model, ctx)``: the node's weight as its op reads it,
-        quantized from phase 2 on unless ``bits`` is a float type."""
+        quantized from phase 2 on unless ``bits`` is a float type. With no
+        tape, the quantized weight is computed once and read from the
+        model's cache, read-only, until the arena changes."""
         w = self.params[f"{nid}.w"]
         plain = (w.data, w)     # indexed by ctx.record
         if bits.is_float:
@@ -272,17 +294,25 @@ class Model:
         channels = w.data.shape[2:] if depthwise else w.data.shape[-1:]
         rows = (-1, math.prod(channels))
 
-        def weight(model, ctx):
-            value = plain[ctx.record]
-            if ctx.phase < 2:
-                return value
-            if binary and not ctx.record:
-                # sign() reads no bound; only a recorded gradient is gated by one
-                return quantize(value, None, ctx.surrogate)
+        def quantized(value, surrogate):
             bounds = quant.weight_channel_bounds(w.data.reshape(rows)).reshape(channels)
             if binary:
-                return quantize(value, bounds, ctx.surrogate)
-            return quantize(value, bounds, bits.bits, ctx.surrogate)
+                return quantize(value, bounds, surrogate)
+            return quantize(value, bounds, bits.bits, surrogate)
+
+        def weight(model, ctx):
+            if ctx.phase < 2:
+                return plain[ctx.record]
+            if ctx.record:
+                return quantized(w, ctx.surrogate)
+            cached = model._quantized.get(nid)
+            if cached is None:
+                # sign() reads no bound; only a recorded gradient is gated by one
+                cached = (quantize(w.data, None, False) if binary
+                          else quantized(w.data, False))
+                cached.flags.writeable = False
+                model._quantized[nid] = cached
+            return cached
         return weight
 
     # ------------------------------------------------------------------

@@ -29,9 +29,15 @@ def round_half_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
+def _any(cond) -> bool:
+    """``np.any(cond)`` for a comparison's result, a Python bool or a numpy
+    bool or bool array, without the dispatch cost of ``np.any``."""
+    return cond if type(cond) is bool else cond.any()
+
+
 def clip(x, lo, hi):
     """min(hi, max(lo, x)); gradient is 1 inside (lo, hi) and 0 outside."""
-    if np.any(lo > hi):
+    if _any(lo > hi):
         raise ValueError("clip lower bound exceeds upper bound")
     return np.minimum(hi, np.maximum(lo, x))
 
@@ -57,7 +63,7 @@ def fake_quant(x, bound, bits: int, epsilon: float = DEFAULT_EPSILON):
     The associated gradient is the indicator of (-B, B).
     """
     bound = np.asarray(bound)
-    if np.any(bound <= 0):
+    if (bound <= 0).any():
         raise ValueError("quantization bound must be positive")
     if bits < 2:
         raise ValueError("fake_quant needs bits >= 2; use binarize for 1 bit")

@@ -90,6 +90,26 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
+    @pytest.mark.parametrize("edit, message", [
+        ("input_shape", "input_shape must be a list [H, W, C], got 32"),
+        ("inputs", "node 'init_conv': inputs must be a list of node ids, got 'init_q1'"),
+    ])
+    def test_graph_file_with_wrong_container_type(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "toy.json"
+        assert main(["export-graph", "pokebnn-toy", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        if edit == "input_shape":
+            doc["input_shape"] = 32
+        else:
+            conv = next(n for n in doc["nodes"] if n["id"] == "init_conv")
+            assert conv["inputs"] == ["init_q1"]
+            conv["inputs"] = "init_q1"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["analyze", "--model", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
 
 class TestVerifyKernels:
     def test_passes(self, capsys):

@@ -1,6 +1,9 @@
 import json
+import re
 
+import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pokebnn.builders import build_named, build_pokebnn, build_resnet50, builtin_models
 from pokebnn.graphir import (
@@ -13,8 +16,10 @@ from pokebnn.graphir import (
     graph_to_json,
     infer_shapes,
     load_graph,
+    pad_amounts,
     save_graph,
     validate_graph,
+    windows,
 )
 
 
@@ -27,6 +32,43 @@ def tiny_graph():
             "act_bits": DType.BF16, "weight_bits": DType.BF16}),
         NodeSpec("out", "output", ["c"]),
     ])
+
+
+class TestWindows:
+    """``windows`` against the sliding-window oracle it replaces."""
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["3d", "4d"])
+    @pytest.mark.parametrize("padding, fill", [("valid", 0), ("same", 0), ("same", -7.5)])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 3), (3, 3), (4, 4)])
+    def test_matches_sliding_window_view(self, kernel, stride, padding, fill, lead):
+        kh, kw = kernel
+        x = np.random.default_rng(7).normal(size=lead + (7, 9, 3))
+        win, pads = windows(x, kh, kw, stride, padding, fill=fill)
+        pt, pb = pad_amounts(7, kh, stride, padding)
+        pl, pr = pad_amounts(9, kw, stride, padding)
+        assert pads == (pt, pb, pl, pr)
+        xp = np.pad(x, [(0, 0)] * len(lead) + [(pt, pb), (pl, pr), (0, 0)],
+                    constant_values=fill)
+        want = sliding_window_view(xp, kernel, axis=(-3, -2))[..., ::stride, ::stride, :, :, :]
+        assert win.shape == want.shape and win.strides == want.strides
+        assert win.dtype == x.dtype and np.array_equal(win, want)
+        assert not win.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            win[...] = 0
+
+    def test_strided_input_viewed_in_place(self):
+        base = np.random.default_rng(8).normal(size=(2, 14, 9, 6))
+        x = base[:, ::2, :, ::2]
+        win, pads = windows(x, 3, 2, 2, "valid")
+        want = sliding_window_view(x, (3, 2), axis=(-3, -2))[..., ::2, ::2, :, :, :]
+        assert pads == (0, 0, 0, 0) and np.shares_memory(win, base)
+        assert win.shape == want.shape and win.strides == want.strides
+        assert np.array_equal(win, want)
+
+    def test_window_larger_than_input_rejected(self):
+        with pytest.raises(ValueError, match="larger than the padded input"):
+            windows(np.zeros((3, 5, 2)), 4, 2, 1, "valid")
 
 
 class TestShapeInference:
@@ -102,6 +144,16 @@ class TestValidation:
         g.nodes[1].inputs = ["nowhere"]
         diags = validate_graph(g)
         assert len(diags) == 1 and "nowhere" in diags[0]
+
+    @pytest.mark.parametrize("node, inputs", [
+        (1, []), (1, ["in", "in"]), (0, ["c"]), (2, [])])
+    def test_input_count_checked(self, node, inputs):
+        g = tiny_graph()
+        g.nodes[node].inputs = inputs
+        op = g.nodes[node].op
+        arity = 0 if op == "input" else 1
+        assert (f"node {g.nodes[node].id!r}: {op} takes {arity} inputs, "
+                f"got {len(inputs)}") in validate_graph(g)
 
     def test_groups_divisibility(self):
         g = tiny_graph()
@@ -198,6 +250,42 @@ class TestSerialization:
         del doc["nodes"][1]["id"]
         with pytest.raises(GraphSchemaError, match="missing id"):
             graph_from_json(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("input_shape", "input_shape must be a list"),
+        ("nodes", "nodes must be a list"),
+        ("node", "node #1: must be an object"),
+        ("id", "node #1: id must be a string, got ['c']"),
+        ("op", "node #1: unknown op ['c']"),
+        ("inputs_string", "node 'c': inputs must be a list of node ids, got 'in'"),
+        ("inputs_number", "node 'c': unresolved input 0"),
+        ("inputs_list", "node 'c': unresolved input ['in']"),
+        ("attrs", "node 'c': attrs must be an object"),
+    ])
+    def test_wrong_container_type_named(self, tmp_path, edit, message):
+        doc = graph_to_json(tiny_graph())
+        node = doc["nodes"][1]
+        assert node["id"] == "c"
+        if edit == "input_shape":
+            doc["input_shape"] = 32
+        elif edit == "nodes":
+            doc["nodes"] = {"c": node}
+        elif edit == "node":
+            doc["nodes"][1] = ["c", "conv2d"]
+        elif edit in ("id", "op"):
+            node[edit] = ["c"]
+        elif edit == "inputs_string":
+            node["inputs"] = node["inputs"][0]
+        elif edit == "inputs_number":
+            node["inputs"] = [0]
+        elif edit == "inputs_list":
+            node["inputs"] = [node["inputs"]]
+        else:
+            node["attrs"] = [["kernel", [3, 3]]]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphSchemaError, match=re.escape(message)):
+            load_graph(path)
 
     def test_unknown_bitwidth_token(self):
         doc = graph_to_json(tiny_graph())

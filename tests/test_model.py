@@ -1,5 +1,7 @@
 import gc
+import json
 import re
+import struct
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -17,10 +19,11 @@ from pokebnn.builders import (
     build_pokebnn_toy,
 )
 from pokebnn.cost import count_macs, model_size
-from pokebnn.graphir import OP_PARAMS, DType, GraphSpec, NodeSpec, validate_graph
+from pokebnn.graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphSpec, NodeSpec,
+                             validate_graph)
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn import autodiff as ad
-from pokebnn.nn.checkpoint import load_tensors, save_tensors
+from pokebnn.nn.checkpoint import MAGIC, CheckpointError, load_tensors, save_tensors
 from pokebnn.nn.model import Model
 
 
@@ -267,6 +270,68 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_tensors(path)
 
+    @staticmethod
+    def two_tensors(tmp_path):
+        """A checkpoint of tensors "a" (6 float64) and "b" (4 int32), and its
+        index as (header length, parsed index, data bytes)."""
+        path = tmp_path / "two.ckpt"
+        save_tensors(path, {"a": np.arange(6.0).reshape(2, 3),
+                            "b": np.arange(4, dtype=np.int32)})
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<Q", raw[4:12])
+        return path, json.loads(raw[12:12 + n]), raw[12 + n:]
+
+    @staticmethod
+    def rewrite(path, index, blob, header_len=None):
+        header = json.dumps(index).encode()
+        n = len(header) if header_len is None else header_len
+        path.write_bytes(MAGIC + struct.pack("<Q", n) + header + blob)
+
+    def test_forged_header_length_rejected_without_allocating(self, tmp_path):
+        path, index, blob = self.two_tensors(tmp_path)
+        self.rewrite(path, index, blob, header_len=2 ** 62)
+        with pytest.raises(CheckpointError, match="header length 4611686018427387904"):
+            load_tensors(path)
+
+    def test_truncated_file_names_the_tensor(self, tmp_path):
+        path, _, _ = self.two_tensors(tmp_path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(CheckpointError, match="tensor 'b': bytes 48..64 run past"):
+            load_tensors(path)
+
+    def test_offset_past_the_end_names_the_tensor(self, tmp_path):
+        path, index, blob = self.two_tensors(tmp_path)
+        index[0]["offset"] = len(blob) + 8
+        self.rewrite(path, index, blob)
+        with pytest.raises(CheckpointError, match="tensor 'a': bytes 72..120 run past"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("shape", [2, 4], "needs 64 bytes, index says 48"),
+        ("shape", [2, -3], "non-negative integers"),
+        ("offset", "0", "non-negative integers"),
+        ("nbytes", 2 ** 62, "needs 48 bytes"),
+        ("dtype", "|O", "cannot be read from bytes"),
+        ("dtype", "S0", "cannot be read from bytes"),
+        ("dtype", "float99", "bad index entry"),
+    ])
+    def test_inconsistent_entry_names_the_tensor(self, tmp_path, key, value, message):
+        path, index, blob = self.two_tensors(tmp_path)
+        index[0][key] = value
+        self.rewrite(path, index, blob)
+        with pytest.raises(CheckpointError, match=re.escape(f"tensor 'a': ")):
+            load_tensors(path)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_tensors(path)
+
+    def test_checkpoint_error_is_a_value_error(self, tmp_path):
+        path, index, blob = self.two_tensors(tmp_path)
+        assert {k: v.tolist() for k, v in load_tensors(path).items()} == {
+            "a": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], "b": [0, 1, 2, 3]}
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match="inside its header length"):
+            load_tensors(path)
+
 
 class TestParamArena:
     def test_params_are_views_into_one_buffer(self, toy):
@@ -442,6 +507,99 @@ class TestStateDict:
         assert f"{bn} has shape (2, 2)" in text
         assert f"{bound} has shape (2,), expected ()" in text
         assert np.array_equal(model.arena.data, before)
+
+
+def _negate(model, name, how):
+    """Negates parameter ``name`` of ``model`` through one arena writer."""
+    t = model.params[name]
+    if how == "data_setter":
+        t.data = -t.data
+    elif how == "view_write":
+        t.data[...] *= -1
+    else:
+        model.arena.data[model.arena.spans[name]] *= -1
+
+
+class TestQuantizedWeightCache:
+    """``logits`` quantizes each phase-2 weight once per arena state."""
+
+    @staticmethod
+    def calibrated(toy, batch, seed=1):
+        model = Model(toy, seed=seed, dtype=np.float32)
+        model.forward(batch, training=True, phase=1)
+        model.freeze_activation_bounds()
+        return model
+
+    @staticmethod
+    def quantized_nodes(toy, binary):
+        return {n.id for n in toy.nodes if n.op in WEIGHT_OPS
+                and not n.attrs["weight_bits"].is_float
+                and (n.attrs["weight_bits"] is DType.BIN) == binary}
+
+    def assert_fresh(self, toy, model, x):
+        """``model.logits(x)`` is bitwise what a model that never cached
+        anything computes from the same state dict."""
+        fresh = Model(toy, seed=99, dtype=np.float32)
+        fresh.load_state_dict(model.state_dict())
+        assert model.logits(x).tobytes() == fresh.logits(x).tobytes()
+
+    @pytest.mark.parametrize("writer", [
+        "adam_step", "load_state_dict",
+        *(f"{how}:{name}" for how in ("data_setter", "view_write", "arena_write")
+          for name in ("init_conv.w", "b00_pc1_conv.w", "head_fc.w"))])
+    def test_every_arena_writer_is_seen(self, toy, batch, writer):
+        model = self.calibrated(toy, batch)
+        before = model.logits(batch)
+        self.assert_fresh(toy, model, batch)
+        if writer == "adam_step":
+            model.arena.grad[...] = np.random.default_rng(3).normal(
+                size=model.arena.grad.shape)
+            cfg = train.TrainConfig()
+            train.adam_step(model.arena, train.adam_init(model.arena), 1e-2, cfg)
+        elif writer == "load_state_dict":
+            model.load_state_dict(self.calibrated(toy, batch, seed=2).state_dict())
+        else:
+            _negate(model, *writer.split(":")[::-1])
+        assert model.logits(batch).tobytes() != before.tobytes()
+        self.assert_fresh(toy, model, batch)
+
+    def test_cached_weights_are_read_only(self, toy, batch):
+        model = self.calibrated(toy, batch)
+        model.logits(batch[:1])
+        assert set(model._quantized) == (self.quantized_nodes(toy, binary=True)
+                                         | self.quantized_nodes(toy, binary=False))
+        for nid, w in model._quantized.items():
+            assert not w.flags.writeable, nid
+            with pytest.raises(ValueError, match="read-only"):
+                w[...] = 0
+
+    def test_weight_bounds_computed_once_per_arena_state(self, toy, batch, monkeypatch):
+        model = self.calibrated(toy, batch)
+        calls = Counter()
+        bounds = quant.weight_channel_bounds
+
+        def counted(w, *args, **kwargs):
+            calls["bounds"] += 1
+            return bounds(w, *args, **kwargs)
+
+        monkeypatch.setattr(quant, "weight_channel_bounds", counted)
+        ints = len(self.quantized_nodes(toy, binary=False))
+        assert ints > 0
+        model.logits(batch)
+        assert calls.pop("bounds") == ints
+        model.logits(batch[:1])
+        model.logits(batch, training=True)
+        assert calls["bounds"] == 0
+        model.arena.grad[...] = 1.0
+        train.adam_step(model.arena, train.adam_init(model.arena), 1e-3,
+                        train.TrainConfig())
+        model.logits(batch)
+        assert calls.pop("bounds") == ints
+        # phase 1 reads no quantized weight, and forward records a tape
+        model.logits(batch, phase=1)
+        assert calls["bounds"] == 0
+        model.forward(batch, training=False, phase=2)
+        assert calls.pop("bounds") == ints + len(self.quantized_nodes(toy, binary=True))
 
 
 def se_model(channels, seed, gated=False):

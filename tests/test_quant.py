@@ -18,6 +18,22 @@ class TestClip:
         with pytest.raises(ValueError):
             quant.clip(0.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0, -1.0), (np.float32(0.5), np.float32(0.25)), (np.array(2.0), 1.0),
+        (np.array([-1.0, 3.0, -1.0]), np.array([1.0, 2.0, 1.0])),
+        (-1.0, np.array([[1.0, -2.0]])),
+    ])
+    def test_lower_above_upper_rejected_for_every_bound_type(self, lo, hi):
+        with pytest.raises(ValueError, match="lower bound exceeds upper"):
+            quant.clip(np.zeros(3), lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-1.0, -1.0), (np.float32(-0.5), np.float32(0.5)),
+        (np.array([-1.0, 2.0, -1.0]), np.array([1.0, 2.0, 1.0]))])
+    def test_ordered_bounds_accepted(self, lo, hi):
+        assert np.array_equal(quant.clip(np.full(3, 9.0), lo, hi),
+                              np.broadcast_to(hi, (3,)))
+
 
 class TestCasts:
     def test_int8_near_endpoint(self):
@@ -71,6 +87,13 @@ class TestFakeQuant:
             quant.fake_quant(0.5, 0.0, 4)
         with pytest.raises(ValueError):
             quant.fake_quant(0.5, -1.0, 8)
+
+    @pytest.mark.parametrize("bound", [
+        0.0, -1.0, np.float64(0.0), np.float32(-2.0), np.array(0.0),
+        np.array([1.0, 0.0, 2.0]), np.array([[0.5, -0.5]])])
+    def test_rejects_non_positive_bound_of_every_type(self, bound):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            quant.fake_quant(np.full((2, 3), 0.25), bound, 4)
 
     def test_rejects_one_bit(self):
         with pytest.raises(ValueError):
