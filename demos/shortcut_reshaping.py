@@ -35,16 +35,17 @@ for n in g.nodes:
 rng = np.random.default_rng(0)
 model = Model(g, seed=0)
 xin = rng.normal(size=(2, 8, 8, 16))
-y = model.forward(xin, training=True, phase=2)
-print(f"pokeconv {xin.shape} -> {y.data.shape}")
+y, backward = model.forward(xin, training=True, phase=2)
+print(f"pokeconv {xin.shape} -> {model.shapes[g.nodes[-1].id]}, "
+      f"flattened to {y.shape}")
 
 # a constant upstream would vanish through the trailing BatchNorm, so use
 # a random one to exercise every gradient path
-y.backward(rng.normal(size=y.data.shape))
+backward(rng.normal(size=y.shape))
 grads = {
-    "conv weight": model.params["pc_conv.w"].grad,
-    "dprelu slope": model.params["pc_act.gamma"].grad,
-    "se hidden weight": model.params["pc_se_fc1.w"].grad,
+    "conv weight": model.arena.grad_views["pc_conv.w"],
+    "dprelu slope": model.arena.grad_views["pc_act.gamma"],
+    "se hidden weight": model.arena.grad_views["pc_se_fc1.w"],
 }
 for name, grad in grads.items():
     print(f"  {name:18} grad norm {np.linalg.norm(grad):.4f}")

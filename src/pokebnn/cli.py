@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -15,7 +16,6 @@ import numpy as np
 from . import cost, kernels, train
 from .builders import build_named, builtin_models
 from .graphir import GraphError, load_graph
-from .nn import autodiff as ad
 from .nn.model import Model
 
 EXIT_OK = 0
@@ -163,6 +163,9 @@ def _int_dtype(bits: int):
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        _usage_error("--instances must be >= 1")
+        return EXIT_USAGE
     from .gradcheck import run_gradcheck
     results = run_gradcheck(seed=args.seed, instances=args.instances)
     worst = 0.0
@@ -177,15 +180,22 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    if args.checkpoint and not os.path.isdir(os.path.dirname(
+            os.path.abspath(args.checkpoint))):
+        _usage_error(f"--checkpoint {args.checkpoint}: no such directory")
+        return EXIT_USAGE
     cfg_kwargs = {}
-    if args.config:
-        with open(args.config) as f:
-            cfg_kwargs = json.load(f)
-    if args.steps is not None:
-        cfg_kwargs["total_steps"] = args.steps
-    if args.seed is not None:
-        cfg_kwargs["seed"] = args.seed
-    cfg = train.TrainConfig(**cfg_kwargs)
+    try:
+        if args.config:
+            with open(args.config) as f:
+                cfg_kwargs = {**json.load(f)}   # a TypeError unless an object
+        if args.steps is not None:
+            cfg_kwargs["total_steps"] = args.steps
+        if args.seed is not None:
+            cfg_kwargs["seed"] = args.seed
+        cfg = train.TrainConfig(**cfg_kwargs)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"config {args.config}: {e}" if args.config else e) from None
 
     from .builders import build_pokebnn_toy
     g = build_pokebnn_toy(m=args.multiplier, groups=args.groups,
@@ -193,9 +203,17 @@ def cmd_train_toy(args) -> int:
     dataset = train.make_toy_dataset(n=args.samples,
                                      shape=(args.size, args.size, 3),
                                      seed=cfg.seed)
-    if cfg.distill:
-        dataset.teacher = train.load_teacher_probs(cfg.distill)
     model = Model(g, seed=cfg.seed, dtype=np.float32)
+    if cfg.distill:
+        try:
+            dataset.teacher = train.load_teacher_probs(   # a column per class
+                cfg.distill, classes=model.shapes[g.nodes[-1].id][-1])
+            if len(dataset.teacher) < args.samples:
+                raise ValueError(f"{cfg.distill}: {len(dataset.teacher)} rows "
+                                 f"for {args.samples} samples")
+        except ValueError as e:
+            print(f"error: teacher file {e}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
     result = train.train_loop(model, dataset, cfg, metrics_path=args.metrics)
     model.load_state_dict(result.state)
     logits = model.logits(dataset.x, training=False, phase=2)

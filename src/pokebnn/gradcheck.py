@@ -29,30 +29,27 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(num / den)
 
 
-def check_gradients(fn, tensors: dict[str, Tensor], seed: int = 0,
-                    step: float = FD_STEP) -> float:
+def check_gradients(fn, values: dict[str, np.ndarray], grads,
+                    seed: int = 0, step: float = FD_STEP) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``fn`` maps the named tensors to an output Tensor; every named tensor is
-    perturbed elementwise.
+    ``fn()`` returns an output array and its pullback. Every array of
+    ``values`` is perturbed elementwise, in place; ``grads()`` returns their
+    analytic gradients by name once the pullback has run.
     """
     rng = np.random.default_rng(seed)
-    out = fn()
-    proj = rng.normal(size=out.data.shape)
+    out, _ = fn()
+    proj = rng.normal(size=out.shape)
 
     def objective():
-        return float((fn().data * proj).sum())
+        return float((fn()[0] * proj).sum())
 
-    for t in tensors.values():
-        t.zero_grad()
-    out = fn()
-    out.backward(proj)
-
+    fn()[1](proj)
+    analytic = grads()
     worst = 0.0
-    for name, t in tensors.items():
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        fd = np.zeros_like(t.data)
-        flat = t.data.ravel()
+    for name, value in values.items():
+        fd = np.zeros_like(value)
+        flat = value.ravel()
         fd_flat = fd.ravel()
         for i in range(flat.size):
             orig = flat[i]
@@ -62,8 +59,20 @@ def check_gradients(fn, tensors: dict[str, Tensor], seed: int = 0,
             down = objective()
             flat[i] = orig
             fd_flat[i] = (up - down) / (2 * step)
-        worst = max(worst, relative_error(np.asarray(analytic), fd))
+        worst = max(worst, relative_error(np.asarray(analytic[name]), fd))
     return worst
+
+
+def _check_op(fn, tensors: dict[str, Tensor], seed: int) -> float:
+    """``check_gradients`` of ``fn``, which maps the named Tensors to an
+    output Tensor through the op-level API."""
+    def run():
+        out = fn()
+        return out.data, out.backward
+    return check_gradients(run, {name: t.data for name, t in tensors.items()},
+                           lambda: {name: np.zeros_like(t.data) if t.grad is None
+                                    else t.grad for name, t in tensors.items()},
+                           seed=seed)
 
 
 def _away_from(x, centers, margin=5e-3):
@@ -87,7 +96,7 @@ def _graph_error(b, last_id, rng, seed: int) -> float:
     x = rng.normal(size=(2, *b.g.input_shape))
     return check_gradients(
         lambda: model.forward(x, training=False, phase=1, surrogate=True),
-        model.params, seed=seed)
+        model.params, lambda: model.arena.grad_views, seed=seed)
 
 
 def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
@@ -121,7 +130,7 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         shape, (kh, kw), stride, padding = conv_shapes[s % len(conv_shapes)]
         x = t(shape, rng)
         w = t((kh, kw, shape[-1], 4), rng)
-        return check_gradients(
+        return _check_op(
             lambda: ad.conv2d(x, w, stride=stride, padding=padding),
             {"x": x, "w": w}, seed=s)
     record("conv2d", conv_case)
@@ -129,23 +138,23 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
     def depthwise_case(rng, s):
         x = t((2, 5, 5, 3), rng)
         w = t((3, 3, 3, 2), rng)
-        return check_gradients(lambda: ad.depthwise_conv2d(x, w),
-                               {"x": x, "w": w}, seed=s)
+        return _check_op(lambda: ad.depthwise_conv2d(x, w),
+                         {"x": x, "w": w}, seed=s)
     record("depthwise_conv2d", depthwise_case)
 
     def dense_case(rng, s):
         x = t((4, 1, 1, 6), rng)
         w = t((6, 3), rng)
         b = t((3,), rng)
-        return check_gradients(lambda: ad.dense(x, w, b),
-                               {"x": x, "w": w, "b": b}, seed=s)
+        return _check_op(lambda: ad.dense(x, w, b),
+                         {"x": x, "w": w, "b": b}, seed=s)
     record("dense", dense_case)
 
     def bn_case(rng, s):
         x = t((4, 3, 3, 2), rng)
         scale = t((2,), rng)
         bias = t((2,), rng)
-        return check_gradients(
+        return _check_op(
             lambda: ad.batchnorm_train(x, scale, bias)[0],
             {"x": x, "scale": scale, "bias": bias}, seed=s)
     record("batchnorm", bn_case)
@@ -159,7 +168,7 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         pb = t((3,), rng)
         pg = Tensor(np.full(3, 0.25) + 0.1 * rng.normal(size=3), requires_grad=True)
         pe = Tensor(np.ones(3) + 0.1 * rng.normal(size=3), requires_grad=True)
-        return check_gradients(
+        return _check_op(
             lambda: ad.dprelu(x, pa, pb, pg, pe),
             {"x": x, "alpha": pa, "beta": pb, "gamma": pg, "eta": pe}, seed=s)
     record("dprelu", dprelu_case)
@@ -174,7 +183,7 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         pb = t((3,), rng)
         pg = Tensor(np.full(3, 0.25) + 0.1 * rng.normal(size=3), requires_grad=True)
         pe = Tensor(np.ones(3) + 0.1 * rng.normal(size=3), requires_grad=True)
-        return check_gradients(
+        return _check_op(
             lambda: ad.dprelu(x, pa, pb, pg, pe),
             {"beta": pb, "gamma": pg, "eta": pe}, seed=s)
     record("dprelu_at_alpha", dprelu_kink_case)
@@ -188,13 +197,13 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
 
     def avg_pool_case(rng, s):
         x = t((2, 6, 6, 2), rng)
-        return check_gradients(lambda: ad.avg_pool(x, (3, 3), 2, "same"),
-                               {"x": x}, seed=s)
+        return _check_op(lambda: ad.avg_pool(x, (3, 3), 2, "same"),
+                         {"x": x}, seed=s)
     record("avg_pool", avg_pool_case)
 
     def spatial_mean_case(rng, s):
         x = t((3, 5, 5, 4), rng)
-        return check_gradients(lambda: ad.spatial_mean(x), {"x": x}, seed=s)
+        return _check_op(lambda: ad.spatial_mean(x), {"x": x}, seed=s)
     record("spatial_mean", spatial_mean_case)
 
     def reshape_add_case(rng, s):
@@ -211,7 +220,7 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
 
     def avg_channels_case(rng, s):
         x = t((2, 3, 3, 8), rng)
-        return check_gradients(lambda: ad.avg_channels(x, 2), {"x": x}, seed=s)
+        return _check_op(lambda: ad.avg_channels(x, 2), {"x": x}, seed=s)
     record("avg_channels", avg_channels_case)
 
     def quant_surrogate_case(rng, s):
@@ -220,15 +229,15 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         xd = np.clip(xd, -2.5, 2.5)
         xd = _away_from(xd, [-1.0, 1.0], margin=1e-2)
         x = Tensor(xd, requires_grad=True)
-        return check_gradients(
+        return _check_op(
             lambda: ad.fake_quant(x, 1.0, 8, surrogate=True), {"x": x}, seed=s)
     record("fake_quant_surrogate", quant_surrogate_case)
 
     def softmax_case(rng, s):
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         labels = rng.integers(0, 6, size=4)
-        return check_gradients(lambda: ad.cross_entropy(x, labels),
-                               {"x": x}, seed=s)
+        return _check_op(lambda: ad.cross_entropy(x, labels),
+                         {"x": x}, seed=s)
     record("cross_entropy", softmax_case)
 
     def bn_eval_case(rng, s):
@@ -236,7 +245,7 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         scale = t((2,), rng)
         bias = t((2,), rng)
         mean, var = rng.normal(size=2), 0.5 + rng.random(size=2)
-        return check_gradients(
+        return _check_op(
             lambda: ad.batchnorm_eval(x, scale, bias, mean, var),
             {"x": x, "scale": scale, "bias": bias}, seed=s)
     record("batchnorm_eval", bn_eval_case)
@@ -247,8 +256,8 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         teacher = np.exp(rng.normal(size=(4, 6)))
         teacher[np.arange(4), rng.integers(0, 6, size=4)] = 0.0
         teacher /= teacher.sum(axis=-1, keepdims=True)
-        return check_gradients(lambda: ad.kl_divergence(x, teacher),
-                               {"x": x}, seed=s)
+        return _check_op(lambda: ad.kl_divergence(x, teacher),
+                         {"x": x}, seed=s)
     record("kl_divergence", kl_case)
 
     return results

@@ -15,10 +15,9 @@ product ``_name_vjp(g, saved, needs, *args)`` takes the output gradient,
 ``saved``, a flag per argument that is a Tensor needing a gradient, and the
 forward's own arguments; it returns one gradient per input, and may return
 None for an input that needs none. One recorder, ``_record``, joins the pair
-into the public op ``name``. Given Tensors, the op returns a Tensor and
-records the tape only while some input needs a gradient; given plain arrays,
-it returns the forward's output and records nothing, which is how
-``Model.logits`` runs with no tape.
+into the public op ``name``, which returns a Tensor and records the tape
+only while some input needs a gradient. ``nn.Model`` builds no Tensor: it
+calls the pairs directly and runs its own reverse pass.
 """
 
 from __future__ import annotations
@@ -32,29 +31,18 @@ from ..graphir import windows
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad=False, parents=(), name=""):
+    def __init__(self, data, requires_grad=False, parents=()):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None
         self._parents = parents
-        self.name = name
 
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={self.grad is not None})"
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g):
         # accumulation rebinds rather than mutates, so aliasing g is safe
@@ -94,46 +82,6 @@ class Tensor:
             node._parents = ()
 
 
-_DATA = Tensor.data     # the slot behind Tensor.data
-
-
-class Parameter(Tensor):
-    """A Tensor whose ``data`` and ``grad`` stay the arrays it was built
-    with, such as views into a model's parameter arena. Backward adds each
-    gradient into ``grad`` in place and ``zero_grad`` fills it with zeros.
-    Assigning an array to ``data`` copies it into that array, which must
-    have the same shape, so every reader of the array sees the new values."""
-
-    __slots__ = ()
-
-    def __init__(self, data, grad, name=""):
-        super().__init__(data, requires_grad=True, name=name)
-        self.grad = grad
-
-    def zero_grad(self):
-        self.grad.fill(0)
-
-    def _accumulate(self, g):
-        self.grad += g
-
-    @property
-    def data(self):
-        return _DATA.__get__(self)
-
-    @data.setter
-    def data(self, value):
-        try:
-            view = _DATA.__get__(self)
-        except AttributeError:      # the first assignment, in Tensor.__init__
-            _DATA.__set__(self, value)
-            return
-        value = np.asarray(value)
-        if value.shape != view.shape:
-            raise ValueError(f"parameter {self.name!r} has shape {view.shape}, "
-                             f"got an array of shape {value.shape}")
-        view[...] = value
-
-
 def _unbroadcast(g, shape):
     """Reduces a gradient back to ``shape`` after numpy broadcasting."""
     extra = g.ndim - len(shape)
@@ -150,19 +98,16 @@ def _record(forward, vjp):
 
     This is the only code that builds op results, links the tape and
     accumulates gradients. The op takes the forward's arguments, with Tensors
-    passed positionally in place of the arrays to differentiate. Given no
-    Tensor, it returns the forward's output and records nothing. Otherwise it
-    returns a Tensor and, while some input needs a gradient, records a
-    backward that accumulates ``vjp``'s gradient into each input that needs
-    one. A forward that returns a tuple, as ``batchnorm_train`` does with its
-    batch statistics, differentiates its first element and returns the rest
-    as arrays.
+    passed positionally in place of the arrays to differentiate. It returns
+    a Tensor and, while some input needs a gradient, records a backward that
+    accumulates ``vjp``'s gradient into each input that needs one. A forward
+    that returns a tuple, as ``batchnorm_train`` does with its batch
+    statistics, differentiates its first element and returns the rest as
+    arrays.
     """
     @functools.wraps(forward)
     def op(*args, **attrs):
         inputs = [a for a in args if isinstance(a, Tensor)]
-        if not inputs:
-            return forward(*args, **attrs)[0]
         arrays = [a.data if isinstance(a, Tensor) else a for a in args]
         out, saved = forward(*arrays, **attrs)
         rest = ()
@@ -204,26 +149,6 @@ def _mul(a, b):
 
 def _mul_vjp(g, saved, needs, a, b):
     return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
-
-
-def _reshape(x, shape):
-    return x.reshape(shape), None
-
-
-def _reshape_vjp(g, saved, needs, x, shape):
-    return (g.reshape(x.shape),)
-
-
-def _mean(x, axes, keepdims=True):
-    axes = tuple(axes)
-    return x.mean(axis=axes, keepdims=keepdims), axes
-
-
-def _mean_vjp(g, saved, needs, x, axes, keepdims=True):
-    if not keepdims:
-        g = np.expand_dims(g, saved)
-    count = np.prod([x.shape[i] for i in saved])
-    return (np.broadcast_to(g, x.shape) / count,)
 
 
 def _relu(x):
@@ -421,9 +346,15 @@ def _max_pool_vjp(g, saved, needs, x, kernel=(3, 3), stride=2, padding="same"):
     return (_fold(x, pads, *kernel, stride, *out.shape[1:3], tap),)
 
 
-def spatial_mean(x: Tensor) -> Tensor:
+def _spatial_mean(x):
     """Mean over H and W, keeping [N, 1, 1, C]."""
-    return mean(x, axes=(1, 2), keepdims=True)
+    return x.mean(axis=(1, 2), keepdims=True), None
+
+
+def _spatial_mean_vjp(g, saved, needs, x):
+    # the count is an np.int64, so a float32 gradient comes back float64
+    count = np.prod([x.shape[1], x.shape[2]])
+    return (np.broadcast_to(g, x.shape) / count,)
 
 
 def _zero_pad_last(x, size):
@@ -578,8 +509,6 @@ def _kl_divergence_vjp(g, saved, needs, logits, teacher_probs):
 
 add = _record(_add, _add_vjp)
 mul = _record(_mul, _mul_vjp)
-reshape = _record(_reshape, _reshape_vjp)
-mean = _record(_mean, _mean_vjp)
 relu = _record(_relu, _relu_vjp)
 hardsigmoid = _record(_hardsigmoid, _hardsigmoid_vjp)
 dprelu = _record(_dprelu, _dprelu_vjp)
@@ -593,6 +522,7 @@ max_pool = _record(_max_pool, _max_pool_vjp)
 pad_channels = _record(_pad_channels, _pad_channels_vjp)
 tile_channels = _record(_tile_channels, _tile_channels_vjp)
 avg_channels = _record(_avg_channels, _avg_channels_vjp)
+spatial_mean = _record(_spatial_mean, _spatial_mean_vjp)
 batchnorm_train = _record(_batchnorm_train, _batchnorm_train_vjp)
 batchnorm_eval = _record(_batchnorm_eval, _batchnorm_eval_vjp)
 log_softmax = _record(_log_softmax, _log_softmax_vjp)

@@ -1,18 +1,20 @@
-"""Executes a lowered GraphSpec with reverse-mode gradients.
+"""Executes a lowered GraphSpec and differentiates it.
 
 The executor owns every parameter and calibration state keyed by node id:
 conv/dense weights, BatchNorm affine + running statistics, DPReLU vectors,
 and per-quantizer clipping bounds. ``Model.__init__`` lowers the node list
-once into a plan of steps. ``forward`` runs the plan on Tensors, recording
-the tape that ``loss.backward()`` differentiates; ``logits`` runs the same
-plan on plain arrays and records nothing. From phase 2 on, ``logits``
-quantizes each weight once and reuses it until the arena's bytes change.
+once into a plan of steps, and fixes the order in which a pullback visits
+them. ``forward`` runs the plan on arrays and returns the logits with their
+pullback, which calls each step's VJP once; ``logits`` runs the same plan
+and keeps nothing for a gradient. From phase 2 on, ``logits`` quantizes
+each weight once and reuses it until the arena's bytes change.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -21,20 +23,20 @@ from .. import quant
 from ..graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphSpec, NodeSpec,
                        infer_shapes, param_shapes)
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
 
 
 @dataclass
 class QuantContext:
     """Per-call mode: BN train/eval, the quantization phase (phase 1
     binarizes activations only; phase 2 also quantizes weights and the 4/8-bit
-    activations), the smooth-surrogate mode of the gradient oracles, and
-    whether the plan records a tape on Tensors or runs on plain arrays."""
+    activations), the smooth-surrogate mode of the gradient oracles, and the
+    quantized weights by node id that ``logits`` reads and fills, or None
+    where ``forward`` quantizes each weight afresh for its gradient."""
 
     training: bool = True
     phase: int = 1
     surrogate: bool = False
-    record: bool = True
+    cache: dict | None = None
 
 
 # the initial value of each parameter other than a weight, if not 0
@@ -47,6 +49,15 @@ _ATTR_ARGS = {"conv2d": ("stride", "padding"),
               "avg_channels": ("out_channels",),
               "avg_pool": ("kernel", "stride", "padding"),
               "max_pool": ("kernel", "stride", "padding")}
+
+
+def _step(forward, vjp, call, ste=None):
+    """Runs an op's array ``forward`` on the arguments ``call``; returns its
+    output and the step's record, ``(vjp, saved, call, ste)``: the op's VJP,
+    what the forward saved, ``call``, and the ``(w, bounds)`` of a quantized
+    weight's straight-through gradient or None."""
+    out, saved = forward(*call)
+    return out, (vjp, saved, call, ste)
 
 
 class ParamArena:
@@ -85,24 +96,32 @@ class Model:
         self.bn_stats: dict[str, dict[str, np.ndarray]] = {}
         self.bounds: dict[str, quant.BoundState] = {}
         init = self._init_params(np.random.default_rng(seed))
-        # every parameter's data and grad are views into the arena's buffers
+        # every parameter's value and gradient are views into the arena's
+        # buffers; write a value with params[name][...] = value
         self.arena = ParamArena(init, self.dtype)
-        self.params: dict[str, Tensor] = {
-            name: Parameter(view, self.arena.grad_views[name], name=name)
-            for name, view in self.arena.views.items()}
+        self.params = MappingProxyType(self.arena.views)
         # logits' quantized weights by node id, valid while the arena's bytes
         # equal the snapshot taken when the cache was emptied
         self._quantized: dict[str, np.ndarray] = {}
         self._snapshot: np.ndarray | None = None
-        # the plan: one step per node; the slot after the last step holds the batch
+        # the plan: one step per node, as (node, input slots, run, parameter
+        # names, the VJP's needs); the slot after the last step holds the batch
         index = {node.id: i for i, node in enumerate(graph.nodes)}
-        self._plan = [(node, (len(graph.nodes),) if node.op == "input"
-                       else tuple([index[i] for i in node.inputs]),
-                       self._lower(node)) for node in graph.nodes]
+        # whether each slot's value depends on a parameter, so takes a gradient
+        needs = [False] * (len(graph.nodes) + 1)
+        self._plan = []
+        for i, node in enumerate(graph.nodes):
+            slots = ((len(graph.nodes),) if node.op == "input"
+                     else tuple([index[s] for s in node.inputs]))
+            names = tuple([f"{node.id}.{k}" for k in OP_PARAMS.get(node.op, ())])
+            needs[i] = bool(names) or any(needs[s] for s in slots)
+            self._plan.append((node, slots, self._lower(node), names,
+                               tuple([needs[s] for s in slots]) + (True,) * len(names)))
         outputs = [i for i, node in enumerate(graph.nodes) if node.op == "output"]
         if len(outputs) != 1:
             raise ValueError(f"graph {graph.name!r} has {len(outputs)} output nodes")
         self._output = outputs[0]
+        self._order = self._backward_order()
 
     # ------------------------------------------------------------------
     # Parameter setup
@@ -156,163 +175,227 @@ class Model:
         return {nid: float(np.asarray(s.bound)) for nid, s in self.bounds.items()}
 
     # ------------------------------------------------------------------
-    # Forward: the plan on Tensors (forward) or on plain arrays (logits)
+    # Forward: the plan on arrays, with a pullback (forward) or not (logits)
     # ------------------------------------------------------------------
 
     def forward(self, x, training: bool = True, phase: int = 1,
-                surrogate: bool = False, hooks=()) -> Tensor:
-        """Runs the plan on Tensors, recording the tape that ``backward``
-        differentiates; returns the output-node tensor ([N, 1, 1, classes]).
+                surrogate: bool = False, hooks=()):
+        """Runs the plan; returns ``(logits, backward)``: the ``[N, classes]``
+        output and its pullback. ``backward(grad)`` takes the gradient with
+        respect to ``logits`` and adds each parameter's gradient into
+        ``arena.grad``; it frees the record as it goes and runs once.
 
         ``phase`` selects active quantizers: binary activations always, all
         weights and the 4/8-bit activations from phase 2 on. Each of
         ``hooks`` is called as ``hook(node, out)`` after every step, with
         the node's output array.
         """
-        return self._execute(x, hooks, training=training, phase=phase,
-                             surrogate=surrogate, record=True)
+        record = [None] * len(self._plan)
+        out = self._execute(x, hooks, QuantContext(training, phase, surrogate),
+                            record)
+
+        def backward(grad):
+            if not record:
+                raise RuntimeError("this pullback has already run")
+            steps, record[:] = record[:], []
+            self._backward(np.asarray(grad, dtype=out.dtype).reshape(out.shape),
+                           steps)
+        return out.reshape(len(out), -1), backward
 
     def logits(self, x, training: bool = False, phase: int = 2,
                hooks=()) -> np.ndarray:
-        """Runs the plan on plain arrays with no tape; returns [N, classes].
+        """Runs the plan and keeps nothing for a gradient; returns [N, classes].
 
         The inference call. With ``training`` it still updates the BN
         running statistics and the unfrozen EMA bounds, as ``forward`` does.
         """
-        out = self._execute(x, hooks, training=training, phase=phase,
-                            surrogate=False, record=False)
+        if phase >= 2:
+            self._check_quantized()
+        out = self._execute(x, hooks, QuantContext(training, phase,
+                                                   cache=self._quantized))
         return out.reshape(out.shape[0], -1)
 
-    def _execute(self, x, hooks, **mode):
-        ctx = QuantContext(**mode)
+    def _execute(self, x, hooks, ctx, record=None):
+        """Runs the plan; returns the output node's array. Stores each
+        step's record in ``record``, by step, if it is a list."""
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
             raise ValueError(f"expected [N, H, W, C] input, got shape {x.shape}")
         if x.shape[1:] != tuple(self.graph.input_shape):
             raise ValueError(f"graph {self.graph.name!r} expects input "
                              f"{tuple(self.graph.input_shape)}, got {x.shape[1:]}")
-        if not ctx.record and ctx.phase >= 2:
-            self._check_quantized()
-        values = [None] * len(self._plan) + [Tensor(x) if ctx.record else x]
-        for i, (node, slots, run) in enumerate(self._plan):
-            out = values[i] = run(self, [values[s] for s in slots], ctx)
+        values = [None] * len(self._plan) + [x]
+        for i, (node, slots, run, _, _) in enumerate(self._plan):
+            out, rec = run(self, [values[s] for s in slots], ctx)
+            values[i] = out
+            if record is not None:
+                record[i] = rec
+            del rec     # with no record, the step's saved arrays die here
             for hook in hooks:
-                hook(node, out.data if ctx.record else out)
+                hook(node, out)
         return values[self._output]
+
+    def _backward_order(self) -> list:
+        """The steps in the order a pullback runs them: the reverse
+        post-order of a depth-first sweep from the output step over each
+        step's input slots, last input first. ``Tensor.backward`` sorts the
+        same ops in this order, so a slot with several consumers sums their
+        gradients in the same order as the op-level API."""
+        order, seen, stack = [], set(), [(self._output, False)]
+        while stack:
+            i, done = stack.pop()
+            if done:
+                order.append(i)
+            elif i not in seen:
+                seen.add(i)
+                stack.append((i, True))
+                stack += [(s, False) for s in self._plan[i][1] if s < len(self._plan)]
+        return order[::-1]
+
+    def _backward(self, grad, record):
+        """Adds into ``arena.grad`` the parameter gradients of the forward
+        call that left ``record``, given the gradient of its output."""
+        # a step that passed its input through passes its gradient back to it
+        owner = list(range(len(record) + 1))
+        for i, rec in enumerate(record):
+            if rec is None:
+                owner[i] = owner[self._plan[i][1][0]]
+        grads = [None] * len(owner)
+        grads[owner[self._output]] = grad
+        views = self.arena.grad_views
+        for i in self._order:
+            if grads[i] is None:
+                continue
+            vjp, saved, call, ste = record[i]
+            _, slots, _, names, needs = self._plan[i]
+            grads_in = vjp(grads[i], saved, needs, *call)
+            record[i] = grads[i] = None
+            for s, need, x, g in zip(slots, needs, call, grads_in):
+                # as Tensor._accumulate: the first gradient in the slot's
+                # dtype, the rest added with numpy's promotion
+                if need and grads[owner[s]] is None:
+                    grads[owner[s]] = g if g.dtype == x.dtype else g.astype(x.dtype)
+                elif need:
+                    grads[owner[s]] = grads[owner[s]] + g
+            grads_in = grads_in[len(slots):]
+            if ste is not None:     # the quantized weight's straight-through gradient
+                grads_in = (ad._ste_vjp(grads_in[0], None, None, *ste)[0], *grads_in[1:])
+            for name, g in zip(names, grads_in):
+                views[name] += g
 
     def _check_quantized(self):
         """Empties the quantized-weight cache unless the arena's bytes equal
         the snapshot, which is then retaken. One exact compare catches every
-        writer: Adam, ``load_state_dict``, the ``Parameter.data`` setter and
-        in-place writes through a view or to ``arena.data``."""
+        writer: Adam, ``load_state_dict`` and in-place writes through a view
+        or to ``arena.data``."""
         data = self.arena.data
         # the bits as unsigned words of the element size: as exact as bytes,
         # and fewer elements to compare
         data = data.view(f"u{data.itemsize}" if data.itemsize <= 8 else np.uint8)
         if self._snapshot is None or not np.array_equal(data, self._snapshot):
-            self._quantized = {}
+            self._quantized.clear()
             self._snapshot = data.copy()
 
     def _lower(self, node: NodeSpec) -> Callable:
-        """The step function ``run(model, ins, ctx)`` of one node.
+        """The step function ``run(model, ins, ctx)`` of one node, which
+        returns the node's output and the step's record (see ``_step``), or
+        None for a step that passes its input through.
 
-        Attributes, ops and parameters are resolved here, once. Each op is
-        looked up by its public ``nn.autodiff`` name and runs on Tensors and
-        on plain arrays alike, so only the parameters passed differ by mode.
-        BN statistics and bound state are read from ``model`` when the step
-        runs, since training updates them; the step holds no reference to the
-        model, so a dropped model is freed at once rather than by the cycle
-        collector.
+        Attributes, ops and parameters are resolved here, once. BN statistics
+        and bound state are read from ``model`` when the step runs, since
+        training updates them; the step holds no reference to the model, so a
+        dropped model is freed at once rather than by the cycle collector.
         """
         op, a, nid = node.op, node.attrs, node.id
         if op in ("input", "output"):
-            return lambda model, ins, ctx: ins[0]
+            return lambda model, ins, ctx: (ins[0], None)
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
-        # the parameters after the weight as (arrays, Tensors), indexed by ctx.record
-        tensors = tuple([self.params[f"{nid}.{k}"] for k in OP_PARAMS.get(op, ())
-                         if k != "w"])
-        params = (tuple([t.data for t in tensors]), tensors)
+        # the parameters after the weight
+        params = tuple([self.arena.views[f"{nid}.{k}"] for k in OP_PARAMS.get(op, ())
+                        if k != "w"])
         if op == "batchnorm":
             return self._lower_batchnorm(nid, params)
         args = tuple([a[k] for k in _ATTR_ARGS.get(op, ())])
         if op == "avg_pool":
             args += (a.get("divisor"),)
-        fn = getattr(ad, "mul" if op == "multiply" else op)
-        if op in WEIGHT_OPS:
-            weight = self._lower_weight(nid, a["weight_bits"],
-                                        depthwise=op == "depthwise_conv2d")
-            return lambda model, ins, ctx: fn(ins[0], weight(model, ctx),
-                                              *params[ctx.record], *args)
-        return lambda model, ins, ctx: fn(*ins, *params[ctx.record], *args)
+        name = "mul" if op == "multiply" else op
+        forward, vjp = getattr(ad, f"_{name}"), getattr(ad, f"_{name}_vjp")
+        if op not in WEIGHT_OPS:
+            return lambda model, ins, ctx: _step(forward, vjp, (*ins, *params, *args))
+        weight = self._lower_weight(nid, a["weight_bits"],
+                                    depthwise=op == "depthwise_conv2d")
+
+        def run(model, ins, ctx):
+            w, ste = weight(ctx)
+            return _step(forward, vjp, (ins[0], w, *params, *args), ste)
+        return run
 
     @staticmethod
     def _lower_act_quant(nid: str, bits: DType) -> Callable:
+        binarize, fake_quant, vjp = ad._binarize, ad._fake_quant, ad._ste_vjp
         if bits is DType.BIN:
-            binarize = ad.binarize
-            return lambda model, ins, ctx: binarize(ins[0], model.binary_bound,
-                                                    ctx.surrogate)
-        fake_quant = ad.fake_quant
+            return lambda model, ins, ctx: _step(
+                binarize, vjp, (ins[0], model.binary_bound, ctx.surrogate))
 
         def run(model, ins, ctx):
             state = model.bounds[nid]
             if ctx.training and not state.frozen:
-                batch = ins[0].data if ctx.record else ins[0]
-                model.bounds[nid] = state = quant.update_ema_bound(state, batch)
+                model.bounds[nid] = state = quant.update_ema_bound(state, ins[0])
             if ctx.phase < 2:
-                return ins[0]
-            return fake_quant(ins[0], state.bound, bits.bits, ctx.surrogate)
+                return ins[0], None
+            return _step(fake_quant, vjp, (ins[0], state.bound, bits.bits, ctx.surrogate))
         return run
 
     @staticmethod
     def _lower_batchnorm(nid: str, params) -> Callable:
-        train, evaluate = ad.batchnorm_train, ad.batchnorm_eval
+        train, evaluate = ad._batchnorm_train, ad._batchnorm_eval
 
         def run(model, ins, ctx):
             stats = model.bn_stats[nid]
             if not ctx.training:
-                return evaluate(ins[0], *params[ctx.record], stats["mean"], stats["var"])
-            out, bm, bv = train(ins[0], *params[ctx.record])
+                return _step(evaluate, ad._batchnorm_eval_vjp,
+                             (ins[0], *params, stats["mean"], stats["var"]))
+            (out, bm, bv), saved = train(ins[0], *params)
             m = model.bn_momentum
             stats["mean"] = m * stats["mean"] + (1 - m) * bm
             stats["var"] = m * stats["var"] + (1 - m) * bv
-            return out
+            return out, (ad._batchnorm_train_vjp, saved, (ins[0], *params), None)
         return run
 
     def _lower_weight(self, nid: str, bits: DType, depthwise: bool) -> Callable:
-        """``weight(model, ctx)``: the node's weight as its op reads it,
-        quantized from phase 2 on unless ``bits`` is a float type. With no
-        tape, the quantized weight is computed once and read from the
-        model's cache, read-only, until the arena changes."""
-        w = self.params[f"{nid}.w"]
-        plain = (w.data, w)     # indexed by ctx.record
+        """``weight(ctx)``: the node's weight as its op reads it, quantized
+        from phase 2 on unless ``bits`` is a float type, and the ``(w,
+        bounds)`` of its straight-through gradient or None. With a cache in
+        ``ctx``, the quantized weight is computed once and read from the
+        cache, read-only, until the arena changes."""
+        w = self.arena.views[f"{nid}.w"]
         if bits.is_float:
-            return lambda model, ctx: plain[ctx.record]
+            return lambda ctx: (w, None)
         binary = bits is DType.BIN
-        quantize = ad.binarize if binary else ad.fake_quant
+        quantize = ad._binarize if binary else ad._fake_quant
         # one bound per output channel: (C, mult) for depthwise, else the last axis
-        channels = w.data.shape[2:] if depthwise else w.data.shape[-1:]
+        channels = w.shape[2:] if depthwise else w.shape[-1:]
         rows = (-1, math.prod(channels))
 
-        def quantized(value, surrogate):
-            bounds = quant.weight_channel_bounds(w.data.reshape(rows)).reshape(channels)
-            if binary:
-                return quantize(value, bounds, surrogate)
-            return quantize(value, bounds, bits.bits, surrogate)
+        def quantized(surrogate):
+            bounds = quant.weight_channel_bounds(w.reshape(rows)).reshape(channels)
+            attrs = (bounds,) if binary else (bounds, bits.bits)
+            return quantize(w, *attrs, surrogate)[0], (w, bounds)
 
-        def weight(model, ctx):
+        def weight(ctx):
             if ctx.phase < 2:
-                return plain[ctx.record]
-            if ctx.record:
-                return quantized(w, ctx.surrogate)
-            cached = model._quantized.get(nid)
+                return w, None
+            if ctx.cache is None:
+                return quantized(ctx.surrogate)
+            cached = ctx.cache.get(nid)
             if cached is None:
-                # sign() reads no bound; only a recorded gradient is gated by one
-                cached = (quantize(w.data, None, False) if binary
-                          else quantized(w.data, False))
+                # sign() reads no bound; only a gradient is gated by one
+                cached = (quantize(w, None, False)[0] if binary
+                          else quantized(False)[0])
                 cached.flags.writeable = False
-                model._quantized[nid] = cached
-            return cached
+                ctx.cache[nid] = cached
+            return cached, None
         return weight
 
     # ------------------------------------------------------------------
@@ -323,7 +406,7 @@ class Model:
         self.arena.grad.fill(0)
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {name: np.array(t.data) for name, t in self.params.items()}
+        state = {name: np.array(v) for name, v in self.params.items()}
         for nid, stats in self.bn_stats.items():
             state[nid + ".running_mean"] = np.array(stats["mean"])
             state[nid + ".running_var"] = np.array(stats["var"])
@@ -345,8 +428,8 @@ class Model:
         if errors:
             raise ValueError("state dict does not match the model: "
                              + "; ".join(errors))
-        for name, t in self.params.items():
-            t.data[...] = state[name]
+        for name, v in self.params.items():
+            v[...] = state[name]
         self.arena.grad.fill(0)
         for nid, stats in self.bn_stats.items():
             stats["mean"] = np.asarray(state[nid + ".running_mean"], dtype=self.dtype)

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .graphir import OP_PARAMS
 from .nn import autodiff as ad
 from .nn.model import Model, ParamArena
+
+
+# the values that each kind of TrainConfig annotation accepts
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,6 +48,22 @@ class TrainConfig:
     distill: str | None = None             # path to teacher-probability CSV
 
     def __post_init__(self):
+        for f in fields(self):
+            value, (kind, _, optional) = getattr(self, f.name), f.type.partition(" | ")
+            if not (value is None and optional or isinstance(value, _FIELD_TYPES[kind])
+                    and isinstance(value, bool) == (kind == "bool")):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        for name, ok, want in (
+                ("base_lr", self.base_lr > 0, "> 0"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("adam_eps", self.adam_eps > 0, "> 0"),
+                ("bn_momentum", 0 <= self.bn_momentum < 1, "in [0, 1)"),
+                ("binary_act_bound", self.binary_act_bound > 0, "> 0"),
+                ("batch_size", self.batch_size >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
         if self.phase_switch_step is None:
             self.phase_switch_step = max(1, self.total_steps * 50 // 750)
         if not 0 < self.phase_switch_step < self.total_steps:
@@ -123,17 +144,16 @@ def adam_step(arena: ParamArena, state: dict, lr: float, cfg: TrainConfig) -> No
 # Losses and evaluation
 # ---------------------------------------------------------------------------
 
-def kl_distill_loss(student_logits, teacher_probs) -> ad.Tensor:
-    """Mean KL(teacher || softmax(student)); one-hot teachers reduce to
+def kl_distill_loss(student_logits, teacher_probs):
+    """Mean KL(teacher || softmax(student)) and what its VJP
+    ``nn.autodiff._kl_divergence_vjp`` reuses; one-hot teachers reduce to
     cross-entropy. Teacher rows must sum to 1 within 1e-5."""
     t = np.asarray(teacher_probs, dtype=np.float64)
     sums = t.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > 1e-5):
         bad = int(np.argmax(np.abs(sums - 1.0)))
         raise ValueError(f"teacher row {bad} sums to {sums[bad]:.6f}, not 1")
-    if not isinstance(student_logits, ad.Tensor):
-        student_logits = ad.Tensor(np.asarray(student_logits))
-    return ad.kl_divergence(student_logits, t)
+    return ad._kl_divergence(np.asarray(student_logits), t)
 
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -174,17 +194,34 @@ def make_toy_dataset(n: int = 512, classes: int = 10, shape=(16, 16, 3),
 
 
 def load_teacher_probs(path, classes: int | None = None) -> np.ndarray:
-    """Teacher probabilities from CSV, one row per example."""
+    """Teacher probabilities from CSV, one row per example.
+
+    Raises a ValueError naming the file and the line of a cell that is not a
+    number, a row of another length than the first (or than ``classes``), a
+    NaN or negative entry, or a row that does not sum to 1 within 1e-5.
+    """
     rows = []
     with open(path, newline="") as f:
-        for row in csv.reader(f):
+        reader = csv.reader(f)
+        for row in reader:
             if not row:
                 continue
-            rows.append([float(v) for v in row])
-    probs = np.asarray(rows, dtype=np.float64)
-    if classes is not None and probs.shape[1] != classes:
-        raise ValueError(f"expected {classes} columns, found {probs.shape[1]}")
-    return probs
+            where = f"{path}, line {reader.line_num}"
+            try:
+                values = [float(v) for v in row]
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
+            width = classes or len(rows[0] if rows else values)
+            if len(values) != width:
+                raise ValueError(f"{where}: expected {width} columns, found {len(values)}")
+            if not all(v >= 0 for v in values):
+                raise ValueError(f"{where}: probabilities must be non-negative, got {row}")
+            if abs(sum(values) - 1.0) > 1e-5:
+                raise ValueError(f"{where}: row sums to {sum(values):.6f}, not 1")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no rows")
+    return np.asarray(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +271,17 @@ def train_loop(model: Model, dataset: ToyDataset, cfg: TrainConfig,
         xb = dataset.x[idx]
         yb = dataset.y[idx]
         model.zero_grad()
-        out = model.forward(xb, training=True, phase=phase)
-        flat = ad.reshape(out, (len(idx), -1))
-        logits = flat.data
+        logits, backward = model.forward(xb, training=True, phase=phase)
         if dataset.teacher is not None:
-            loss = kl_distill_loss(flat, dataset.teacher[idx])
+            target, vjp = dataset.teacher[idx], ad._kl_divergence_vjp
+            loss, saved = kl_distill_loss(logits, target)
         else:
-            loss = ad.cross_entropy(flat, yb)
-        value = float(loss.data)
+            target, vjp = yb, ad._cross_entropy_vjp
+            loss, saved = ad._cross_entropy(logits, yb)
+        value = float(loss)
         if not np.isfinite(value):
             raise TrainingDiverged(step, f"loss {value}")
-        loss.backward()
+        backward(vjp(np.ones_like(loss), saved, (True, False), logits, target)[0])
 
         lr = lr_at(step, cfg)
         adam_step(model.arena, opt, lr, cfg)

@@ -4,7 +4,6 @@ import pytest
 
 from pokebnn.builders import build_pokebnn
 from pokebnn.cost import count_elementwise
-from pokebnn.nn.autodiff import Parameter
 
 
 @pytest.fixture(scope="session")
@@ -13,15 +12,18 @@ def pokebnn_1x_elementwise():
 
 
 @pytest.fixture
-def accumulations(monkeypatch):
-    """A Counter of parameter names, one count per gradient that backward
-    accumulates into a Parameter."""
-    seen = Counter()
-    accumulate = Parameter._accumulate
+def grad_additions():
+    """``grad_additions(model)`` returns a Counter of parameter names, one
+    count per gradient that a pullback of ``model`` adds into
+    ``model.arena.grad_views`` from then on."""
+    def install(model):
+        seen = Counter()
 
-    def counted(self, g):
-        seen[self.name] += 1
-        accumulate(self, g)
+        class Counting(dict):
+            def __setitem__(self, name, value):
+                seen[name] += 1
+                super().__setitem__(name, value)
 
-    monkeypatch.setattr(Parameter, "_accumulate", counted)
-    return seen
+        model.arena.grad_views = Counting(model.arena.grad_views)
+        return seen
+    return install

@@ -136,6 +136,17 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "conv2d" in out and "max rel err" in out
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_usage_error(self, capsys, instances):
+        assert main(["gradcheck", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--instances must be >= 1" in captured.err
+
+
+# a small toy model and data set for train-toy runs
+SMALL = ["--multiplier", "0.125", "--groups", "2", "--samples", "32"]
+TEACHER_ROW = ",".join(["0.1"] * 10)
+
 
 class TestTrainToy:
     def test_short_run(self, tmp_path, capsys):
@@ -159,6 +170,57 @@ class TestTrainToy:
                      "--multiplier", "0.125", "--groups", "2",
                      "--samples", "32"])
         assert code == 0
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "not a mapping"),
+        ({"nope": 1}, "unexpected keyword argument 'nope'"),
+        ({"total_steps": "5"}, "total_steps must be int, got '5'"),
+        ({"decay_dprelu": 1}, "decay_dprelu must be bool, got 1"),
+        ({"base_lr": -1}, "base_lr must be > 0, got -1"),
+        ({"binary_act_bound": 0}, "binary_act_bound must be > 0, got 0"),
+        ({"beta2": 1.0}, "beta2 must be in [0, 1), got 1.0"),
+    ])
+    def test_bad_config_usage_error(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train-toy", "--config", str(cfg), *SMALL]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config {cfg}: " in captured.err and message in captured.err
+
+    def test_checkpoint_directory_checked_before_training(self, tmp_path, capsys):
+        ckpt = tmp_path / "missing" / "final.ckpt"
+        assert main(["train-toy", "--steps", "4", *SMALL,
+                     "--checkpoint", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no such directory" in captured.err
+
+    @pytest.mark.parametrize("text, code, message", [
+        (f"{TEACHER_ROW}\n" * 32, 0, ""),
+        (f"{TEACHER_ROW}\n0.1,a\n", 1, "line 2: could not convert string to float: 'a'"),
+        (f"{TEACHER_ROW}\n0.1,0.9\n", 1, "line 2: expected 10 columns, found 2"),
+        ("0.5,0.5\n" * 32, 1, "line 1: expected 10 columns, found 2"),
+        ("nan," + TEACHER_ROW[4:] + "\n", 1, "line 1: probabilities must be non-negative"),
+        ("-0.1,0.2," + TEACHER_ROW[8:] + "\n", 1, "line 1: probabilities must be non-negative"),
+        ("0.2," + TEACHER_ROW[4:] + "\n", 1, "line 1: row sums to 1.100000, not 1"),
+        (f"{TEACHER_ROW}\n" * 2, 1, "2 rows for 32 samples"),
+        ("", 1, "no rows"),
+    ])
+    def test_teacher_file_checked(self, tmp_path, capsys, text, code, message):
+        teacher = tmp_path / "teacher.csv"
+        teacher.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 4, "distill": str(teacher)}))
+        assert main(["train-toy", "--config", str(cfg), *SMALL]) == code
+        err = capsys.readouterr().err
+        assert message in err and (code == 0 or f"teacher file {teacher}" in err)
+
+    def test_missing_teacher_file_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 4,
+                                   "distill": str(tmp_path / "none.csv")}))
+        assert main(["train-toy", "--config", str(cfg), *SMALL]) == 2
+        assert "none.csv" in capsys.readouterr().err
 
 
 class TestListAndExport:

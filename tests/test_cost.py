@@ -308,7 +308,7 @@ class TestAnalyzerMatchesExecutedMacs:
                 continue
             seen.add(node.op)
             out = trace[node.id]
-            w = model.params[f"{node.id}.w"].data
+            w = model.params[f"{node.id}.w"]
             macs = out[0].size * (w.size // out.shape[-1])
             assert macs == cost.node_macs(node, shapes[node.inputs[0]],
                                           shapes[node.id]), node.id

@@ -23,8 +23,9 @@ from pokebnn.graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphSpec, NodeSpec,
                              validate_graph)
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn import autodiff as ad
+from pokebnn.nn.autodiff import Tensor
 from pokebnn.nn.checkpoint import MAGIC, CheckpointError, load_tensors, save_tensors
-from pokebnn.nn.model import Model
+from pokebnn.nn.model import _ATTR_ARGS, Model
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,18 @@ def node_outputs(run, x, **kwargs):
     return outs
 
 
+def output_of(model, x, **kwargs):
+    """The output node's [N, H, W, C] array in one ``Model.forward`` call."""
+    return node_outputs(model.forward, x, **kwargs)[model.graph.nodes[-1].id]
+
+
+def cross_entropy_grad(logits, labels):
+    """The gradient of the mean cross-entropy with respect to ``logits``."""
+    loss, saved = ad._cross_entropy(logits, labels)
+    return ad._cross_entropy_vjp(np.ones_like(loss), saved, (True, False),
+                                 logits, labels)[0]
+
+
 class TestInit:
     def test_dprelu_initial_values(self, toy):
         model = Model(toy, seed=1)
@@ -54,7 +67,7 @@ class TestInit:
         for nid in nodes:
             for name, value in (("alpha", 0.0), ("beta", 0.0),
                                 ("gamma", 0.25), ("eta", 1.0)):
-                assert np.all(model.params[f"{nid}.{name}"].data == value)
+                assert np.all(model.params[f"{nid}.{name}"] == value)
 
 
 class TestForward:
@@ -118,10 +131,10 @@ class TestPlan:
         taped, plain = Model(toy, seed=4, dtype=dtype), Model(toy, seed=4, dtype=dtype)
         initial = plain.state_dict()
         for _ in range(2):     # the second call reads the moved statistics
-            want = taped.forward(batch, training=training, phase=phase).data
+            want, _ = taped.forward(batch, training=training, phase=phase)
             got = plain.logits(batch, training=training, phase=phase)
             assert got.dtype == dtype
-            assert got.tobytes() == want.reshape(len(batch), -1).tobytes()
+            assert got.tobytes() == want.tobytes()
         state, twin = plain.state_dict(), taped.state_dict()
         assert all(state[k].tobytes() == twin[k].tobytes() for k in twin)
         moved = {k for k in state if not np.array_equal(state[k], initial[k])}
@@ -138,7 +151,7 @@ class TestPlan:
             cols.append(weakref.ref(saved[0]))     # the im2col
             return out, saved
 
-        monkeypatch.setattr(ad, "conv2d", ad._record(watched, ad._conv2d_vjp))
+        monkeypatch.setattr(ad, "_conv2d", watched)
         model = Model(toy, seed=1, dtype=np.float32)   # resolves the patched op
         alive = []
 
@@ -147,34 +160,17 @@ class TestPlan:
             if node.op == "conv2d":
                 alive.append(cols[-1]() is not None)
 
-        model.forward(batch, training=training, phase=2, hooks=[hook])
-        assert alive and all(alive)            # the tape holds every im2col
-        alive.clear()
-
         def no_tensor(*args, **kwargs):
-            raise AssertionError("logits created a Tensor")
+            raise AssertionError("the model created a Tensor")
 
         monkeypatch.setattr(ad.Tensor, "__init__", no_tensor)
+        logits, backward = model.forward(batch, training=training, phase=2,
+                                         hooks=[hook])
+        assert alive and all(alive)            # the record holds every im2col
+        backward(np.ones_like(logits))
+        alive.clear()
         model.logits(batch, training=training, phase=2, hooks=[hook])
         assert alive and not any(alive)        # each dies with its step
-
-    def test_steps_call_the_public_ops_by_name(self, toy, batch, monkeypatch):
-        # the benchmark's tracer times each op by wrapping its public name
-        calls = Counter()
-
-        def counting(name, op):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return op(*args, **kwargs)
-            return counted
-
-        for name in ("conv2d", "batchnorm_train", "dprelu"):
-            monkeypatch.setattr(ad, name, counting(name, getattr(ad, name)))
-        Model(toy, seed=1).forward(batch, training=True, phase=2)
-        nodes = Counter(n.op for n in toy.nodes)
-        assert calls == {"conv2d": nodes["conv2d"], "dprelu": nodes["dprelu"],
-                         "batchnorm_train": nodes["batchnorm"]}
-        assert min(calls.values()) > 0
 
     def test_float32_stays_float32_at_every_node(self, toy, batch):
         model = Model(toy, seed=1, dtype=np.float32)
@@ -200,6 +196,119 @@ class TestPlan:
         g = GraphSpec("no-output", (4, 4, 1), [NodeSpec("in", "input")])
         with pytest.raises(ValueError, match="'no-output' has 0 output nodes"):
             Model(g)
+
+
+def tape_grads(model, x, grad, training, phase, surrogate):
+    """The reference: ``model``'s graph run through the public Tensor ops,
+    the tape that ``Model.forward`` recorded before it differentiated its own
+    plan, seeded with ``grad``. Returns the logits and the arena gradient."""
+    leaf = {name: Tensor(v, requires_grad=True) for name, v in model.params.items()}
+    values = {"": Tensor(np.asarray(x, dtype=model.dtype))}
+    for node in model.graph.nodes:
+        op, a = node.op, node.attrs
+        ins = [values[i] for i in node.inputs or [""]]
+        p = [leaf[f"{node.id}.{k}"] for k in OP_PARAMS.get(op, ())]
+        args = [a[k] for k in _ATTR_ARGS.get(op, ())] + [a.get("divisor")] * (op == "avg_pool")
+        if op in ("input", "output"):
+            out = ins[0]
+        elif op == "quantize_act" and a["act_bits"] is DType.BIN:
+            out = ad.binarize(ins[0], model.binary_bound, surrogate)
+        elif op == "quantize_act":
+            state = model.bounds[node.id]
+            if training and not state.frozen:
+                model.bounds[node.id] = state = quant.update_ema_bound(state, ins[0].data)
+            out = ins[0] if phase < 2 else ad.fake_quant(ins[0], state.bound,
+                                                         a["act_bits"].bits, surrogate)
+        elif op == "batchnorm":
+            stats = model.bn_stats[node.id]
+            out = (ad.batchnorm_train(ins[0], *p)[0] if training else
+                   ad.batchnorm_eval(ins[0], *p, stats["mean"], stats["var"]))
+        elif op in WEIGHT_OPS and phase >= 2 and not a["weight_bits"].is_float:
+            w = p[0].data
+            channels = w.shape[2:] if op == "depthwise_conv2d" else w.shape[-1:]
+            bounds = quant.weight_channel_bounds(w.reshape(-1, np.prod(channels)))
+            attrs = () if a["weight_bits"] is DType.BIN else (a["weight_bits"].bits,)
+            quantize = ad.binarize if a["weight_bits"] is DType.BIN else ad.fake_quant
+            wq = quantize(p[0], bounds.reshape(channels), *attrs, surrogate)
+            out = getattr(ad, op)(ins[0], wq, *p[1:], *args)
+        else:
+            out = getattr(ad, "mul" if op == "multiply" else op)(*ins, *p, *args)
+        values[node.id] = out
+    out.backward(np.asarray(grad).reshape(out.shape))
+    arena = np.zeros_like(model.arena.grad)
+    for name, t in leaf.items():
+        if t.grad is not None:
+            arena[model.arena.spans[name]] += t.grad.ravel()
+    return out.data.reshape(len(x), -1), arena
+
+
+class TestPullback:
+    """``forward``'s pullback runs each step's VJP once, in reverse over the
+    plan, with no Tensor."""
+
+    @pytest.mark.parametrize("graph", ["toy-0.25x4g", "toy-0.125x2g"])
+    @pytest.mark.parametrize("surrogate", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_gradients_equal_the_tape(self, batch, graph, surrogate, dtype, phase,
+                                      training):
+        g = PARAM_GRAPHS[graph]()
+        model, twin = Model(g, seed=3, dtype=dtype), Model(g, seed=3, dtype=dtype)
+        grad = np.random.default_rng(4).normal(size=(len(batch), 10))
+        want_logits, want = tape_grads(twin, batch, grad, training, phase, surrogate)
+        logits, backward = model.forward(batch, training=training, phase=phase,
+                                         surrogate=surrogate)
+        backward(grad)
+        assert logits.tobytes() == want_logits.tobytes()
+        assert model.arena.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_one_gradient_per_parameter(self, toy, batch, grad_additions, phase):
+        model = Model(toy, seed=1, dtype=np.float32)
+        added = grad_additions(model)
+        logits, backward = model.forward(batch, training=True, phase=phase)
+        backward(cross_entropy_grad(logits, np.arange(len(batch))))
+        assert added == dict.fromkeys(model.params, 1)
+
+    def test_train_step_builds_no_tensor(self, monkeypatch):
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("a train step created a Tensor")
+
+        monkeypatch.setattr(ad.Tensor, "__init__", no_tensor)
+        cfg = train.TrainConfig(total_steps=3, phase_switch_step=1, seed=0,
+                                batch_size=8)
+        model = Model(PARAM_GRAPHS["toy-0.125x2g"](), seed=0, dtype=np.float32)
+        train.train_loop(model, train.make_toy_dataset(n=16, seed=0), cfg)
+        ds = train.make_toy_dataset(n=16, seed=0)
+        ds.teacher = np.full((16, 10), 0.1)
+        train.train_loop(model, ds, cfg)
+
+    @pytest.mark.parametrize("run", [True, False])
+    def test_record_is_freed(self, toy, batch, monkeypatch, run):
+        saved, conv2d = [], ad._conv2d
+
+        def watched(*args):
+            out, keep = conv2d(*args)
+            saved.extend(weakref.ref(a) for a in keep[:2])    # im2col, weight
+            return out, keep
+
+        monkeypatch.setattr(ad, "_conv2d", watched)
+        model = Model(toy, seed=1, dtype=np.float32)
+        gc.disable()
+        try:
+            logits, backward = model.forward(batch, training=True, phase=2)
+            assert saved and all(r() is not None for r in saved)
+            if run:
+                backward(np.ones_like(logits))
+                assert all(r() is None for r in saved)
+                with pytest.raises(RuntimeError, match="already run"):
+                    backward(np.ones_like(logits))
+            else:
+                del backward
+                assert all(r() is None for r in saved)
+        finally:
+            gc.enable()
 
 
 def downstream_closure(graph, seeds):
@@ -338,23 +447,23 @@ class TestParamArena:
         model = Model(toy, seed=1, dtype=np.float32)
         arena = model.arena
         assert arena.data.dtype == np.float32
-        assert arena.data.size == sum(t.data.size for t in model.params.values())
-        for name, t in model.params.items():
-            assert t.data.base is arena.data, name
-            assert np.array_equal(t.data.ravel(), arena.data[arena.spans[name]])
+        assert arena.data.size == sum(v.size for v in model.params.values())
+        for name, v in model.params.items():
+            assert v.base is arena.data, name
+            assert np.array_equal(v.ravel(), arena.data[arena.spans[name]])
         arena.data[:] = 0.5
-        assert all(np.all(t.data == 0.5) for t in model.params.values())
+        assert all(np.all(v == 0.5) for v in model.params.values())
 
     def test_values_equal_per_tensor_init(self, toy):
         # the arena holds exactly the float64 draws cast to the model dtype
         for dtype in (np.float32, np.float64):
             model = Model(toy, seed=3, dtype=dtype)
             name, first = next(iter(model.params.items()))   # the first draw
-            assert name.endswith(".w") and first.data.ndim == 4
-            fan_in = np.prod(first.data.shape[:3])
+            assert name.endswith(".w") and first.ndim == 4
+            fan_in = np.prod(first.shape[:3])
             want = np.random.default_rng(3).normal(0.0, (2.0 / fan_in) ** 0.5,
-                                                   size=first.data.shape)
-            assert first.data.tobytes() == want.astype(dtype).tobytes()
+                                                   size=first.shape)
+            assert first.tobytes() == want.astype(dtype).tobytes()
 
     def test_gradients_accumulate_in_the_arena(self, toy, batch):
         model = Model(toy, seed=1, dtype=np.float32)
@@ -362,21 +471,20 @@ class TestParamArena:
         arena = model.arena
 
         def backward():
-            out = model.forward(batch, training=True, phase=2)
-            ad.cross_entropy(ad.reshape(out, (len(batch), -1)),
-                             np.arange(len(batch))).backward()
+            logits, pullback = model.forward(batch, training=True, phase=2)
+            pullback(cross_entropy_grad(logits, np.arange(len(batch))))
 
         backward()
-        for name, t in model.params.items():
-            assert t.grad.base is arena.grad, name
-            assert np.array_equal(t.grad.ravel(), arena.grad[arena.spans[name]])
+        for name, g in arena.grad_views.items():
+            assert g.base is arena.grad, name
+            assert np.array_equal(g.ravel(), arena.grad[arena.spans[name]])
         once = arena.grad.copy()
         assert once.any()
         backward()      # a second pass adds onto the first
         assert np.array_equal(arena.grad, 2 * once)
         model.zero_grad()
         assert not arena.grad.any()
-        assert not any(t.grad.any() for t in model.params.values())
+        assert not any(g.any() for g in arena.grad_views.values())
         backward()
         model.load_state_dict(model.state_dict())
         assert not arena.grad.any()
@@ -415,10 +523,10 @@ class TestParamTable:
         g = make()
         nodes = {n.id: n for n in g.nodes}
         bits = 0
-        for name, t in Model(g).params.items():
+        for name, v in Model(g).params.items():
             nid, key = name.rsplit(".", 1)
-            bits += t.data.size * (nodes[nid].attrs["weight_bits"].bits
-                                   if key == "w" else 16)
+            bits += v.size * (nodes[nid].attrs["weight_bits"].bits
+                              if key == "w" else 16)
         assert model_size(g) == bits // 8
 
     def test_names_follow_the_table(self, make):
@@ -430,28 +538,29 @@ class TestParamTable:
 class TestParameterData:
     def test_assignment_copies_into_the_arena(self, toy):
         model = Model(toy, seed=1, dtype=np.float32)
-        t = model.params["init_conv.w"]
-        view = t.data
+        view = model.params["init_conv.w"]
         new = np.random.default_rng(5).normal(size=view.shape)
-        t.data = new
-        assert t.data is view and t.data.tobytes() == new.astype(np.float32).tobytes()
+        model.params["init_conv.w"][...] = new
+        assert model.params["init_conv.w"] is view
+        assert view.tobytes() == new.astype(np.float32).tobytes()
         cfg = train.TrainConfig(total_steps=3, phase_switch_step=2, seed=0,
                                 batch_size=8)
         train.train_loop(model, train.make_toy_dataset(n=16, seed=0), cfg)
-        # the tensor and the arena agree, and training moved both
-        assert np.array_equal(t.data.ravel(),
+        # the view and the arena agree, and training moved both
+        assert np.array_equal(view.ravel(),
                               model.arena.data[model.arena.spans["init_conv.w"]])
-        assert not np.array_equal(t.data, new.astype(np.float32))
+        assert not np.array_equal(view, new.astype(np.float32))
 
     def test_wrong_shape_rejected(self, toy):
         model = Model(toy, seed=1)
-        t = model.params["init_conv.w"]
-        before = t.data.copy()
-        with pytest.raises(ValueError, match=re.escape(
-                f"parameter 'init_conv.w' has shape {before.shape}, "
-                "got an array of shape (3,)")):
-            t.data = np.zeros(3)
-        assert np.array_equal(t.data, before)
+        view = model.params["init_conv.w"]
+        before = view.copy()
+        with pytest.raises(TypeError):
+            model.params["init_conv.w"] = np.zeros(view.shape)
+        with pytest.raises(ValueError, match="broadcast"):
+            model.params["init_conv.w"][...] = np.zeros(2)
+        assert model.params["init_conv.w"] is view
+        assert np.array_equal(view, before)
 
 
 class TestStateDict:
@@ -460,11 +569,11 @@ class TestStateDict:
         model.forward(batch, training=True, phase=1)
         state = model.state_dict()
         fresh = Model(toy, seed=7, dtype=np.float32)
-        views = {name: t.data for name, t in fresh.params.items()}
+        views = dict(fresh.params)
         fresh.load_state_dict(state)
         assert fresh.arena.data.tobytes() == model.arena.data.tobytes()
-        for name, t in fresh.params.items():
-            assert t.data is views[name] and t.data.base is fresh.arena.data
+        for name, v in fresh.params.items():
+            assert v is views[name] and v.base is fresh.arena.data
         # the model does not alias the dict it was loaded from
         state[next(iter(fresh.params))][...] = 123.0
         assert fresh.arena.data.tobytes() == model.arena.data.tobytes()
@@ -499,23 +608,24 @@ class TestStateDict:
         with pytest.raises(ValueError) as err:
             model.load_state_dict(state)
         text = str(err.value)
-        want_missing = model.params[missing].data.shape
+        want_missing = model.params[missing].shape
         assert f"missing {missing} {want_missing}" in text
         assert "unexpected stray.w (1, 5)" in text
         assert (f"{reshaped} has shape (3,), expected "
-                f"{model.params[reshaped].data.shape}") in text
+                f"{model.params[reshaped].shape}") in text
         assert f"{bn} has shape (2, 2)" in text
         assert f"{bound} has shape (2,), expected ()" in text
         assert np.array_equal(model.arena.data, before)
 
 
 def _negate(model, name, how):
-    """Negates parameter ``name`` of ``model`` through one arena writer."""
-    t = model.params[name]
+    """Negates parameter ``name`` of ``model`` through one arena writer:
+    ``data_setter`` assigns a whole new value, ``view_write`` multiplies in
+    place, ``arena_write`` writes to the flat buffer."""
     if how == "data_setter":
-        t.data = -t.data
+        model.params[name][...] = -model.params[name]
     elif how == "view_write":
-        t.data[...] *= -1
+        model.params[name][...] *= -1
     else:
         model.arena.data[model.arena.spans[name]] *= -1
 
@@ -595,7 +705,7 @@ class TestQuantizedWeightCache:
                         train.TrainConfig())
         model.logits(batch)
         assert calls.pop("bounds") == ints
-        # phase 1 reads no quantized weight, and forward records a tape
+        # phase 1 reads no quantized weight, and forward quantizes afresh
         model.logits(batch, phase=1)
         assert calls["bounds"] == 0
         model.forward(batch, training=False, phase=2)
@@ -616,21 +726,21 @@ class TestSEGate:
     def test_zero_input_gate_is_hardsigmoid_of_bias(self, phase):
         model = se_model(8, seed=1)
         b2 = np.linspace(-4, 4, 8)
-        model.params["se_fc2.bias"].data[:] = b2
-        gate = model.forward(np.zeros((2, 4, 4, 8)), training=False, phase=phase)
-        assert np.allclose(gate.data[0, 0, 0], np.clip(b2 + 3, 0, 6) / 6)
+        model.params["se_fc2.bias"][:] = b2
+        gate, _ = model.forward(np.zeros((2, 4, 4, 8)), training=False, phase=phase)
+        assert np.allclose(gate[0], np.clip(b2 + 3, 0, 6) / 6)
 
     def test_gate_in_unit_interval(self):
         model = se_model(16, seed=2)
         x = 5 * np.random.default_rng(2).normal(size=(2, 4, 4, 16))
         for phase in (1, 2):
-            gate = model.forward(x, training=False, phase=phase).data
+            gate, _ = model.forward(x, training=False, phase=phase)
             assert np.all(gate >= 0) and np.all(gate <= 1)
 
     def test_gating_never_amplifies(self):
         model = se_model(8, seed=3, gated=True)
         x = np.random.default_rng(3).normal(size=(2, 4, 4, 8))
-        gated = model.forward(x, training=False, phase=1).data
+        gated = output_of(model, x, training=False, phase=1)
         assert np.all(np.abs(gated) <= np.abs(x) + 1e-12)
 
 
@@ -642,14 +752,14 @@ def pokeinit_model(input_shape):
 class TestPokeInit:
     def test_full_scale_shape(self):
         x = np.random.default_rng(12).normal(size=(1, 224, 224, 3))
-        out = pokeinit_model((224, 224, 3)).forward(x, training=False, phase=1)
-        assert out.data.shape == (1, 56, 56, 64)
+        out = output_of(pokeinit_model((224, 224, 3)), x, training=False, phase=1)
+        assert out.shape == (1, 56, 56, 64)
 
     def test_toy_scale_shape(self):
         x = np.random.default_rng(13).normal(size=(2, 32, 32, 3))
-        out = pokeinit_model((32, 32, 3)).forward(x, training=True, phase=2)
-        assert out.data.shape == (2, 8, 8, 64)
-        assert np.all(np.isfinite(out.data))
+        out = output_of(pokeinit_model((32, 32, 3)), x, training=True, phase=2)
+        assert out.shape == (2, 8, 8, 64)
+        assert np.all(np.isfinite(out))
 
 
 def pokeconv_model(size, in_ch, out_ch, kernel, stride):
@@ -661,24 +771,25 @@ def pokeconv_model(size, in_ch, out_ch, kernel, stride):
 class TestPokeConv:
     def test_toy_shape_contract(self):
         x = np.random.default_rng(7).normal(size=(2, 8, 8, 16))
-        out = pokeconv_model(8, 16, 16, 1, 1).forward(x, training=True, phase=1)
-        assert out.data.shape == (2, 8, 8, 16)
-        assert np.all(np.isfinite(out.data))
+        out = output_of(pokeconv_model(8, 16, 16, 1, 1), x, training=True, phase=1)
+        assert out.shape == (2, 8, 8, 16)
+        assert np.all(np.isfinite(out))
 
     def test_stride_halves(self):
         x = np.random.default_rng(8).normal(size=(1, 8, 8, 16))
-        out = pokeconv_model(8, 16, 32, 3, 2).forward(x, training=True, phase=2)
-        assert out.data.shape == (1, 4, 4, 32)
+        out = output_of(pokeconv_model(8, 16, 32, 3, 2), x, training=True, phase=2)
+        assert out.shape == (1, 4, 4, 32)
 
-    def test_every_parameter_gets_finite_gradient(self, accumulations):
+    def test_every_parameter_gets_finite_gradient(self, grad_additions):
         model = pokeconv_model(4, 8, 8, 3, 1)
+        added = grad_additions(model)
         x = np.random.default_rng(10).normal(size=(2, 4, 4, 8))
-        out = model.forward(x, training=True, phase=2, surrogate=True)
-        out.backward(np.ones_like(out.data))
+        out, backward = model.forward(x, training=True, phase=2, surrogate=True)
+        backward(np.ones_like(out))
         # exactly one gradient reaches each parameter
-        assert accumulations == dict.fromkeys(model.params, 1)
-        for name, t in model.params.items():
-            assert np.all(np.isfinite(t.grad)), name
+        assert added == dict.fromkeys(model.params, 1)
+        for name, g in model.arena.grad_views.items():
+            assert np.all(np.isfinite(g)), name
 
 
 def one_node_model(input_shape, op, **attrs):
@@ -692,7 +803,7 @@ class TestNonSquarePools:
         model = one_node_model((6, 6, 2), "max_pool", kernel=[3, 1], stride=1,
                                padding="valid")
         x = np.random.default_rng(20).normal(size=(1, 6, 6, 2))
-        out = model.forward(x, training=False).data
+        out = output_of(model, x, training=False)
         assert out.shape[1:] == model.shapes["n"] == (4, 6, 2)
         want = np.stack([x[:, y:y + 3].max(axis=1) for y in range(4)], axis=1)
         assert np.array_equal(out, want)
@@ -701,7 +812,7 @@ class TestNonSquarePools:
         model = one_node_model((6, 6, 2), "avg_pool", kernel=[3, 1], stride=1,
                                padding="same", divisor=Fraction(1, 3))
         x = np.arange(72, dtype=float).reshape(1, 6, 6, 2)
-        out = model.forward(x, training=False).data
+        out = output_of(model, x, training=False)
         assert out.shape[1:] == model.shapes["n"] == (6, 6, 2)
         third_eye = np.broadcast_to(np.eye(2) / 3, (3, 1, 2, 2))
         assert np.allclose(out[0], float_conv2d(x[0], third_eye), rtol=1e-12)
@@ -730,12 +841,12 @@ class TestDepthwiseWeightBounds:
         w = np.random.default_rng(21).uniform(-1, 1, size=(3, 3, 2, 2))
         w[:, :, 0, 0] *= 0.01
         w[:, :, 1, :] *= 100
-        model.params["n.w"].data[...] = w
+        model.params["n.w"][...] = w
         bounds = np.abs(w).max(axis=(0, 1))
         wq = quant.fake_quant(w, bounds, 8)
         block = np.zeros((3, 3, 2, 4))
         block[:, :, 0, :2], block[:, :, 1, 2:] = wq[:, :, 0], wq[:, :, 1]
         x = np.random.default_rng(22).normal(size=(1, 5, 5, 2))
-        out = model.forward(x, training=False, phase=2).data
+        out = output_of(model, x, training=False, phase=2)
         assert np.any(out[..., 0] != 0)
         assert np.allclose(out[0], float_conv2d(x[0], block), rtol=1e-12, atol=1e-12)
