@@ -30,9 +30,9 @@ def _resolve_model(spec: str):
         pass
     try:
         return load_graph(spec)
-    except FileNotFoundError:
+    except OSError as e:
         print(f"error: unknown model {spec!r} (not a builtin, not a readable "
-              f"file)", file=sys.stderr)
+              f"file: {e.strerror})", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
     except GraphError as e:
         print(f"error: invalid graph file {spec!r}: {e}", file=sys.stderr)
@@ -42,6 +42,16 @@ def _resolve_model(spec: str):
 def _usage_error(msg: str) -> bool:
     print(f"error: {msg}", file=sys.stderr)
     return True
+
+
+def _output_path(path: str) -> str:
+    """The argparse type of every output file flag: checked at parse time,
+    before any work, so a bad path is a usage error naming the flag."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise argparse.ArgumentTypeError(f"{path}: no such directory")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +190,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    if args.checkpoint and not os.path.isdir(os.path.dirname(
-            os.path.abspath(args.checkpoint))):
-        _usage_error(f"--checkpoint {args.checkpoint}: no such directory")
-        return EXIT_USAGE
     cfg_kwargs = {}
     try:
         if args.config:
@@ -264,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--groups", type=int, default=4)
     t.add_argument("--size", type=int, default=16, help="input spatial size")
     t.add_argument("--samples", type=int, default=512)
-    t.add_argument("--metrics", help="write per-step JSON records here")
-    t.add_argument("--checkpoint", help="write the final checkpoint here")
+    t.add_argument("--metrics", type=_output_path,
+                   help="write per-step JSON records here")
+    t.add_argument("--checkpoint", type=_output_path,
+                   help="write the final checkpoint here")
     t.set_defaults(fn=cmd_train_toy)
 
     lb = sub.add_parser("list-builtins", help="builtin models with cost summaries")
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("export-graph", help="write a builtin graph as JSON")
     e.add_argument("model", help="builtin name")
-    e.add_argument("--out", required=True)
+    e.add_argument("--out", required=True, type=_output_path)
     e.set_defaults(fn=cmd_export_graph)
 
     return p
@@ -289,7 +297,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_CHECK_FAILED
-    except (ValueError, KeyError, FileNotFoundError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -312,8 +312,7 @@ def energy_correlation(rows=ENERGY_TABLE, metric: str = "ace",
 # ---------------------------------------------------------------------------
 
 def analyze_graph(g: GraphSpec, elementwise: bool = False,
-                  fp32_as_bf16: bool = False,
-                  policy: FusionPolicy = FusionPolicy()) -> CostReport:
+                  fp32_as_bf16: bool = False) -> CostReport:
     shapes = infer_shapes(g)
     buckets = count_macs(g, shapes)
     report = CostReport(
@@ -326,7 +325,7 @@ def analyze_graph(g: GraphSpec, elementwise: bool = False,
     if elementwise:
         counts = count_elementwise(g, shapes)
         report.elementwise = counts
-        report.elementwise_ace = elementwise_ace(counts, policy)
+        report.elementwise_ace = elementwise_ace(counts)
     return report
 
 

@@ -2,20 +2,22 @@
 
 The check builds a scalar objective sum(op(inputs) * projection), runs the
 analytic backward pass, then compares each input gradient against central
-differences in double precision. Quantizer ops run in surrogate mode (the
-rounding/sign removed), where the straight-through gradient is the true
-gradient away from the clip boundaries. The SE path and shortcut reshaping
-are checked as small lowered graphs run by ``Model``, the code training runs.
+differences in double precision. Single ops call the array pairs of
+``nn.autodiff``, ``_name`` and ``_name_vjp``, looked up by name when the
+check runs, as ``Model`` looks them up when it lowers a graph. Quantizers are
+checked through their smooth surrogate, the clip with the rounding removed,
+whose gradient is the straight-through one away from the clip boundaries.
+The SE path and shortcut reshaping are checked as small lowered graphs run
+by ``Model``, the code training runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import builders
+from . import builders, quant
 from .graphir import DType
 from .nn import autodiff as ad
-from .nn.autodiff import Tensor
 from .nn.model import Model
 
 FD_STEP = 1e-6
@@ -30,7 +32,7 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def check_gradients(fn, values: dict[str, np.ndarray], grads,
-                    seed: int = 0, step: float = FD_STEP) -> float:
+                    seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``fn()`` returns an output array and its pullback. Every array of
@@ -53,26 +55,41 @@ def check_gradients(fn, values: dict[str, np.ndarray], grads,
         fd_flat = fd.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             up = objective()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             down = objective()
             flat[i] = orig
-            fd_flat[i] = (up - down) / (2 * step)
+            fd_flat[i] = (up - down) / (2 * FD_STEP)
         worst = max(worst, relative_error(np.asarray(analytic[name]), fd))
     return worst
 
 
-def _check_op(fn, tensors: dict[str, Tensor], seed: int) -> float:
-    """``check_gradients`` of ``fn``, which maps the named Tensors to an
-    output Tensor through the op-level API."""
+def _check_op(op, args: dict[str, np.ndarray], wrt, seed: int, *attrs) -> float:
+    """``check_gradients`` of one op with respect to the arrays named in
+    ``wrt``. ``op`` is an op name, whose pair ``ad._op``, ``ad._op_vjp`` is
+    looked up now, or a ``(forward, vjp)`` pair. The forward is called on the
+    arrays ``args``, in order, then ``attrs``; a tuple output, as
+    ``batchnorm_train`` returns, is checked through its first element."""
+    forward, vjp = ((getattr(ad, f"_{op}"), getattr(ad, f"_{op}_vjp"))
+                    if isinstance(op, str) else op)
+    arrays = list(args.values())
+    needs = [name in wrt for name in args]
+    grads = {}
+
     def run():
-        out = fn()
-        return out.data, out.backward
-    return check_gradients(run, {name: t.data for name, t in tensors.items()},
-                           lambda: {name: np.zeros_like(t.data) if t.grad is None
-                                    else t.grad for name, t in tensors.items()},
-                           seed=seed)
+        out, saved = forward(*arrays, *attrs)
+
+        def pullback(g):
+            grads.update(zip(args, vjp(g, saved, needs, *arrays, *attrs)))
+        return (out[0] if type(out) is tuple else out), pullback
+    return check_gradients(run, {name: args[name] for name in wrt},
+                           lambda: grads, seed=seed)
+
+
+def _normals(rng, **shapes) -> dict[str, np.ndarray]:
+    """A standard normal array of each shape, drawn in argument order."""
+    return {name: rng.normal(size=shape) for name, shape in shapes.items()}
 
 
 def _away_from(x, centers, margin=5e-3):
@@ -90,12 +107,12 @@ def _float_1x1(out_channels: int, stride: int = 1) -> dict:
 
 
 def _graph_error(b, last_id, rng, seed: int) -> float:
-    """Gradient error over every parameter of a lowered graph, run by Model
-    in phase 1 with surrogate quantizers."""
+    """Gradient error over every parameter of a lowered graph of float ops,
+    run by Model in phase 1."""
     model = Model(b.finish(last_id), seed=seed)
     x = rng.normal(size=(2, *b.g.input_shape))
     return check_gradients(
-        lambda: model.forward(x, training=False, phase=1, surrogate=True),
+        lambda: model.forward(x, training=False, phase=1),
         model.params, lambda: model.arena.grad_views, seed=seed)
 
 
@@ -109,9 +126,6 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         for k in range(instances):
             worst = max(worst, build(rng, seed * 1000 + k))
         results[name] = worst
-
-    def t(shape, rng, scale=1.0):
-        return Tensor(scale * rng.normal(size=shape), requires_grad=True)
 
     # (input [N, H, W, C], kernel, stride, padding): 3x3 at strides 1 and 2,
     # 1x1, the 4x4 stride-4 stem, 3x1, valid padding and one-row inputs
@@ -128,49 +142,33 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
 
     def conv_case(rng, s):
         shape, (kh, kw), stride, padding = conv_shapes[s % len(conv_shapes)]
-        x = t(shape, rng)
-        w = t((kh, kw, shape[-1], 4), rng)
-        return _check_op(
-            lambda: ad.conv2d(x, w, stride=stride, padding=padding),
-            {"x": x, "w": w}, seed=s)
+        return _check_op("conv2d", _normals(rng, x=shape, w=(kh, kw, shape[-1], 4)),
+                         ("x", "w"), s, stride, padding)
     record("conv2d", conv_case)
 
-    def depthwise_case(rng, s):
-        x = t((2, 5, 5, 3), rng)
-        w = t((3, 3, 3, 2), rng)
-        return _check_op(lambda: ad.depthwise_conv2d(x, w),
-                         {"x": x, "w": w}, seed=s)
-    record("depthwise_conv2d", depthwise_case)
+    def x_case(op, shape, *attrs):
+        """The case of an op whose one array input is checked."""
+        return lambda rng, s: _check_op(op, _normals(rng, x=shape), ("x",), s, *attrs)
 
-    def dense_case(rng, s):
-        x = t((4, 1, 1, 6), rng)
-        w = t((6, 3), rng)
-        b = t((3,), rng)
-        return _check_op(lambda: ad.dense(x, w, b),
-                         {"x": x, "w": w, "b": b}, seed=s)
-    record("dense", dense_case)
+    record("depthwise_conv2d", lambda rng, s: _check_op(
+        "depthwise_conv2d", _normals(rng, x=(2, 5, 5, 3), w=(3, 3, 3, 2)), ("x", "w"), s))
+    record("dense", lambda rng, s: _check_op(
+        "dense", _normals(rng, x=(4, 1, 1, 6), w=(6, 3), b=3), ("x", "w", "b"), s))
+    bn_shapes = dict(x=(4, 3, 3, 2), scale=2, bias=2)
+    record("batchnorm", lambda rng, s: _check_op(
+        "batchnorm_train", _normals(rng, **bn_shapes), tuple(bn_shapes), s))
 
-    def bn_case(rng, s):
-        x = t((4, 3, 3, 2), rng)
-        scale = t((2,), rng)
-        bias = t((2,), rng)
-        return _check_op(
-            lambda: ad.batchnorm_train(x, scale, bias)[0],
-            {"x": x, "scale": scale, "bias": bias}, seed=s)
-    record("batchnorm", bn_case)
+    def dprelu_args(rng, x, alpha):
+        return {"x": x, "alpha": alpha, "beta": rng.normal(size=3),
+                "gamma": np.full(3, 0.25) + 0.1 * rng.normal(size=3),
+                "eta": np.ones(3) + 0.1 * rng.normal(size=3)}
 
     def dprelu_case(rng, s):
         xd = rng.normal(size=(2, 4, 4, 3))
         alpha = rng.normal(size=3) * 0.3
-        xd = _away_from(xd, alpha.reshape(1, 1, 1, 3), margin=0.02)
-        x = Tensor(xd, requires_grad=True)
-        pa = Tensor(alpha, requires_grad=True)
-        pb = t((3,), rng)
-        pg = Tensor(np.full(3, 0.25) + 0.1 * rng.normal(size=3), requires_grad=True)
-        pe = Tensor(np.ones(3) + 0.1 * rng.normal(size=3), requires_grad=True)
-        return _check_op(
-            lambda: ad.dprelu(x, pa, pb, pg, pe),
-            {"x": x, "alpha": pa, "beta": pb, "gamma": pg, "eta": pe}, seed=s)
+        args = dprelu_args(rng, _away_from(xd, alpha.reshape(1, 1, 1, 3), margin=0.02),
+                           alpha)
+        return _check_op("dprelu", args, tuple(args), s)
     record("dprelu", dprelu_case)
 
     def dprelu_kink_case(rng, s):
@@ -179,13 +177,8 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         alpha = rng.normal(size=3) * 0.3
         xd = _away_from(rng.normal(size=(2, 4, 4, 3)), alpha, margin=0.02)
         xd = np.where(rng.random(size=xd.shape) < 0.5, alpha, xd)
-        x, pa = Tensor(xd), Tensor(alpha)
-        pb = t((3,), rng)
-        pg = Tensor(np.full(3, 0.25) + 0.1 * rng.normal(size=3), requires_grad=True)
-        pe = Tensor(np.ones(3) + 0.1 * rng.normal(size=3), requires_grad=True)
-        return _check_op(
-            lambda: ad.dprelu(x, pa, pb, pg, pe),
-            {"beta": pb, "gamma": pg, "eta": pe}, seed=s)
+        return _check_op("dprelu", dprelu_args(rng, xd, alpha),
+                         ("beta", "gamma", "eta"), s)
     record("dprelu_at_alpha", dprelu_kink_case)
 
     def se_case(rng, s):
@@ -194,17 +187,8 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         r = b.emit("conv", "conv2d", ["in"], **_float_1x1(16))
         return _graph_error(b, builders._emit_se(b, "", r, 8), rng, s)
     record("se_path", se_case)
-
-    def avg_pool_case(rng, s):
-        x = t((2, 6, 6, 2), rng)
-        return _check_op(lambda: ad.avg_pool(x, (3, 3), 2, "same"),
-                         {"x": x}, seed=s)
-    record("avg_pool", avg_pool_case)
-
-    def spatial_mean_case(rng, s):
-        x = t((3, 5, 5, 4), rng)
-        return _check_op(lambda: ad.spatial_mean(x), {"x": x}, seed=s)
-    record("spatial_mean", spatial_mean_case)
+    record("avg_pool", x_case("avg_pool", (2, 6, 6, 2), (3, 3), 2, "same"))
+    record("spatial_mean", x_case("spatial_mean", (3, 5, 5, 4)))
 
     def reshape_add_case(rng, s):
         # expansion by padding, by tiling, and a non-integral contraction,
@@ -217,47 +201,52 @@ def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:
         rr = builders._emit_reshape(b, "", r, 8, b.shape[x][:2], expand_op)
         return _graph_error(b, b.emit("add", "add", [x, rr]), rng, s)
     record("reshape_add", reshape_add_case)
-
-    def avg_channels_case(rng, s):
-        x = t((2, 3, 3, 8), rng)
-        return _check_op(lambda: ad.avg_channels(x, 2), {"x": x}, seed=s)
-    record("avg_channels", avg_channels_case)
+    record("avg_channels", x_case("avg_channels", (2, 3, 3, 8), 2))
 
     def quant_surrogate_case(rng, s):
-        # away from +-B by a clear margin; surrogate fake-quant is smooth there
+        # away from +-B by a clear margin, where the surrogate is smooth and
+        # its gradient is the straight-through one
         xd = rng.normal(size=(3, 2, 2, 4))
         xd = np.clip(xd, -2.5, 2.5)
         xd = _away_from(xd, [-1.0, 1.0], margin=1e-2)
-        x = Tensor(xd, requires_grad=True)
-        return _check_op(
-            lambda: ad.fake_quant(x, 1.0, 8, surrogate=True), {"x": x}, seed=s)
+        surrogate = (lambda x, bound, bits:
+                     (quant.fake_quant_surrogate(x, bound, bits), None), ad._ste_vjp)
+        return _check_op(surrogate, {"x": xd}, ("x",), s, 1.0, 8)
     record("fake_quant_surrogate", quant_surrogate_case)
 
     def softmax_case(rng, s):
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        labels = rng.integers(0, 6, size=4)
-        return _check_op(lambda: ad.cross_entropy(x, labels),
-                         {"x": x}, seed=s)
+        x = _normals(rng, x=(4, 6))
+        return _check_op("cross_entropy", x, ("x",), s, rng.integers(0, 6, size=4))
     record("cross_entropy", softmax_case)
 
     def bn_eval_case(rng, s):
-        x = t((4, 3, 3, 2), rng)
-        scale = t((2,), rng)
-        bias = t((2,), rng)
+        args = _normals(rng, **bn_shapes)
         mean, var = rng.normal(size=2), 0.5 + rng.random(size=2)
-        return _check_op(
-            lambda: ad.batchnorm_eval(x, scale, bias, mean, var),
-            {"x": x, "scale": scale, "bias": bias}, seed=s)
+        return _check_op("batchnorm_eval", args, tuple(args), s, mean, var)
     record("batchnorm_eval", bn_eval_case)
 
     def kl_case(rng, s):
         # one teacher probability per row is zero, the log-safe branch
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        x = _normals(rng, x=(4, 6))
         teacher = np.exp(rng.normal(size=(4, 6)))
         teacher[np.arange(4), rng.integers(0, 6, size=4)] = 0.0
         teacher /= teacher.sum(axis=-1, keepdims=True)
-        return _check_op(lambda: ad.kl_divergence(x, teacher),
-                         {"x": x}, seed=s)
+        return _check_op("kl_divergence", x, ("x",), s, teacher)
     record("kl_divergence", kl_case)
+
+    # (input [N, H, W, C], kernel, stride, padding)
+    pool_shapes = [((2, 5, 5, 2), (3, 3), 2, "same"),
+                   ((2, 6, 6, 2), (2, 2), 2, "valid"),
+                   ((2, 5, 4, 2), (3, 1), 1, "same")]
+
+    def max_pool_case(rng, s):
+        # a permutation of a grid 0.1 apart: no window's top two values lie
+        # within the finite-difference step of each other
+        shape, *attrs = pool_shapes[s % len(pool_shapes)]
+        x = 0.1 * rng.permutation(np.prod(shape)).reshape(shape) - 1.0
+        return _check_op("max_pool", {"x": x}, ("x",), s, *attrs)
+    record("max_pool", max_pool_case)
+    # 3 -> 7 does not divide, so the VJP zero-pads its gradient to 9 channels
+    record("tile_channels", x_case("tile_channels", (2, 3, 3, 3), 7))
 
     return results

@@ -481,12 +481,15 @@ def save_graph(g: GraphSpec, path) -> None:
 def load_graph(path) -> GraphSpec:
     """Reads a graph file; raises GraphSchemaError if it does not parse or
     ``validate_graph`` finds any problem, with every diagnostic."""
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise GraphSchemaError(
                 f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise GraphSchemaError(
+                f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
     g = graph_from_json(doc)
     diags = validate_graph(g)
     if diags:

@@ -81,17 +81,16 @@ def popcount(words) -> np.ndarray:
     return np.bitwise_count(words).astype(np.int64)
 
 
-def xnor_popcount_dot(a: BitPlane, b: BitPlane, n: int | None = None) -> int:
+def xnor_popcount_dot(a: BitPlane, b: BitPlane) -> int:
     """Sum of elementwise products of two packed +-1 vectors.
 
-    Equals n - 2 * popcount(a XOR b); no masking, lengths must match.
+    Equals n - 2 * popcount(a XOR b) for n lanes; no masking, lengths must
+    match.
     """
     if a.shape != b.shape:
         raise KernelError(f"length mismatch: {a.shape} vs {b.shape}")
-    if n is None:
-        n = a.lanes
     mismatches = int(popcount(a.words ^ b.words).sum())
-    return n - 2 * mismatches
+    return a.lanes - 2 * mismatches
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,7 @@ A Tensor wraps an ndarray and records a backward closure per op, micrograd
 style but vectorized. Tensors are rank-4 [N, H, W, C] throughout the network
 code; losses are scalars. Quantizer ops carry straight-through gradients: the
 rounding/sign forward is ignored in the backward pass and the clip gates the
-gradient to the open interval (-B, B). Passing ``surrogate=True`` replaces
-the discrete forward with its smooth counterpart (clip without rounding) so
-finite-difference oracles see the same gradient field.
+gradient to the open interval (-B, B).
 
 Each op is written once, as two array functions. The forward ``_name``
 takes plain arrays and attributes and returns ``(out, saved)``, where
@@ -17,7 +15,8 @@ forward's own arguments; it returns one gradient per input, and may return
 None for an input that needs none. One recorder, ``_record``, joins the pair
 into the public op ``name``, which returns a Tensor and records the tape
 only while some input needs a gradient. ``nn.Model`` builds no Tensor: it
-calls the pairs directly and runs its own reverse pass.
+calls the pairs directly and runs its own reverse pass. ``gradcheck`` also
+calls the pairs, looked up by name, so it checks the functions Model runs.
 """
 
 from __future__ import annotations
@@ -203,22 +202,17 @@ def _dprelu_vjp(g, saved, needs, x, alpha, beta, gamma, eta):
 # Straight-through quantizers
 # ---------------------------------------------------------------------------
 
-def _binarize(x, bound, surrogate=False):
-    """sign(x) forward (clip(x, -B, B) in surrogate mode), STE backward."""
-    if surrogate:
-        bound = np.asarray(bound)
-        return np.clip(x, -bound, bound), None
+def _binarize(x, bound):
+    """sign(x) forward, STE backward; only the gradient reads the bound."""
     return quant.binarize(x), None
 
 
-def _fake_quant(x, bound, bits, surrogate=False):
-    """Grid projection forward (pure clip in surrogate mode), STE backward."""
-    if surrogate:
-        return quant.fake_quant_surrogate(x, bound, bits), None
+def _fake_quant(x, bound, bits):
+    """Grid projection forward, STE backward."""
     return quant.fake_quant(x, bound, bits).astype(x.dtype), None
 
 
-def _ste_vjp(g, saved, needs, x, bound, *attrs, **kwattrs):
+def _ste_vjp(g, saved, needs, x, bound, *attrs):
     """The straight-through gradient of both quantizers."""
     return (g * quant.ste_mask(x, bound),)
 

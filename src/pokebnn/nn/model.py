@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .. import quant
-from ..graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphSpec, NodeSpec,
-                       infer_shapes, param_shapes)
+from ..graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphError, GraphSpec,
+                       NodeSpec, infer_shapes, param_shapes, validate_graph)
 from . import autodiff as ad
 
 
@@ -29,13 +29,13 @@ from . import autodiff as ad
 class QuantContext:
     """Per-call mode: BN train/eval, the quantization phase (phase 1
     binarizes activations only; phase 2 also quantizes weights and the 4/8-bit
-    activations), the smooth-surrogate mode of the gradient oracles, and the
-    quantized weights by node id that ``logits`` reads and fills, or None
-    where ``forward`` quantizes each weight afresh for its gradient."""
+    activations), and the quantized weights by node id that ``logits`` reads
+    and fills, or None where ``forward`` quantizes each weight afresh for its
+    gradient. Every quantizer has one forward, the sign or the rounded grid,
+    and the straight-through gradient."""
 
     training: bool = True
     phase: int = 1
-    surrogate: bool = False
     cache: dict | None = None
 
 
@@ -88,6 +88,9 @@ class ParamArena:
 
 class Model:
     def __init__(self, graph: GraphSpec, seed: int = 0, dtype=np.float64):
+        diags = validate_graph(graph)
+        if diags:
+            raise GraphError(f"graph {graph.name!r}: " + "; ".join(diags))
         self.graph = graph
         self.shapes = infer_shapes(graph)
         self.dtype = np.dtype(dtype)
@@ -117,10 +120,8 @@ class Model:
             needs[i] = bool(names) or any(needs[s] for s in slots)
             self._plan.append((node, slots, self._lower(node), names,
                                tuple([needs[s] for s in slots]) + (True,) * len(names)))
-        outputs = [i for i, node in enumerate(graph.nodes) if node.op == "output"]
-        if len(outputs) != 1:
-            raise ValueError(f"graph {graph.name!r} has {len(outputs)} output nodes")
-        self._output = outputs[0]
+        self._output = next(i for i, node in enumerate(graph.nodes)
+                            if node.op == "output")
         self._order = self._backward_order()
 
     # ------------------------------------------------------------------
@@ -178,8 +179,7 @@ class Model:
     # Forward: the plan on arrays, with a pullback (forward) or not (logits)
     # ------------------------------------------------------------------
 
-    def forward(self, x, training: bool = True, phase: int = 1,
-                surrogate: bool = False, hooks=()):
+    def forward(self, x, training: bool = True, phase: int = 1, hooks=()):
         """Runs the plan; returns ``(logits, backward)``: the ``[N, classes]``
         output and its pullback. ``backward(grad)`` takes the gradient with
         respect to ``logits`` and adds each parameter's gradient into
@@ -191,8 +191,7 @@ class Model:
         the node's output array.
         """
         record = [None] * len(self._plan)
-        out = self._execute(x, hooks, QuantContext(training, phase, surrogate),
-                            record)
+        out = self._execute(x, hooks, QuantContext(training, phase), record)
 
         def backward(grad):
             if not record:
@@ -336,7 +335,7 @@ class Model:
         binarize, fake_quant, vjp = ad._binarize, ad._fake_quant, ad._ste_vjp
         if bits is DType.BIN:
             return lambda model, ins, ctx: _step(
-                binarize, vjp, (ins[0], model.binary_bound, ctx.surrogate))
+                binarize, vjp, (ins[0], model.binary_bound))
 
         def run(model, ins, ctx):
             state = model.bounds[nid]
@@ -344,7 +343,7 @@ class Model:
                 model.bounds[nid] = state = quant.update_ema_bound(state, ins[0])
             if ctx.phase < 2:
                 return ins[0], None
-            return _step(fake_quant, vjp, (ins[0], state.bound, bits.bits, ctx.surrogate))
+            return _step(fake_quant, vjp, (ins[0], state.bound, bits.bits))
         return run
 
     @staticmethod
@@ -378,21 +377,20 @@ class Model:
         channels = w.shape[2:] if depthwise else w.shape[-1:]
         rows = (-1, math.prod(channels))
 
-        def quantized(surrogate):
+        def quantized():
             bounds = quant.weight_channel_bounds(w.reshape(rows)).reshape(channels)
             attrs = (bounds,) if binary else (bounds, bits.bits)
-            return quantize(w, *attrs, surrogate)[0], (w, bounds)
+            return quantize(w, *attrs)[0], (w, bounds)
 
         def weight(ctx):
             if ctx.phase < 2:
                 return w, None
             if ctx.cache is None:
-                return quantized(ctx.surrogate)
+                return quantized()
             cached = ctx.cache.get(nid)
             if cached is None:
                 # sign() reads no bound; only a gradient is gated by one
-                cached = (quantize(w, None, False)[0] if binary
-                          else quantized(False)[0])
+                cached = quantize(w, None)[0] if binary else quantized()[0]
                 cached.flags.writeable = False
                 ctx.cache[nid] = cached
             return cached, None

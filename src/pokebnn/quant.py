@@ -42,21 +42,21 @@ def clip(x, lo, hi):
     return np.minimum(hi, np.maximum(lo, x))
 
 
-def int_cast(x, bits: int, epsilon: float = DEFAULT_EPSILON):
+def int_cast(x, bits: int):
     """Signed cast: round(clip(x, -C_b + eps, C_b - eps)).
 
     Output is integer-valued (as float), in [-(2^(b-1)-1), 2^(b-1)-1].
     """
     c = grid_endpoint(bits)
-    return round_half_away(clip(x, -c + epsilon, c - epsilon))
+    return round_half_away(clip(x, -c + DEFAULT_EPSILON, c - DEFAULT_EPSILON))
 
 
-def uint_cast(x, bits: int, epsilon: float = DEFAULT_EPSILON):
+def uint_cast(x, bits: int):
     """Unsigned cast: floor(clip(x, 0, 2^b - eps)), in [0, 2^b - 1]."""
-    return np.floor(clip(x, 0.0, 2.0 ** bits - epsilon))
+    return np.floor(clip(x, 0.0, 2.0 ** bits - DEFAULT_EPSILON))
 
 
-def fake_quant(x, bound, bits: int, epsilon: float = DEFAULT_EPSILON):
+def fake_quant(x, bound, bits: int):
     """Scale to the signed b-bit grid and back: int_b(x * C_b / B) * B / C_b.
 
     ``bound`` may be a scalar or broadcast per-channel along the last axis.
@@ -68,7 +68,7 @@ def fake_quant(x, bound, bits: int, epsilon: float = DEFAULT_EPSILON):
     if bits < 2:
         raise ValueError("fake_quant needs bits >= 2; use binarize for 1 bit")
     c = grid_endpoint(bits)
-    return int_cast(x * (c / bound), bits, epsilon) * (bound / c)
+    return int_cast(x * (c / bound), bits) * (bound / c)
 
 
 def binarize(x):
@@ -91,14 +91,15 @@ def ste_mask(x, bound):
     return (np.abs(x) < bound).astype(x.dtype)
 
 
-def fake_quant_surrogate(x, bound, bits: int, epsilon: float = DEFAULT_EPSILON):
+def fake_quant_surrogate(x, bound, bits: int):
     """The quantizer with rounding removed: a pure clip, smooth inside (-B, B).
 
-    Used by finite-difference oracles; shares the STE gradient gate.
+    Used by the finite-difference oracle of ``pokebnn.gradcheck``; its
+    gradient is the STE gradient gate.
     """
     bound = np.asarray(bound)
     c = grid_endpoint(bits)
-    return clip(x * (c / bound), -c + epsilon, c - epsilon) * (bound / c)
+    return clip(x * (c / bound), -c + DEFAULT_EPSILON, c - DEFAULT_EPSILON) * (bound / c)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +133,8 @@ def update_ema_bound(state: BoundState, batch) -> BoundState:
     return replace(state, bound=a * state.bound + (1.0 - a) * peak)
 
 
-def weight_channel_bounds(w, out_channel_axis: int = -1,
-                          epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Per-output-channel bound B_o = max |w| over all other axes.
+def weight_channel_bounds(w) -> np.ndarray:
+    """Per-output-channel bound B_o = max |w| over all axes but the last.
 
     Recomputed every step, never frozen. An all-zero channel would give a
     zero bound (division by zero downstream), so those are clamped to eps;
@@ -143,7 +143,5 @@ def weight_channel_bounds(w, out_channel_axis: int = -1,
     w = np.asarray(w)
     if w.size == 0:
         raise ValueError("empty weight tensor")
-    axes = tuple(i for i in range(w.ndim)
-                 if i != (out_channel_axis % w.ndim))
-    bounds = np.max(np.abs(w), axis=axes)
-    return np.maximum(bounds, epsilon)
+    bounds = np.max(np.abs(w), axis=tuple(range(w.ndim - 1)))
+    return np.maximum(bounds, DEFAULT_EPSILON)

@@ -204,6 +204,7 @@ def test_criterion_8_gradient_checks():
           f"worst rel err {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_9_toy_training():
     start = time.time()
     g = build_pokebnn_toy(m=0.25, groups=4, input_shape=(16, 16, 3))

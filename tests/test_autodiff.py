@@ -157,6 +157,17 @@ class TestGradcheckSuite:
         for op, err in results.items():
             assert err < 1e-3, (op, err)
 
+    def test_checks_the_vjp_that_model_runs(self, monkeypatch):
+        # the check looks the array pairs up when it runs, so a wrong VJP
+        # that Model would call is a wrong VJP that gradcheck reports
+        dense_vjp = ad._dense_vjp
+
+        def skewed(*args):
+            gx, gw, gb = dense_vjp(*args)
+            return gx, gw * 1.01, gb
+        monkeypatch.setattr(ad, "_dense_vjp", skewed)
+        assert run_gradcheck(instances=2)["dense"] >= 1e-3
+
 
 class TestOpEdgeCases:
     def test_tile_nondivisible(self):

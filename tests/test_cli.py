@@ -54,6 +54,19 @@ class TestAnalyze:
         path.write_text("{not json")
         assert main(["analyze", "--model", str(path)]) == 1
 
+    def test_directory_as_graph_file_usage_error(self, tmp_path, capsys):
+        assert main(["analyze", "--model", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(str(tmp_path)) in captured.err
+
+    def test_graph_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        assert main(["analyze", "--model", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path} is not UTF-8 text: invalid continuation byte" in captured.err
+
     @pytest.mark.parametrize("defect, message", [
         ("duplicate_node", "node 'init_conv': duplicate id"),
         ("no_output", "exactly one output node, found 0"),
@@ -215,6 +228,10 @@ class TestTrainToy:
         err = capsys.readouterr().err
         assert message in err and (code == 0 or f"teacher file {teacher}" in err)
 
+    def test_directory_as_config_usage_error(self, tmp_path, capsys):
+        assert main(["train-toy", "--config", str(tmp_path), *SMALL]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_missing_teacher_file_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"total_steps": 4,
@@ -239,6 +256,27 @@ class TestListAndExport:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv, target", [
+        (["train-toy", "--steps", "4", "--metrics"], "missing/m.ndjson"),
+        (["train-toy", "--steps", "4", "--metrics"], "."),
+        (["train-toy", "--steps", "4", "--checkpoint"], "missing/final.ckpt"),
+        (["train-toy", "--steps", "4", "--checkpoint"], "."),
+        (["export-graph", "pokebnn-toy", "--out"], "missing/g.json"),
+        (["export-graph", "pokebnn-toy", "--out"], "."),
+    ])
+    def test_output_path_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                 argv, target):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+        monkeypatch.setattr("pokebnn.cli.build_named", no_work)
+        monkeypatch.setattr("pokebnn.train.train_loop", no_work)
+        path = tmp_path / target
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        reason = "is a directory" if target == "." else "no such directory"
+        assert captured.out == ""
+        assert f"argument {argv[-1]}: {path}" in captured.err and reason in captured.err
+
     def test_no_command(self):
         assert main([]) == 2
 

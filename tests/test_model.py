@@ -19,8 +19,8 @@ from pokebnn.builders import (
     build_pokebnn_toy,
 )
 from pokebnn.cost import count_macs, model_size
-from pokebnn.graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphSpec, NodeSpec,
-                             validate_graph)
+from pokebnn.graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphError, GraphSpec,
+                             NodeSpec, validate_graph)
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn import autodiff as ad
 from pokebnn.nn.autodiff import Tensor
@@ -194,11 +194,32 @@ class TestPlan:
 
     def test_graph_needs_one_output_node(self):
         g = GraphSpec("no-output", (4, 4, 1), [NodeSpec("in", "input")])
-        with pytest.raises(ValueError, match="'no-output' has 0 output nodes"):
+        with pytest.raises(ValueError, match="exactly one output node, found 0"):
             Model(g)
 
+    @staticmethod
+    def two_convs_named_c(output=True):
+        conv = dict(kernel=[1, 1], stride=1, padding="same", groups=1,
+                    act_bits=DType.FP32, weight_bits=DType.FP32)
+        nodes = [NodeSpec("in", "input"),
+                 NodeSpec("c", "conv2d", ["in"], {**conv, "out_channels": 5}),
+                 NodeSpec("c", "conv2d", ["c"], {**conv, "out_channels": 2}),
+                 NodeSpec("out", "output", ["c"])]
+        return GraphSpec("dup", (4, 4, 3), nodes if output else nodes[:-1])
 
-def tape_grads(model, x, grad, training, phase, surrogate):
+    def test_duplicate_node_id_rejected(self):
+        # built, the two convs would share one weight c.w shaped for the second
+        with pytest.raises(GraphError, match="^graph 'dup': node 'c': duplicate id$"):
+            Model(self.two_convs_named_c())
+
+    def test_every_diagnostic_in_one_error(self):
+        with pytest.raises(GraphError) as e:
+            Model(self.two_convs_named_c(output=False))
+        assert str(e.value) == ("graph 'dup': graph must have exactly one output "
+                                "node, found 0; node 'c': duplicate id")
+
+
+def tape_grads(model, x, grad, training, phase):
     """The reference: ``model``'s graph run through the public Tensor ops,
     the tape that ``Model.forward`` recorded before it differentiated its own
     plan, seeded with ``grad``. Returns the logits and the arena gradient."""
@@ -212,13 +233,13 @@ def tape_grads(model, x, grad, training, phase, surrogate):
         if op in ("input", "output"):
             out = ins[0]
         elif op == "quantize_act" and a["act_bits"] is DType.BIN:
-            out = ad.binarize(ins[0], model.binary_bound, surrogate)
+            out = ad.binarize(ins[0], model.binary_bound)
         elif op == "quantize_act":
             state = model.bounds[node.id]
             if training and not state.frozen:
                 model.bounds[node.id] = state = quant.update_ema_bound(state, ins[0].data)
             out = ins[0] if phase < 2 else ad.fake_quant(ins[0], state.bound,
-                                                         a["act_bits"].bits, surrogate)
+                                                         a["act_bits"].bits)
         elif op == "batchnorm":
             stats = model.bn_stats[node.id]
             out = (ad.batchnorm_train(ins[0], *p)[0] if training else
@@ -229,7 +250,7 @@ def tape_grads(model, x, grad, training, phase, surrogate):
             bounds = quant.weight_channel_bounds(w.reshape(-1, np.prod(channels)))
             attrs = () if a["weight_bits"] is DType.BIN else (a["weight_bits"].bits,)
             quantize = ad.binarize if a["weight_bits"] is DType.BIN else ad.fake_quant
-            wq = quantize(p[0], bounds.reshape(channels), *attrs, surrogate)
+            wq = quantize(p[0], bounds.reshape(channels), *attrs)
             out = getattr(ad, op)(ins[0], wq, *p[1:], *args)
         else:
             out = getattr(ad, "mul" if op == "multiply" else op)(*ins, *p, *args)
@@ -246,19 +267,19 @@ class TestPullback:
     """``forward``'s pullback runs each step's VJP once, in reverse over the
     plan, with no Tensor."""
 
-    @pytest.mark.parametrize("graph", ["toy-0.25x4g", "toy-0.125x2g"])
-    @pytest.mark.parametrize("surrogate", [False, True])
+    # the ids keep the "False-" of the quantizer-mode flag the cases were
+    # once parametrized by, so that each case keeps its name
+    @pytest.mark.parametrize("graph", ["toy-0.25x4g", "toy-0.125x2g"],
+                             ids=lambda name: f"False-{name}")
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("phase", [1, 2])
     @pytest.mark.parametrize("training", [False, True])
-    def test_gradients_equal_the_tape(self, batch, graph, surrogate, dtype, phase,
-                                      training):
+    def test_gradients_equal_the_tape(self, batch, graph, dtype, phase, training):
         g = PARAM_GRAPHS[graph]()
         model, twin = Model(g, seed=3, dtype=dtype), Model(g, seed=3, dtype=dtype)
         grad = np.random.default_rng(4).normal(size=(len(batch), 10))
-        want_logits, want = tape_grads(twin, batch, grad, training, phase, surrogate)
-        logits, backward = model.forward(batch, training=training, phase=phase,
-                                         surrogate=surrogate)
+        want_logits, want = tape_grads(twin, batch, grad, training, phase)
+        logits, backward = model.forward(batch, training=training, phase=phase)
         backward(grad)
         assert logits.tobytes() == want_logits.tobytes()
         assert model.arena.grad.tobytes() == want.tobytes()
@@ -784,7 +805,7 @@ class TestPokeConv:
         model = pokeconv_model(4, 8, 8, 3, 1)
         added = grad_additions(model)
         x = np.random.default_rng(10).normal(size=(2, 4, 4, 8))
-        out, backward = model.forward(x, training=True, phase=2, surrogate=True)
+        out, backward = model.forward(x, training=True, phase=2)
         backward(np.ones_like(out))
         # exactly one gradient reaches each parameter
         assert added == dict.fromkeys(model.params, 1)

@@ -37,7 +37,7 @@ class TestClip:
 
 class TestCasts:
     def test_int8_near_endpoint(self):
-        assert quant.int_cast(127.9, 8, epsilon=2 ** -10) == 127.0
+        assert quant.int_cast(127.9, 8) == 127.0
 
     def test_int4(self):
         assert quant.int_cast(3.4, 4) == 3.0
