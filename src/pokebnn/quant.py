@@ -26,7 +26,32 @@ def grid_endpoint(bits: int) -> float:
 
 
 def round_half_away(x):
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return _round_half_away_into(_float_copy(x))
+
+
+def _float_copy(x):
+    """A new array of ``x``'s values in the float type its arithmetic with a
+    Python float gives: float32 stays float32, integers become float64."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, 0.5))
+
+
+def _round_half_away_into(q):
+    """sign(q) * floor(|q| + 0.5), written over the float array ``q``."""
+    sign = np.sign(q)
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    q *= sign
+    return q
+
+
+def _int_cast_into(q, bits: int):
+    """``int_cast`` written over the float array ``q``."""
+    c = grid_endpoint(bits)
+    np.maximum(q, -c + DEFAULT_EPSILON, out=q)
+    np.minimum(q, c - DEFAULT_EPSILON, out=q)
+    return _round_half_away_into(q)
 
 
 def _any(cond) -> bool:
@@ -47,8 +72,7 @@ def int_cast(x, bits: int):
 
     Output is integer-valued (as float), in [-(2^(b-1)-1), 2^(b-1)-1].
     """
-    c = grid_endpoint(bits)
-    return round_half_away(clip(x, -c + DEFAULT_EPSILON, c - DEFAULT_EPSILON))
+    return _int_cast_into(_float_copy(x), bits)
 
 
 def uint_cast(x, bits: int):
@@ -68,7 +92,10 @@ def fake_quant(x, bound, bits: int):
     if bits < 2:
         raise ValueError("fake_quant needs bits >= 2; use binarize for 1 bit")
     c = grid_endpoint(bits)
-    return int_cast(x * (c / bound), bits) * (bound / c)
+    # every step after the scaling writes over the one new array
+    q = _int_cast_into(np.asarray(x * (c / bound)), bits)
+    q *= bound / c
+    return q
 
 
 def binarize(x):

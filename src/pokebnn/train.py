@@ -10,6 +10,7 @@ the loss becomes a KL divergence.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import numbers
 from dataclasses import dataclass, field, fields
@@ -94,27 +95,34 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 # Adam with decoupled weight decay
 # ---------------------------------------------------------------------------
 
+# Adam updates the arena a block of this many entries at a time, so that a
+# block's parameters, gradients, moments and scratch stay in cache
+ADAM_BLOCK = 1 << 15
+
+
 def adam_init(arena: ParamArena, decay_names=frozenset()) -> dict:
     """Adam state over every parameter of ``arena``: the step count, both
-    moments, the entries that take weight decay, and two scratch buffers."""
+    moments, the entries that take weight decay, and two block-sized scratch
+    buffers."""
     decay = np.zeros(arena.data.size, dtype=bool)
     for name in decay_names:
         decay[arena.spans[name]] = True
+    scratch = min(arena.data.size, ADAM_BLOCK)
     return {
         "t": 0,
         "m": np.zeros_like(arena.data),
         "v": np.zeros_like(arena.data),
         "decay": decay if decay.any() else None,
-        "scratch": (np.empty_like(arena.data), np.empty_like(arena.data)),
+        "scratch": (np.empty(scratch, arena.data.dtype), np.empty(scratch, arena.data.dtype)),
     }
 
 
 def adam_step(arena: ParamArena, state: dict, lr: float, cfg: TrainConfig) -> None:
     """One in-place Adam update of ``arena.data`` from ``arena.grad``.
 
-    The update runs over the whole arena at once, with the per-element
-    arithmetic of a per-tensor Adam. A non-finite gradient raises before any
-    update, naming the first parameter that has one.
+    The update runs over the arena in blocks of ``ADAM_BLOCK`` entries, with
+    the per-element arithmetic of a per-tensor Adam. A non-finite gradient
+    raises before any update, naming the first parameter that has one.
     """
     state["t"] += 1
     t = state["t"]
@@ -123,21 +131,25 @@ def adam_step(arena: ParamArena, state: dict, lr: float, cfg: TrainConfig) -> No
         bad = next(name for name, span in arena.spans.items()
                    if not np.isfinite(g[span]).all())
         raise TrainingDiverged(t, f"non-finite gradient for {bad}")
-    p, m, v = arena.data, state["m"], state["v"]
-    s1, s2 = state["scratch"]
     b1, b2 = cfg.beta1, cfg.beta2
-    m *= b1
-    m += np.multiply(g, 1 - b1, out=s1)
-    v *= b2
-    v += np.multiply(np.multiply(g, 1 - b2, out=s1), g, out=s1)
-    # update = (m / correction1) / (sqrt(v / correction2) + eps), in s2
-    np.sqrt(np.divide(v, 1.0 - b2 ** t, out=s1), out=s1)
-    s1 += cfg.adam_eps
-    np.divide(np.divide(m, 1.0 - b1 ** t, out=s2), s1, out=s2)
-    if cfg.weight_decay and state["decay"] is not None:
-        np.subtract(p, np.multiply(p, lr * cfg.weight_decay, out=s1), out=p,
-                    where=state["decay"])
-    p -= np.multiply(s2, lr, out=s2)
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    decay = state["decay"] if cfg.weight_decay else None
+    for lo in range(0, g.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        p, m, v, gb = arena.data[block], state["m"][block], state["v"][block], g[block]
+        s1, s2 = (s[:gb.size] for s in state["scratch"])
+        m *= b1
+        m += np.multiply(gb, 1 - b1, out=s1)
+        v *= b2
+        v += np.multiply(np.multiply(gb, 1 - b2, out=s1), gb, out=s1)
+        # update = (m / c1) / (sqrt(v / c2) + eps), in s2
+        np.sqrt(np.divide(v, c2, out=s1), out=s1)
+        s1 += cfg.adam_eps
+        np.divide(np.divide(m, c1, out=s2), s1, out=s2)
+        if decay is not None:
+            np.subtract(p, np.multiply(p, lr * cfg.weight_decay, out=s1), out=p,
+                        where=decay[block])
+        p -= np.multiply(s2, lr, out=s2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +210,32 @@ def load_teacher_probs(path, classes: int | None = None) -> np.ndarray:
 
     Raises a ValueError naming the file and the line of a cell that is not a
     number, a row of another length than the first (or than ``classes``), a
-    NaN or negative entry, or a row that does not sum to 1 within 1e-5.
+    NaN or negative entry, or a row that does not sum to 1 within 1e-5, and
+    one naming the file and the byte offset of bytes that are not UTF-8.
     """
+    with open(path, "rb") as f:
+        try:
+            text = f.read().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            try:
-                values = [float(v) for v in row]
-            except ValueError as e:
-                raise ValueError(f"{where}: {e}") from None
-            width = classes or len(rows[0] if rows else values)
-            if len(values) != width:
-                raise ValueError(f"{where}: expected {width} columns, found {len(values)}")
-            if not all(v >= 0 for v in values):
-                raise ValueError(f"{where}: probabilities must be non-negative, got {row}")
-            if abs(sum(values) - 1.0) > 1e-5:
-                raise ValueError(f"{where}: row sums to {sum(values):.6f}, not 1")
-            rows.append(values)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}, line {reader.line_num}"
+        try:
+            values = [float(v) for v in row]
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+        width = classes or len(rows[0] if rows else values)
+        if len(values) != width:
+            raise ValueError(f"{where}: expected {width} columns, found {len(values)}")
+        if not all(v >= 0 for v in values):
+            raise ValueError(f"{where}: probabilities must be non-negative, got {row}")
+        if abs(sum(values) - 1.0) > 1e-5:
+            raise ValueError(f"{where}: row sums to {sum(values):.6f}, not 1")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no rows")
     return np.asarray(rows, dtype=np.float64)

@@ -286,8 +286,12 @@ TOY_CONVS = [((64, 16, 16, 3), (4, 4, 3, 32), 4), ((64, 4, 4, 16), (3, 3, 16, 16
 
 
 class TestBitwiseAgainstReferences:
-    """The forward and gradients of the rewritten ops, bit for bit against
-    the formulations they replaced, so training loss curves stay identical."""
+    """The forward and gradients of the rewritten ops at float32 toy shapes,
+    bit for bit against plain numpy formulations of the same arithmetic, so
+    that a change of their bits is a deliberate change of this reference.
+    numpy's reductions stand in for the einsum reductions; the depthwise
+    input gradient, whose product sums its multiplier terms in another
+    order, is held to float32 rounding instead."""
 
     @pytest.mark.parametrize("xs,ws,stride", TOY_CONVS)
     def test_conv2d(self, xs, ws, stride):
@@ -300,8 +304,9 @@ class TestBitwiseAgainstReferences:
         out.backward(g)
         kh, kw = ws[:2]
         win, pads = windows(xd, kh, kw, stride, "same")
-        assert bits(out.data) == bits(np.tensordot(win, wd, axes=([3, 4, 5], [2, 0, 1])))
-        gw = np.tensordot(win, g, axes=([0, 1, 2], [0, 1, 2])).transpose(1, 2, 0, 3)
+        # the im2col runs in the weight's (kh, kw, C) order
+        assert bits(out.data) == bits(np.tensordot(win, wd, axes=([4, 5, 3], [0, 1, 2])))
+        gw = np.tensordot(win.transpose(0, 1, 2, 4, 5, 3), g, axes=([0, 1, 2], [0, 1, 2]))
         assert bits(w.grad) == bits(gw)
         gx = ad._fold(xd, pads, kh, kw, stride, *out.shape[1:3], lambda i, j:
                       np.tensordot(g, wd[i, j], axes=([3], [1])))
@@ -316,14 +321,18 @@ class TestBitwiseAgainstReferences:
         out, mu, var = ad.batchnorm_train(x, scale, bias)
         g = rng.normal(size=shape).astype(np.float32)
         out.backward(g)
-        red = (0, 1, 2)
-        inv = 1.0 / np.sqrt(xd.var(axis=red) + ad.BN_EPS)
-        xhat = (xd - xd.mean(axis=red)) * inv
-        assert bits(var) == bits(xd.var(axis=red))
-        assert bits(out.data) == bits(sd * xhat + bd)
-        assert bits(bias.grad) == bits(g.sum(axis=red))
-        assert bits(scale.grad) == bits((g * xhat).sum(axis=red))
-        want = sd * inv * (g - g.mean(axis=red) - xhat * (g * xhat).mean(axis=red))
+        red, count = (0, 1, 2), xd.size // shape[-1]
+        centered = xd - xd.mean(axis=red)
+        assert bits(mu) == bits(xd.mean(axis=red))
+        assert bits(var) == bits((centered * centered).sum(axis=red) / count)
+        inv = 1.0 / np.sqrt(var + ad.BN_EPS)
+        k = sd * inv                              # scale * inv, one factor
+        assert bits(out.data) == bits(centered * k + bd)
+        g_sum = g.sum(axis=red)
+        g_xhat_sum = (g * centered).sum(axis=red) * inv
+        assert bits(bias.grad) == bits(g_sum)
+        assert bits(scale.grad) == bits(g_xhat_sum)
+        want = g * k - centered * (inv * g_xhat_sum * k / count) - g_sum * k / count
         assert bits(x.grad) == bits(want)
 
     @pytest.mark.parametrize("shape", [(64, 4, 4, 16), (64, 1, 1, 256)])
@@ -345,8 +354,42 @@ class TestBitwiseAgainstReferences:
         assert bits(x.grad) == bits(g * slope)
         assert bits(alpha.grad) == bits(-(g * slope).sum(axis=red))
         assert bits(beta.grad) == bits(-g.sum(axis=red))
-        assert bits(gamma.grad) == bits((g * shifted * ~pos).sum(axis=red))
-        assert bits(eta.grad) == bits((g * shifted * pos).sum(axis=red))
+        # the negative side is the whole sum less the positive side
+        g_pos = (g * shifted * pos).sum(axis=red)
+        assert bits(eta.grad) == bits(g_pos)
+        assert bits(gamma.grad) == bits((g * shifted).sum(axis=red) - g_pos)
+
+    @pytest.mark.parametrize("shape,out_channels", [
+        ((64, 4, 4, 64), 32), ((64, 4, 4, 64), 16), ((64, 2, 2, 128), 64),
+        ((64, 1, 1, 256), 128)])
+    def test_avg_channels(self, shape, out_channels):
+        xd = np.random.default_rng(shape[-1]).normal(size=shape).astype(np.float32)
+        out, _ = ad._avg_channels(xd, out_channels)
+        k = shape[-1] // out_channels
+        assert bits(out) == bits(xd.reshape(shape[:-1] + (out_channels, k)).mean(-1))
+
+    def test_depthwise_input_gradient(self):
+        # the toy network's depthwise layer: 3x3, multiplier 2, at 4x4
+        rng = np.random.default_rng(2)
+        xd = rng.normal(size=(64, 4, 4, 32)).astype(np.float32)
+        wd = rng.normal(size=(3, 3, 32, 2)).astype(np.float32)
+        x = Tensor(xd, requires_grad=True)
+        out = ad.depthwise_conv2d(x, Tensor(wd))
+        g = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(g)
+        gr = g.reshape(64, 4, 4, 32, 2)
+        _, pads = windows(xd, 3, 3, 1, "same")
+
+        def per_tap(gr, w):
+            return ad._fold(xd, pads, 3, 3, 1, 4, 4, lambda i, j:
+                            np.einsum("nhwcm,cm->nhwc", gr, w[i, j]))
+        want = per_tap(gr.astype(np.float64), wd.astype(np.float64))
+        # a few float32 roundings of the sum of the terms' magnitudes
+        scale = per_tap(np.abs(gr).astype(np.float64), np.abs(wd).astype(np.float64))
+        eps = np.finfo(np.float32).eps
+        assert x.grad.dtype == np.float32
+        assert np.all(np.abs(x.grad - want) <= 4 * eps * scale)
+        assert np.all(np.abs(per_tap(gr, wd) - want) <= 4 * eps * scale)
 
 
 def tape(root):

@@ -228,6 +228,17 @@ class TestTrainToy:
         err = capsys.readouterr().err
         assert message in err and (code == 0 or f"teacher file {teacher}" in err)
 
+    def test_teacher_file_not_utf8(self, tmp_path, capsys):
+        teacher = tmp_path / "teacher.csv"
+        teacher.write_bytes(b"\xff" + f"{TEACHER_ROW}\n".encode() * 32)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 4, "distill": str(teacher)}))
+        assert main(["train-toy", "--config", str(cfg), *SMALL]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"teacher file {teacher} is not UTF-8 text: invalid start byte at byte 0"
+                in captured.err)
+
     def test_directory_as_config_usage_error(self, tmp_path, capsys):
         assert main(["train-toy", "--config", str(tmp_path), *SMALL]) == 2
         assert str(tmp_path) in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from pokebnn import train as T
 from pokebnn.builders import build_pokebnn_toy
+from pokebnn.nn import autodiff as ad
 from pokebnn.nn.model import Model, ParamArena
 
 
@@ -216,6 +217,93 @@ class TestAdam:
             assert same_bits(v, ref[k]), k
 
 
+class TestBlockedAdam:
+    """``adam_step`` in blocks of ``ADAM_BLOCK`` entries, over an arena of
+    several blocks whose decayed span crosses a block boundary."""
+
+    BLOCK = 64
+
+    def arena(self, rng):
+        # "mid.w" runs from 100 to 300, across the block boundaries at 128
+        # and 256; "tail" ends in a partial block
+        shapes = {"head.bias": (100,), "mid.w": (10, 20), "gap.scale": (50,),
+                  "tail": (37,)}
+        return ParamArena({k: rng.normal(size=s) for k, s in shapes.items()},
+                          np.float32)
+
+    def test_matches_per_tensor_reference_bitwise(self, monkeypatch):
+        monkeypatch.setattr(T, "ADAM_BLOCK", self.BLOCK)
+        rng = np.random.default_rng(5)
+        arena = self.arena(rng)
+        assert arena.data.size > 4 * self.BLOCK
+        span = arena.spans["mid.w"]
+        assert span.start // self.BLOCK < (span.stop - 1) // self.BLOCK
+        ref = {k: np.array(v) for k, v in arena.views.items()}
+        cfg = T.TrainConfig(total_steps=10, phase_switch_step=5, weight_decay=0.1)
+        state = T.adam_init(arena, {"mid.w"})
+        assert state["scratch"][0].size == self.BLOCK
+        ref_state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in ref.items()},
+                     "v": {k: np.zeros_like(v) for k, v in ref.items()}}
+        for step in range(4):
+            grads = {k: rng.normal(size=v.shape).astype(np.float32)
+                     for k, v in ref.items()}
+            step_with_grads(arena, grads, state, 0.05, cfg)
+            reference_adam(ref, grads, ref_state, 0.05, cfg, {"mid.w"})
+            for k in ref:
+                assert same_bits(arena.views[k], ref[k]), (step, k)
+                assert same_bits(state["m"][arena.spans[k]], ref_state["m"][k].ravel())
+
+    def test_nonfinite_gradient_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(T, "ADAM_BLOCK", self.BLOCK)
+        arena = self.arena(np.random.default_rng(6))
+        state = T.adam_init(arena, {"mid.w"})
+        grads = {k: np.ones(v.shape) for k, v in arena.views.items()}
+        grads["gap.scale"][-1] = np.nan
+        before = arena.data.copy()
+        with pytest.raises(T.TrainingDiverged, match="for gap.scale"):
+            step_with_grads(arena, grads, state, 0.1, T.TrainConfig(
+                total_steps=10, phase_switch_step=5, weight_decay=0.1))
+        assert same_bits(arena.data, before)
+        assert not state["m"].any() and not state["v"].any()
+
+
+class TestGradientDtype:
+    """Every VJP of a train step returns the model's dtype, so a float32
+    model computes its whole backward pass in float32."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "kl_divergence"])
+    def test_every_vjp_in_the_model_dtype(self, monkeypatch, dtype, loss):
+        seen = []       # (VJP, gradient dtype) since the last Adam step
+        for name in [n for n in vars(ad) if n.startswith("_") and n.endswith("_vjp")]:
+            def recorded(*args, _vjp=getattr(ad, name), _name=name):
+                grads = _vjp(*args)
+                seen.extend((_name, g.dtype) for g in grads if g is not None)
+                return grads
+            monkeypatch.setattr(ad, name, recorded)
+        steps, adam_step = [], T.adam_step
+
+        def step(*args):
+            steps.append(seen[:])
+            seen.clear()
+            adam_step(*args)
+        monkeypatch.setattr(T, "adam_step", step)
+        # built after the patch, since Model looks its VJPs up when built
+        model = Model(build_pokebnn_toy(m=0.125, groups=2, input_shape=(16, 16, 3)),
+                      seed=0, dtype=dtype)
+        ds = small_dataset(n=16)
+        if loss == "kl_divergence":
+            ds.teacher = np.full((16, 10), 0.1)
+        T.train_loop(model, ds, T.TrainConfig(total_steps=2, phase_switch_step=1,
+                                              seed=0, batch_size=8))
+        for phase, grads in zip((1, 2), steps, strict=True):
+            names = {n for n, _ in grads}
+            assert {f"_{loss}_vjp", "_batchnorm_train_vjp", "_dprelu_vjp",
+                    "_spatial_mean_vjp", "_ste_vjp", "_conv2d_vjp"} <= names
+            other = sorted({(n, str(d)) for n, d in grads if d != dtype})
+            assert not other, (phase, other)
+
+
 class TestKLLoss:
     def test_matching_teacher_zero(self):
         rng = np.random.default_rng(0)
@@ -353,7 +441,6 @@ class TestClippingBoundKnob:
     def test_bound_changes_gradients_not_forward(self):
         x = np.random.default_rng(0).normal(size=(2, 16, 16, 3))
         g = build_pokebnn_toy(m=0.125, groups=2, input_shape=(16, 16, 3))
-        from pokebnn.nn import autodiff as ad
         logits, grads = {}, {}
         for bound in (1.0, 3.0):
             model = Model(g, seed=5, dtype=np.float64)
