@@ -167,7 +167,12 @@ def _relu_vjp(g, saved, needs, x):
 
 def _hardsigmoid(x):
     """relu6(x + 3) / 6, the gate nonlinearity of the SE block."""
-    return np.clip(x + 3.0, 0.0, 6.0) / 6.0, None
+    # the bits of np.clip(x + 3, 0, 6) / 6, NaN included, in one new array
+    out = x + 3.0
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 6.0, out=out)
+    out /= 6.0
+    return out, None
 
 
 def _hardsigmoid_vjp(g, saved, needs, x):
@@ -214,9 +219,16 @@ def _binarize(x, bound):
     return quant.binarize(x), None
 
 
+def _fake_quant_scales(bound, bits, dtype):
+    """The scale pair of ``_fake_quant`` for an input of ``dtype``, from the
+    bound cast to that dtype, so a float32 model stays float32."""
+    return quant.fake_quant_scales(np.asarray(bound, dtype=dtype), bits)
+
+
 def _fake_quant(x, bound, bits):
     """Grid projection forward, STE backward."""
-    return quant.fake_quant(x, np.asarray(bound, dtype=x.dtype), bits), None
+    return quant.fake_quant_scaled(x, _fake_quant_scales(bound, bits, x.dtype),
+                                   bits), None
 
 
 def _ste_vjp(g, saved, needs, x, bound, *attrs):
@@ -248,13 +260,19 @@ def _conv2d(x, w, stride=1, padding="same"):
     kh, kw, c, f = w.shape
     if x.shape[-1] != c:
         raise ValueError(f"conv2d channel mismatch: input {x.shape[-1]}, weight {c}")
-    win, pads = windows(x, kh, kw, stride, padding)   # [N, ho, wo, C, kh, kw]
-    n, ho, wo = win.shape[:3]
-    # im2col in the weight's (kh, kw, C) order, so the copy runs along C and
-    # the weight is a plain reshape; made once for the forward GEMM and both
-    # gradient GEMMs
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-    cols = cols.reshape(n * ho * wo, kh * kw * c)
+    if kh == kw == stride == 1:
+        # a 1x1 window reads one unpadded position: the im2col is the input's
+        # rows, the same C-ordered matrix as below, copied only if x is not
+        n, ho, wo = x.shape[:3]
+        cols, pads = np.ascontiguousarray(x).reshape(-1, c), (0, 0, 0, 0)
+    else:
+        win, pads = windows(x, kh, kw, stride, padding)   # [N, ho, wo, C, kh, kw]
+        n, ho, wo = win.shape[:3]
+        # im2col in the weight's (kh, kw, C) order, so the copy runs along C
+        # and the weight is a plain reshape; made once for the forward GEMM
+        # and both gradient GEMMs
+        cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+        cols = cols.reshape(n * ho * wo, kh * kw * c)
     w2 = w.reshape(kh * kw * c, f)
     return (cols @ w2).reshape(n, ho, wo, f), (cols, w2, pads)
 
@@ -466,14 +484,27 @@ def _batchnorm_train_vjp(g, saved, needs, x, scale, bias):
     return gx, g_xhat_sum, g_sum
 
 
-def _batchnorm_eval(x, scale, bias, running_mean, running_var):
-    """Batch normalization with fixed statistics: (x - mean) * inv * scale + bias."""
+def _batchnorm_eval_constants(scale, running_mean, running_var, dtype):
+    """The per-channel ``(mean, inv, k)`` of ``_batchnorm_eval`` for an input
+    of ``dtype``, with ``k = inv * scale``: the part that depends only on the
+    parameters and running statistics, which an eval run computes once."""
     # every operand in the input's dtype, so a float32 model stays float32
-    inv = (1.0 / np.sqrt(running_var + BN_EPS)).astype(x.dtype)
-    centered = x - np.asarray(running_mean, dtype=x.dtype)
-    k = inv * scale
+    inv = (1.0 / np.sqrt(running_var + BN_EPS)).astype(dtype)
+    return np.asarray(running_mean, dtype=dtype), inv, inv * scale
+
+
+def _batchnorm_eval_apply(x, bias, mean, k):
+    """``(x - mean) * k + bias``; returns it and ``x - mean``."""
+    centered = x - mean
     data = centered * k
     data += bias
+    return data, centered
+
+
+def _batchnorm_eval(x, scale, bias, running_mean, running_var):
+    """Batch normalization with fixed statistics: (x - mean) * inv * scale + bias."""
+    mean, inv, k = _batchnorm_eval_constants(scale, running_mean, running_var, x.dtype)
+    data, centered = _batchnorm_eval_apply(x, bias, mean, k)
     return data, (centered, inv, k)
 
 

@@ -6,13 +6,15 @@ and per-quantizer clipping bounds. ``Model.__init__`` lowers the node list
 once into a plan of steps, and fixes the order in which a pullback visits
 them. ``forward`` runs the plan on arrays and returns the logits with their
 pullback, which calls each step's VJP once; ``logits`` runs the same plan
-and keeps nothing for a gradient. From phase 2 on, ``logits`` quantizes
-each weight once and reuses it until the arena's bytes change.
+and keeps nothing for a gradient. ``logits`` computes each per-state
+constant once, the quantized weights, the eval BatchNorm factors and the
+frozen quantizers' scales, and reuses it until its state changes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
@@ -29,10 +31,10 @@ from . import autodiff as ad
 class QuantContext:
     """Per-call mode: BN train/eval, the quantization phase (phase 1
     binarizes activations only; phase 2 also quantizes weights and the 4/8-bit
-    activations), and the quantized weights by node id that ``logits`` reads
-    and fills, or None where ``forward`` quantizes each weight afresh for its
-    gradient. Every quantizer has one forward, the sign or the rounded grid,
-    and the straight-through gradient."""
+    activations), and the per-state constants by node id that ``logits``
+    reads and fills (see ``_cached``), or None where ``forward`` computes
+    them afresh for its gradient. Every quantizer has one forward, the sign
+    or the rounded grid, and the straight-through gradient."""
 
     training: bool = True
     phase: int = 1
@@ -49,6 +51,22 @@ _ATTR_ARGS = {"conv2d": ("stride", "padding"),
               "avg_channels": ("out_channels",),
               "avg_pool": ("kernel", "stride", "padding"),
               "max_pool": ("kernel", "stride", "padding")}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only, so that only a reassignment changes it."""
+    a.flags.writeable = False
+    return a
+
+
+def _cached(cache: dict, nid: str, sources: tuple, compute: Callable):
+    """Node ``nid``'s constants in ``cache``: the entry's, if it was computed
+    from the very objects ``sources`` (running statistics or a bound state,
+    which are replaced, never written), else a new ``compute()``."""
+    entry = cache.get(nid)
+    if entry is None or not all(map(operator.is_, entry[0], sources)):
+        entry = cache[nid] = (sources, compute())
+    return entry[1]
 
 
 def _step(forward, vjp, call, ste=None):
@@ -103,9 +121,10 @@ class Model:
         # buffers; write a value with params[name][...] = value
         self.arena = ParamArena(init, self.dtype)
         self.params = MappingProxyType(self.arena.views)
-        # logits' quantized weights by node id, valid while the arena's bytes
-        # equal the snapshot taken when the cache was emptied
-        self._quantized: dict[str, np.ndarray] = {}
+        # logits' per-state constants by node id, as (sources, constants)
+        # (see _cached), valid while the arena's bytes equal the snapshot
+        # taken when the cache was emptied
+        self._constants: dict[str, tuple] = {}
         self._snapshot: np.ndarray | None = None
         # the plan: one step per node, as (node, input slots, run, parameter
         # names, the VJP's needs); the slot after the last step holds the batch
@@ -152,8 +171,8 @@ class Model:
                     init[f"{nid}.{key}"] = value
             if op == "batchnorm":
                 self.bn_stats[nid] = {
-                    "mean": np.zeros(out_c, dtype=self.dtype),
-                    "var": np.ones(out_c, dtype=self.dtype),
+                    "mean": _read_only(np.zeros(out_c, dtype=self.dtype)),
+                    "var": _read_only(np.ones(out_c, dtype=self.dtype)),
                 }
             elif op == "quantize_act" and node.attrs["act_bits"] is not DType.BIN:
                 self.bounds[nid] = quant.BoundState(bound=np.float64(1.0))
@@ -208,10 +227,10 @@ class Model:
         The inference call. With ``training`` it still updates the BN
         running statistics and the unfrozen EMA bounds, as ``forward`` does.
         """
-        if phase >= 2:
-            self._check_quantized()
+        if phase >= 2 or not training:     # a call that reads the constants
+            self._check_constants()
         out = self._execute(x, hooks, QuantContext(training, phase,
-                                                   cache=self._quantized))
+                                                   cache=self._constants))
         return out.reshape(out.shape[0], -1)
 
     def _execute(self, x, hooks, ctx, record=None):
@@ -282,23 +301,25 @@ class Model:
             for name, g in zip(names, grads_in):
                 views[name] += g
 
-    def _check_quantized(self):
-        """Empties the quantized-weight cache unless the arena's bytes equal
-        the snapshot, which is then retaken. One exact compare catches every
-        writer: Adam, ``load_state_dict`` and in-place writes through a view
-        or to ``arena.data``."""
+    def _check_constants(self):
+        """Empties the constant cache unless the arena's bytes equal the
+        snapshot, which is then retaken. One exact compare catches every
+        writer of a parameter: Adam, ``load_state_dict`` and in-place writes
+        through a view or to ``arena.data``. Running statistics and bound
+        states are checked per entry, by ``_cached``."""
         data = self.arena.data
         # the bits as unsigned words of the element size: as exact as bytes,
         # and fewer elements to compare
         data = data.view(f"u{data.itemsize}" if data.itemsize <= 8 else np.uint8)
         if self._snapshot is None or not np.array_equal(data, self._snapshot):
-            self._quantized.clear()
+            self._constants.clear()
             self._snapshot = data.copy()
 
     def _lower(self, node: NodeSpec) -> Callable:
         """The step function ``run(model, ins, ctx)`` of one node, which
         returns the node's output and the step's record (see ``_step``), or
-        None for a step that passes its input through.
+        None for a step that passes its input through or that read its
+        constants from ``ctx.cache``, in a call that keeps no record.
 
         Attributes, ops and parameters are resolved here, once. BN statistics
         and bound state are read from ``model`` when the step runs, since
@@ -308,6 +329,10 @@ class Model:
         op, a, nid = node.op, node.attrs, node.id
         if op in ("input", "output"):
             return lambda model, ins, ctx: (ins[0], None)
+        if op == "spatial_mean" and self.shapes[node.inputs[0]][:2] == (1, 1):
+            # the mean over a 1x1 input is that input, but for -0.0, which
+            # the mean's sum from 0 makes +0.0; its gradient passes through
+            return lambda model, ins, ctx: (ins[0] + 0.0, None)
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
         # the parameters after the weight
@@ -343,23 +368,35 @@ class Model:
                 model.bounds[nid] = state = quant.update_ema_bound(state, ins[0])
             if ctx.phase < 2:
                 return ins[0], None
-            return _step(fake_quant, vjp, (ins[0], state.bound, bits.bits))
+            if ctx.cache is None:
+                return _step(fake_quant, vjp, (ins[0], state.bound, bits.bits))
+            x = ins[0]
+            scales = _cached(ctx.cache, nid, (state,), lambda:
+                             ad._fake_quant_scales(state.bound, bits.bits, x.dtype))
+            return quant.fake_quant_scaled(x, scales, bits.bits), None
         return run
 
     @staticmethod
     def _lower_batchnorm(nid: str, params) -> Callable:
         train, evaluate = ad._batchnorm_train, ad._batchnorm_eval
+        scale, bias = params
 
         def run(model, ins, ctx):
             stats = model.bn_stats[nid]
-            if not ctx.training:
+            if ctx.training:
+                (out, bm, bv), saved = train(ins[0], *params)
+                m = model.bn_momentum
+                stats["mean"] = _read_only(m * stats["mean"] + (1 - m) * bm)
+                stats["var"] = _read_only(m * stats["var"] + (1 - m) * bv)
+                return out, (ad._batchnorm_train_vjp, saved, (ins[0], *params), None)
+            running = (stats["mean"], stats["var"])
+            if ctx.cache is None:
                 return _step(evaluate, ad._batchnorm_eval_vjp,
-                             (ins[0], *params, stats["mean"], stats["var"]))
-            (out, bm, bv), saved = train(ins[0], *params)
-            m = model.bn_momentum
-            stats["mean"] = m * stats["mean"] + (1 - m) * bm
-            stats["var"] = m * stats["var"] + (1 - m) * bv
-            return out, (ad._batchnorm_train_vjp, saved, (ins[0], *params), None)
+                             (ins[0], *params, *running))
+            x = ins[0]
+            mean, _, k = _cached(ctx.cache, nid, running, lambda:
+                                 ad._batchnorm_eval_constants(scale, *running, x.dtype))
+            return ad._batchnorm_eval_apply(x, bias, mean, k)[0], None
         return run
 
     def _lower_weight(self, nid: str, bits: DType, depthwise: bool) -> Callable:
@@ -382,18 +419,16 @@ class Model:
             attrs = (bounds,) if binary else (bounds, bits.bits)
             return quantize(w, *attrs)[0], (w, bounds)
 
+        def constant():
+            # sign() reads no bound; only a gradient is gated by one
+            return _read_only(quantize(w, None)[0] if binary else quantized()[0])
+
         def weight(ctx):
             if ctx.phase < 2:
                 return w, None
             if ctx.cache is None:
                 return quantized()
-            cached = ctx.cache.get(nid)
-            if cached is None:
-                # sign() reads no bound; only a gradient is gated by one
-                cached = quantize(w, None)[0] if binary else quantized()[0]
-                cached.flags.writeable = False
-                ctx.cache[nid] = cached
-            return cached, None
+            return _cached(ctx.cache, nid, (), constant), None
         return weight
 
     # ------------------------------------------------------------------
@@ -415,8 +450,10 @@ class Model:
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
         """Copies ``state`` into the model; parameters are written into their
-        arena views in place. Raises one ValueError naming every missing,
-        unexpected and wrong-shaped entry before anything is written."""
+        arena views in place, and running statistics and bounds are stored as
+        read-only copies, so that no array of ``state`` is aliased. Raises one
+        ValueError naming every missing, unexpected and wrong-shaped entry
+        before anything is written."""
         want = {k: v.shape for k, v in self.state_dict().items()}
         errors = [f"missing {k} {want[k]}" for k in want if k not in state]
         errors += [f"unexpected {k} {np.shape(state[k])}"
@@ -430,10 +467,11 @@ class Model:
             v[...] = state[name]
         self.arena.grad.fill(0)
         for nid, stats in self.bn_stats.items():
-            stats["mean"] = np.asarray(state[nid + ".running_mean"], dtype=self.dtype)
-            stats["var"] = np.asarray(state[nid + ".running_var"], dtype=self.dtype)
+            for key in ("mean", "var"):
+                stats[key] = _read_only(np.array(state[f"{nid}.running_{key}"],
+                                                 dtype=self.dtype))
         for nid in list(self.bounds):
             self.bounds[nid] = quant.BoundState(
-                bound=np.asarray(state[nid + ".bound"], dtype=np.float64),
+                bound=_read_only(np.array(state[nid + ".bound"], dtype=np.float64)),
                 frozen=bool(int(state[nid + ".bound_frozen"])),
                 ema_alpha=self.bounds[nid].ema_alpha)

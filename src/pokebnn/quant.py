@@ -86,15 +86,28 @@ def fake_quant(x, bound, bits: int):
     ``bound`` may be a scalar or broadcast per-channel along the last axis.
     The associated gradient is the indicator of (-B, B).
     """
+    return fake_quant_scaled(x, fake_quant_scales(bound, bits), bits)
+
+
+def fake_quant_scales(bound, bits: int):
+    """The checked scale pair ``(C_b / B, B / C_b)`` of ``fake_quant``: the
+    part that depends only on the bound, which a frozen quantizer computes
+    once."""
     bound = np.asarray(bound)
     if (bound <= 0).any():
         raise ValueError("quantization bound must be positive")
     if bits < 2:
         raise ValueError("fake_quant needs bits >= 2; use binarize for 1 bit")
     c = grid_endpoint(bits)
+    return c / bound, bound / c
+
+
+def fake_quant_scaled(x, scales, bits: int):
+    """``fake_quant`` given its ``fake_quant_scales``."""
+    up, down = scales
     # every step after the scaling writes over the one new array
-    q = _int_cast_into(np.asarray(x * (c / bound)), bits)
-    q *= bound / c
+    q = _int_cast_into(np.asarray(x * up), bits)
+    q *= down
     return q
 
 
@@ -133,11 +146,13 @@ def fake_quant_surrogate(x, bound, bits: int):
 # Bound calibration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BoundState:
     """Clipping bound for one quantizer; scalar for activations.
 
-    Once frozen the bound never changes (updates become no-ops).
+    Once frozen the bound never changes (updates become no-ops). A state is
+    immutable: an update returns a new one, so a cache of the constants
+    derived from a state can key on the object.
     """
 
     bound: np.ndarray = field(default_factory=lambda: np.float64(1.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pokebnn import train
-from pokebnn.builders import build_pokebnn_toy
+from pokebnn.builders import _GraphBuilder, build_pokebnn_toy
 from pokebnn.gradcheck import check_gradients, run_gradcheck
 from pokebnn.graphir import pad_amounts, windows
 from pokebnn.kernels import float_conv2d
@@ -111,6 +111,12 @@ class TestHardSigmoid:
     def test_saturation(self):
         assert np.all(ad.hardsigmoid(tensor(np.full((1, 1, 1, 2), 3.0))).data == 1.0)
         assert np.all(ad.hardsigmoid(tensor(np.full((1, 1, 1, 2), -3.0))).data == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_of_the_clip(self, dtype):
+        x = np.array([-3.0, 3.0, -0.0, np.nan, -np.nan, -3.5, 3.5, 0.7,
+                      np.nextafter(-3.0, 0), np.nextafter(3.0, 0)], dtype=dtype)
+        assert bits(ad._hardsigmoid(x)[0]) == bits(np.clip(x + 3.0, 0.0, 6.0) / 6.0)
 
 
 class TestChannelReshape:
@@ -367,6 +373,44 @@ class TestBitwiseAgainstReferences:
         out, _ = ad._avg_channels(xd, out_channels)
         k = shape[-1] // out_channels
         assert bits(out) == bits(xd.reshape(shape[:-1] + (out_channels, k)).mean(-1))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+    @pytest.mark.parametrize("xs,f", [((64, 4, 4, 64), 16), ((64, 1, 1, 128), 256),
+                                      ((3, 5, 2, 7), 4)])
+    def test_conv2d_1x1(self, xs, f, layout):
+        # the 1x1 stride-1 im2col is the input's rows: the same bits as the
+        # windowed im2col, with no copy of a C-contiguous input
+        rng = np.random.default_rng(xs[-1] + f)
+        n, h, w_, c = xs
+        normal = lambda *shape: rng.normal(size=shape).astype(np.float32)
+        xd = {"contiguous": lambda: normal(n, h, w_, c),
+              "strided": lambda: normal(n, h, w_, 2 * c)[..., ::2],
+              "transposed": lambda: normal(n, w_, h, c).transpose(0, 2, 1, 3),
+              }[layout]()
+        wd, g = normal(1, 1, c, f), normal(n, h, w_, f)
+        for padding in ("same", "valid"):
+            out, saved = ad._conv2d(xd, wd, 1, padding)
+            win, pads = windows(xd, 1, 1, 1, padding)
+            cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, c)
+            w2 = wd.reshape(c, f)
+            assert bits(out) == bits((cols @ w2).reshape(n, h, w_, f))
+            assert np.shares_memory(saved[0], xd) == xd.flags.c_contiguous
+            got = ad._conv2d_vjp(g, saved, (True, True), xd, wd, 1, padding)
+            want = ad._conv2d_vjp(g, (cols, w2, pads), (True, True), xd, wd, 1, padding)
+            assert [bits(a) for a in got] == [bits(a) for a in want]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_spatial_mean_of_1x1(self, dtype):
+        # a Model lowers it to a step that adds 0.0 and passes its gradient
+        # through; the op's own VJP of a 1x1 mean is the identity too
+        b = _GraphBuilder("mean", (1, 1, 6))
+        model = Model(b.finish(b.emit("mean", "spatial_mean", ["in"])), dtype=dtype)
+        x = np.random.default_rng(5).normal(size=(3, 1, 1, 6)).astype(dtype)
+        x[0, 0, 0, :4] = [-0.0, np.nan, -np.nan, 0.0]
+        want = x.mean(axis=(1, 2), keepdims=True)
+        assert bits(model.logits(x)) == bits(want.reshape(3, 6))
+        assert bits(model.forward(x)[0]) == bits(want.reshape(3, 6))
+        assert bits(ad._spatial_mean_vjp(x, None, (True,), x)[0]) == bits(x)
 
     def test_depthwise_input_gradient(self):
         # the toy network's depthwise layer: 3x3, multiplier 2, at 4x4

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import re
@@ -599,6 +600,21 @@ class TestStateDict:
         state[next(iter(fresh.params))][...] = 123.0
         assert fresh.arena.data.tobytes() == model.arena.data.tobytes()
 
+    def test_load_copies_running_stats_and_bounds(self, toy, batch):
+        model = Model(toy, seed=1, dtype=np.float32)
+        model.forward(batch, training=True, phase=1)
+        model.freeze_activation_bounds()
+        state = model.state_dict()
+        fresh = Model(toy, seed=7, dtype=np.float32)
+        fresh.load_state_dict(state)
+        want = fresh.logits(batch)
+        # writes to the loaded dict's arrays reach neither the model nor
+        # the constants its logits cached
+        state[next(iter(fresh.bn_stats)) + ".running_mean"][...] += 5
+        state[next(iter(fresh.bounds)) + ".bound"][...] *= 2
+        assert fresh.logits(batch).tobytes() == want.tobytes()
+        assert fresh.logits(batch).tobytes() == model.logits(batch).tobytes()
+
     def test_roundtrip_through_checkpoint_file(self, toy, batch, tmp_path):
         model = Model(toy, seed=1, dtype=np.float32)
         model.forward(batch, training=True, phase=1)
@@ -652,13 +668,15 @@ def _negate(model, name, how):
 
 
 class TestQuantizedWeightCache:
-    """``logits`` quantizes each phase-2 weight once per arena state."""
+    """``logits`` computes each per-state constant once: the quantized
+    weights, the eval BN factors and the frozen quantizers' scales."""
 
     @staticmethod
-    def calibrated(toy, batch, seed=1):
+    def calibrated(toy, batch, seed=1, freeze=True):
         model = Model(toy, seed=seed, dtype=np.float32)
         model.forward(batch, training=True, phase=1)
-        model.freeze_activation_bounds()
+        if freeze:
+            model.freeze_activation_bounds()
         return model
 
     @staticmethod
@@ -667,21 +685,16 @@ class TestQuantizedWeightCache:
                 and not n.attrs["weight_bits"].is_float
                 and (n.attrs["weight_bits"] is DType.BIN) == binary}
 
-    def assert_fresh(self, toy, model, x):
-        """``model.logits(x)`` is bitwise what a model that never cached
-        anything computes from the same state dict."""
+    def assert_fresh(self, toy, model, x, phase=2):
+        """``model.logits(x, phase=phase)`` is bitwise what a model that never
+        cached anything computes from the same state dict."""
         fresh = Model(toy, seed=99, dtype=np.float32)
         fresh.load_state_dict(model.state_dict())
-        assert model.logits(x).tobytes() == fresh.logits(x).tobytes()
+        assert (model.logits(x, phase=phase).tobytes()
+                == fresh.logits(x, phase=phase).tobytes())
 
-    @pytest.mark.parametrize("writer", [
-        "adam_step", "load_state_dict",
-        *(f"{how}:{name}" for how in ("data_setter", "view_write", "arena_write")
-          for name in ("init_conv.w", "b00_pc1_conv.w", "head_fc.w"))])
-    def test_every_arena_writer_is_seen(self, toy, batch, writer):
-        model = self.calibrated(toy, batch)
-        before = model.logits(batch)
-        self.assert_fresh(toy, model, batch)
+    def write(self, toy, batch, model, writer):
+        """Changes ``model``'s state through ``writer``."""
         if writer == "adam_step":
             model.arena.grad[...] = np.random.default_rng(3).normal(
                 size=model.arena.grad.shape)
@@ -689,20 +702,107 @@ class TestQuantizedWeightCache:
             train.adam_step(model.arena, train.adam_init(model.arena), 1e-2, cfg)
         elif writer == "load_state_dict":
             model.load_state_dict(self.calibrated(toy, batch, seed=2).state_dict())
+        elif writer.startswith("load_state_dict:"):
+            # the arena's bytes stay; only the statistics or the bounds move
+            suffix = {"stats": "running_mean", "bounds": ".bound"}[writer[16:]]
+            state = model.state_dict()
+            model.load_state_dict({k: v * 1.5 + 0.25 if k.endswith(suffix) else v
+                                   for k, v in state.items()})
+        elif writer == "train_forward":
+            model.forward(batch, training=True, phase=2)
+        elif writer == "train_logits":
+            model.logits(batch, training=True)
+        elif writer == "freeze_after_phase1":
+            model.logits(batch[:2], training=True, phase=1)
+            model.freeze_activation_bounds()
         else:
             _negate(model, *writer.split(":")[::-1])
+
+    @pytest.mark.parametrize("writer", [
+        "adam_step", "load_state_dict",
+        *(f"{how}:{name}" for how in ("data_setter", "view_write", "arena_write")
+          for name in ("init_conv.w", "b00_pc1_conv.w", "head_fc.w")),
+        "view_write:init_bn1.scale", "load_state_dict:stats",
+        "load_state_dict:bounds", "train_forward", "train_logits",
+        "freeze_after_phase1"])
+    def test_every_arena_writer_is_seen(self, toy, batch, writer):
+        # the last writer starts from unfrozen bounds, whose scales logits
+        # caches as well
+        model = self.calibrated(toy, batch, freeze=writer != "freeze_after_phase1")
+        before = model.logits(batch)
+        self.assert_fresh(toy, model, batch)
+        self.write(toy, batch, model, writer)
         assert model.logits(batch).tobytes() != before.tobytes()
         self.assert_fresh(toy, model, batch)
+
+    @pytest.mark.parametrize("writer", ["view_write:init_bn1.scale",
+                                        "load_state_dict:stats", "train_forward"])
+    def test_phase1_eval_sees_every_writer(self, toy, batch, writer):
+        # eval BN reads cached factors in phase 1 too, so the arena check runs
+        model = self.calibrated(toy, batch)
+        before = model.logits(batch, phase=1)
+        self.write(toy, batch, model, writer)
+        assert model.logits(batch, phase=1).tobytes() != before.tobytes()
+        self.assert_fresh(toy, model, batch, phase=1)
+
+    def test_running_stats_and_bounds_change_only_by_reassignment(self, toy, batch):
+        model = Model(toy, seed=1, dtype=np.float32)
+        for step in (lambda: None,
+                     lambda: model.forward(batch, training=True, phase=1),
+                     lambda: model.load_state_dict(model.state_dict())):
+            step()
+            for stats in model.bn_stats.values():
+                for a in stats.values():
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
+        state = next(iter(model.bounds.values()))
+        with pytest.raises(ValueError, match="read-only"):
+            state.bound[...] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.bound = np.float64(2.0)
 
     def test_cached_weights_are_read_only(self, toy, batch):
         model = self.calibrated(toy, batch)
         model.logits(batch[:1])
-        assert set(model._quantized) == (self.quantized_nodes(toy, binary=True)
-                                         | self.quantized_nodes(toy, binary=False))
-        for nid, w in model._quantized.items():
+        ops = {n.id: n.op for n in toy.nodes}
+        weights = {nid: entry[1] for nid, entry in model._constants.items()
+                   if ops[nid] in WEIGHT_OPS}
+        assert set(weights) == (self.quantized_nodes(toy, binary=True)
+                                | self.quantized_nodes(toy, binary=False))
+        # and one entry per BN step and 4/8-bit quantizer
+        assert set(model._constants) - set(weights) == (
+            {nid for nid, op in ops.items() if op == "batchnorm"} | set(model.bounds))
+        for nid, w in weights.items():
             assert not w.flags.writeable, nid
             with pytest.raises(ValueError, match="read-only"):
                 w[...] = 0
+
+    def test_bn_factors_and_scales_computed_once_per_state(self, toy, batch,
+                                                           monkeypatch):
+        model = self.calibrated(toy, batch)
+        calls = Counter()
+        for module, name in ((ad, "_batchnorm_eval_constants"),
+                             (quant, "fake_quant_scales")):
+            def counted(*args, _f=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(module, name, counted)
+        bns = sum(n.op == "batchnorm" for n in toy.nodes)
+        scales = len(model.bounds) + len(self.quantized_nodes(toy, binary=False))
+        model.logits(batch)
+        assert calls == {"_batchnorm_eval_constants": bns, "fake_quant_scales": scales}
+        calls.clear()
+        model.logits(batch[:1])
+        model.logits(batch)
+        assert not calls
+        # a training call moves the statistics, not the frozen bounds
+        model.logits(batch, training=True)
+        model.logits(batch)
+        assert calls == {"_batchnorm_eval_constants": bns}
+        calls.clear()
+        # forward computes every constant afresh for its gradient
+        model.forward(batch, training=False, phase=2)
+        assert calls == {"_batchnorm_eval_constants": bns, "fake_quant_scales": scales}
 
     def test_weight_bounds_computed_once_per_arena_state(self, toy, batch, monkeypatch):
         model = self.calibrated(toy, batch)
