@@ -145,9 +145,6 @@ class GraphSpec:
                 return n
         raise KeyError(node_id)
 
-    def consumers(self, node_id: str) -> list[NodeSpec]:
-        return [n for n in self.nodes if node_id in n.inputs]
-
 
 ShapeMap = dict  # node id -> (H, W, C)
 

@@ -6,20 +6,27 @@ means -1, and the trailing pad lanes of the last word are zero. A dot product
 of two packed +-1 vectors is then ``n - 2 * popcount(a XOR b)``.
 
 The binary convolution is one XOR/popcount GEMM: im2col gathers the padded
-activation words into ``[kh*kw*n_words, ho*wo]`` and each of those rows is
-XORed against every filter at once. Zero padding has no sign bit; a padded
-word is zero, so the GEMM reads an out-of-bounds tap as an all -1 activation
-and adds ``-sum(w[f, tap])`` where the float reference adds zero. Output
-positions on the border get that term back from the 0/1 matrix of their
-out-of-bounds taps times the per-tap weight sums, which keeps the result
-bit-exact against the float reference. Pad lanes are zero in both operands,
-so they never count as mismatches.
+activation words into ``[kh*kw*n_words, ho*wo]`` and each of those word rows
+is XORed against the matching word of every filter in one pass. Each pass
+runs along the longer of (output positions, filters), since a numpy pass
+costs several times more per element on short rows, and writes into buffers
+allocated once per call. Mismatches are counted in the narrowest unsigned
+type that holds kh*kw*C: uint16 at every PokeBNN shape, uint32 above 65,535.
+Zero padding has no sign bit; a padded word is zero, so the GEMM reads an
+out-of-bounds tap as an all -1 activation and adds ``-sum(w[f, tap])`` where
+the float reference adds zero. Output positions on the border get that term
+back from the 0/1 matrix of their out-of-bounds taps times the per-tap weight
+sums, a float64 BLAS product that is exact because every term is an integer
+of magnitude at most kh*kw*C. Pad lanes are zero in both operands, so they
+never count as mismatches.
 
 Accumulators are 32-bit signed: |acc| is bounded by the kernel volume times
 the max operand magnitude (at most 4*4*3*127*127 for the 8-bit stem conv),
-far below 2^31. Integer kernels multiply in float64 so that BLAS does the
-work; operands have at most 8 bits, so every partial sum is an integer below
-2^53 and the result is exact.
+far below 2^31. Integer kernels multiply in floats so that BLAS does the
+work: in float32 when K * max|a| * max|w| < 2^24 for a K-deep product and
+the largest magnitudes the operands' grids admit (every int4 SE layer and
+the 48-deep int8 stem), in float64 otherwise (the int8 classifier). Every
+partial sum is then an integer the float holds exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ import numpy as np
 from .graphir import DType, pad_amounts, windows
 
 WORD_BITS = 64
+
+# Elements per operand block of the reference convolution: large enough for
+# BLAS, small enough to add little to peak memory.
+_CONV_BLOCK = 16384
 
 
 class KernelError(ValueError):
@@ -114,27 +125,42 @@ def binary_conv2d(act: BitPlane, weights: BitPlane, stride: int = 1,
 
     win, (pt, _, pl, _) = windows(act.words, kh, kw, stride, padding)
     ho, wo, n_words = win.shape[:3]        # win is [ho, wo, n_words, kh, kw]
-    cols = np.ascontiguousarray(win.transpose(3, 4, 2, 0, 1))
-    cols = cols.reshape(kh * kw * n_words, ho * wo)
-    wmat = np.ascontiguousarray(weights.words.reshape(f, -1).T)   # [K, F]
+    p, n = ho * wo, kh * kw * c
+    cols = np.ascontiguousarray(win.transpose(3, 4, 2, 0, 1)).reshape(-1, p)  # [K, P]
+    wmat = np.ascontiguousarray(weights.words.reshape(f, -1).T)             # [K, F]
 
-    tmp = np.empty((ho * wo, f), dtype=np.uint64)
-    out = np.zeros((ho * wo, f), dtype=np.int32)     # mismatches, then dots
-    for a_row, w_row in zip(cols, wmat):
-        np.bitwise_xor(a_row[:, None], w_row[None, :], out=tmp)
-        out += np.bitwise_count(tmp)
+    # One XOR/popcount pass per word row, the longer operand row innermost;
+    # a counter never exceeds n, so it is as narrow as n allows.
+    outer, inner = (wmat, cols) if p >= f else (cols, wmat)
+    shape = (outer.shape[1], inner.shape[1])
+    diff = np.empty(shape, dtype=np.uint64)
+    ones = np.empty(shape, dtype=np.uint8)
+    mism = np.zeros(shape, dtype=np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32)
+    with np.errstate():
+        # A ufunc copies broadcast rows shorter than its buffer into the
+        # buffer; a buffer no longer than one row lets the XOR read in place.
+        np.setbufsize(min(np.getbufsize(), max(16, shape[1] // 16 * 16)))
+        for o_row, i_row in zip(outer, inner):
+            np.bitwise_xor(o_row[:, None], i_row, out=diff)
+            np.bitwise_count(diff, out=ones)
+            np.add(mism, ones, out=mism)
+    out = (mism.T if p >= f else mism).astype(np.int32, order="C")   # [P, F]
     out *= -2
-    out += kh * kw * c
+    out += n
 
     # Out-of-bounds taps read as -1 activations; add their weight sums back.
+    # A tap's weight sum is 2 * (its +1 lanes) - c; one float64 product
+    # counts the +1 lanes over every word of a position's padded taps.
     ry = np.arange(ho)[:, None] * stride + np.arange(kh) - pt
     rx = np.arange(wo)[:, None] * stride + np.arange(kw) - pl
-    padtap = (((ry < 0) | (ry >= h))[:, None, :, None]
-              | ((rx < 0) | (rx >= w))[None, :, None, :]).reshape(ho * wo, kh * kw)
-    border = padtap.any(axis=1)
-    if border.any():
-        wsum = 2 * np.bitwise_count(weights.words).sum(axis=-1, dtype=np.int32) - c
-        out[border] += padtap[border].astype(np.int32) @ wsum.reshape(f, kh * kw).T
+    oy, ox = (ry < 0) | (ry >= h), (rx < 0) | (rx >= w)     # [ho, kh], [wo, kw]
+    by, bx = np.nonzero(oy.any(axis=1)[:, None] | ox.any(axis=1))
+    if by.size:
+        padtap = (oy[by, :, None] | ox[bx, None, :]).reshape(-1, kh * kw)
+        taps = np.repeat(padtap, n_words, axis=1).astype(np.float64)
+        wones = np.bitwise_count(weights.words).reshape(f, -1).astype(np.float64)
+        fix = 2 * (taps @ wones.T) - c * padtap.sum(axis=1)[:, None]
+        out.reshape(ho, wo, f)[by, bx] += fix.astype(np.int32)
     return out.reshape(ho, wo, f)
 
 
@@ -162,12 +188,29 @@ class IntTensor:
         self.values = np.asarray(self.values, dtype=np.int32)
         b = self.bits.bits
         if self.signed:
-            lim = 2 ** (b - 1) - 1 if b > 1 else 1
-            if np.any(np.abs(self.values) > lim):
+            if np.any(np.abs(self.values) > self.max_abs):
                 raise KernelError(f"values exceed signed {b}-bit range")
         else:
-            if np.any(self.values < 0) or np.any(self.values > 2 ** b - 1):
+            if np.any(self.values < 0) or np.any(self.values > self.max_abs):
                 raise KernelError(f"values exceed unsigned {b}-bit range")
+
+    @property
+    def max_abs(self) -> int:
+        """Largest magnitude the grid admits."""
+        b = self.bits.bits
+        if not self.signed:
+            return 2 ** b - 1
+        return 2 ** (b - 1) - 1 if b > 1 else 1
+
+
+def _gemm_dtype(depth: int, act: IntTensor, w: IntTensor):
+    """Narrowest float in which a ``depth``-deep product of the two is exact.
+
+    Every partial sum is an integer of magnitude at most
+    depth * max|a| * max|w|; float32 holds all integers below 2^24.
+    """
+    exact32 = depth * act.max_abs * w.max_abs < 2 ** 24
+    return np.float32 if exact32 else np.float64
 
 
 def _check_acc_range(acc):
@@ -189,20 +232,20 @@ def int_conv2d(act: IntTensor, w: IntTensor, stride: int = 1,
     _, _, ca = x.shape
     if ca != c:
         raise KernelError(f"channel mismatch: act {ca}, weights {c}")
-    win, _ = windows(x.astype(np.float64), kh, kw, stride, padding)  # [ho, wo, c, kh, kw]
-    acc = _check_acc_range(np.tensordot(win, k.astype(np.float64),
-                                        axes=([2, 3, 4], [2, 0, 1])))
+    dt = _gemm_dtype(kh * kw * c, act, w)
+    win, _ = windows(x.astype(dt), kh, kw, stride, padding)  # [ho, wo, c, kh, kw]
+    acc = _check_acc_range(np.tensordot(win, k.astype(dt), axes=([2, 3, 4], [2, 0, 1])))
     deq = acc.astype(np.float64) * float(np.asarray(act.scale)) * np.asarray(w.scale, dtype=np.float64)
     return acc, deq
 
 
 def int_dense(act: IntTensor, w: IntTensor) -> tuple[np.ndarray, np.ndarray]:
     """Integer matrix-vector/matrix product with exact int32 accumulation."""
-    x = act.values.astype(np.float64)
-    k = w.values.astype(np.float64)
+    x, k = act.values, w.values
     if x.shape[-1] != k.shape[0]:
         raise KernelError(f"shape mismatch: {x.shape} @ {k.shape}")
-    acc = _check_acc_range(x @ k)
+    dt = _gemm_dtype(k.shape[0], act, w)
+    acc = _check_acc_range(x.astype(dt) @ k.astype(dt))
     deq = acc.astype(np.float64) * float(np.asarray(act.scale)) * np.asarray(w.scale, dtype=np.float64)
     return acc, deq
 
@@ -251,7 +294,11 @@ def bitplane_matmul(a: IntTensor, b: IntTensor) -> EmulatedMatmul:
 # ---------------------------------------------------------------------------
 
 def float_conv2d(x, w, stride: int = 1, padding: str = "same") -> np.ndarray:
-    """Dense double-precision convolution with zero padding; [H,W,C] input."""
+    """Dense double-precision convolution with zero padding; [H,W,C] input.
+
+    One [positions, C] @ [C, F] product per tap, over blocks of output rows
+    that keep each product near ``_CONV_BLOCK`` elements.
+    """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     kh, kw, c, f = w.shape
@@ -262,5 +309,13 @@ def float_conv2d(x, w, stride: int = 1, padding: str = "same") -> np.ndarray:
     pl, pr = pad_amounts(ww, kw, stride, padding)
     xp = np.pad(x, ((pt, pb), (pl, pr), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    win = win[::stride, ::stride]
-    return np.einsum("hwckl,klcf->hwf", win, w)
+    win = win[::stride, ::stride]                       # [ho, wo, c, kh, kw]
+    ho, wo = win.shape[:2]
+    out = np.zeros((ho, wo, f))
+    rows = max(1, _CONV_BLOCK // (wo * max(c, f)))
+    for r in range(0, ho, rows):
+        block = out[r:r + rows]
+        for i in range(kh):
+            for j in range(kw):
+                block += (win[r:r + rows, :, :, i, j].reshape(-1, c) @ w[i, j]).reshape(block.shape)
+    return out

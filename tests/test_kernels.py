@@ -1,14 +1,38 @@
 import numpy as np
 import pytest
 
+from pokebnn import builders, graphir
 from pokebnn import kernels as K
-from pokebnn.graphir import DType
+from pokebnn.graphir import DType, pad_amounts
 
 INT_DTYPES = {1: DType.BIN, 2: DType.INT2, 4: DType.INT4, 8: DType.INT8}
 
 
 def random_signs(rng, shape):
     return np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+
+
+def pokebnn_binary_convs():
+    """Distinct (input shape, kernel, stride, padding, filters) of the BIN x BIN
+    convolutions of pokebnn-1.0x, at full spatial size."""
+    g = builders.build_named("pokebnn-1.0x")
+    shapes = graphir.infer_shapes(g)
+    convs = set()
+    for n in g.nodes:
+        a = n.attrs
+        if (n.op == "conv2d" and a.get("groups", 1) == 1
+                and (a["act_bits"], a["weight_bits"]) == (DType.BIN, DType.BIN)):
+            convs.add((shapes[n.inputs[0]], tuple(a["kernel"]), a["stride"],
+                       a["padding"], shapes[n.id][2]))
+    return sorted(convs)
+
+
+POKEBNN_BINARY_CONVS = pokebnn_binary_convs()
+
+
+def geometry_id(conv):
+    (h, w, c), (kh, kw), stride, padding, f = conv
+    return f"{h}x{w}x{c}-k{kh}x{kw}s{stride}-{padding}-f{f}"
 
 
 class TestPackSigns:
@@ -118,6 +142,41 @@ class TestBinaryConv:
             assert got.dtype == np.int32
             assert np.array_equal(got, ref.astype(np.int64))
 
+    @pytest.mark.parametrize("conv", POKEBNN_BINARY_CONVS, ids=geometry_id)
+    def test_pokebnn_10x_shapes(self, conv):
+        (h, w, c), (kh, kw), stride, padding, f = conv
+        rng = np.random.default_rng(h * c + f)
+        act = random_signs(rng, (h, w, c))
+        wts = random_signs(rng, (f, kh, kw, c))
+        bufsize = np.getbufsize()
+        got = K.binary_conv2d(K.pack_signs(act), K.pack_signs(wts),
+                              stride=stride, padding=padding)
+        assert np.getbufsize() == bufsize      # the kernel's setting is scoped
+        ref = K.float_conv2d(act, np.moveaxis(wts, 0, -1),
+                             stride=stride, padding=padding)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, ref.astype(np.int64))
+
+    def test_pokebnn_10x_shapes_take_both_orientations(self):
+        # The XOR passes run along positions where they outnumber filters and
+        # along filters otherwise; the shapes above reach both.
+        longer = {graphir.conv_out_size(h, kh, s, pad) * graphir.conv_out_size(w, kw, s, pad) >= f
+                  for (h, w, _), (kh, kw), s, pad, f in POKEBNN_BINARY_CONVS}
+        assert longer == {True, False}
+
+    @pytest.mark.parametrize("c", [65535, 65536])
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_counter_holds_the_kernel_volume(self, c, f):
+        # Every lane mismatches, so each output is -c; a 16-bit mismatch
+        # counter would wrap to 0 at c = 65536 and give +c. With two
+        # positions, f = 1 and f = 3 put either axis innermost.
+        v = random_signs(np.random.default_rng(c), c)
+        act = np.broadcast_to(v, (1, 2, c))
+        wts = np.broadcast_to(-v, (f, 1, 1, c))
+        got = K.binary_conv2d(K.pack_signs(act), K.pack_signs(wts))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.full((1, 2, f), -c))
+
     def test_channel_mismatch(self):
         with pytest.raises(K.KernelError):
             K.binary_conv2d(K.pack_signs(np.ones((4, 4, 8))),
@@ -190,6 +249,22 @@ class TestIntKernels:
                              K.IntTensor(wv, DType.INT4))
         assert np.all(acc == 16 * 7 * -7)
 
+    @pytest.mark.parametrize("k", [342_392, 342_393])
+    def test_int4_dense_exact_on_both_sides_of_float32(self, k):
+        # k * 7 * 7 is below 2^24 for the first depth and above it for the
+        # second, where the all +7 column sums to an odd integer that float32
+        # cannot hold.
+        rng = np.random.default_rng(k)
+        av = np.full((1, k), 7)
+        wv = np.stack([np.full(k, 7), 7 * rng.choice([-1, 1], size=k)], axis=1)
+        acc, _ = K.int_dense(K.IntTensor(av, DType.INT4),
+                             K.IntTensor(wv, DType.INT4))
+        exact = av.astype(np.int64) @ wv.astype(np.int64)
+        assert acc.dtype == np.int32
+        assert np.array_equal(acc, exact)
+        f32 = (av.astype(np.float32) @ wv.astype(np.float32))[0, 0]
+        assert (f32 == exact[0, 0]) == (k * 49 < 2 ** 24)
+
 
 class TestBitplaneMatmul:
     def test_scalar_worked_example(self):
@@ -241,3 +316,40 @@ class TestFloatReferences:
         x = rng.normal(size=(6, 6, 2))
         w = rng.normal(size=(3, 3, 2, 4))
         assert np.allclose(K.float_conv2d(2.5 * x, w), 2.5 * K.float_conv2d(x, w))
+
+    def test_conv_matches_bruteforce_int64_sum(self):
+        # The verify-kernels geometries: even kernels (uneven "same" padding),
+        # stride 3, one-row/one-column inputs and valid padding.
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            h, w = rng.integers(3, 12, size=2)
+            if rng.random() < 0.2:
+                h, w = (1, w) if rng.random() < 0.5 else (h, 1)
+            c, f = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            k = int(rng.choice([1, 2, 3, 4]))
+            stride = int(rng.choice([1, 2, 3]))
+            padding = str(rng.choice(["same", "valid"]))
+            if padding == "valid" and (h < k or w < k):
+                padding = "same"
+            x = rng.integers(-127, 128, size=(h, w, c))
+            wt = rng.integers(-127, 128, size=(k, k, c, f))
+            got = K.float_conv2d(x, wt, stride=stride, padding=padding)
+            assert np.array_equal(got, bruteforce_conv(x, wt, stride, padding))
+
+
+def bruteforce_conv(x, w, stride, padding):
+    """int64 sum over every in-bounds tap of every output position."""
+    h, wd, _ = x.shape
+    kh, kw, _, f = w.shape
+    pt, pb = pad_amounts(h, kh, stride, padding)
+    pl, pr = pad_amounts(wd, kw, stride, padding)
+    ho, wo = (h + pt + pb - kh) // stride + 1, (wd + pl + pr - kw) // stride + 1
+    out = np.zeros((ho, wo, f), dtype=np.int64)
+    for y in range(ho):
+        for z in range(wo):
+            for i in range(kh):
+                for j in range(kw):
+                    sy, sz = y * stride + i - pt, z * stride + j - pl
+                    if 0 <= sy < h and 0 <= sz < wd:
+                        out[y, z] += x[sy, sz].astype(np.int64) @ w[i, j].astype(np.int64)
+    return out
