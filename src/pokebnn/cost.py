@@ -172,15 +172,14 @@ def count_elementwise(g: GraphSpec, shapes: ShapeMap | None = None) -> Elementwi
     shapes = shapes or infer_shapes(g)
     nodes = {n.id: n for n in g.nodes}
     unsupported = []
-    quant_bits = {}     # node id -> act_bits of the quantize_act nodes it feeds
+    int4_fed = set()    # nodes read by an int4 quantize_act
     for n in g.nodes:
         if n.op == "max_pool":
             unsupported.append(n.id)
         if n.op == "relu" and nodes[n.inputs[0]].op != "dense":
             unsupported.append(n.id)
-        if n.op == "quantize_act":
-            for i in n.inputs:
-                quant_bits.setdefault(i, []).append(n.attrs["act_bits"])
+        if n.op == "quantize_act" and n.attrs["act_bits"] == DType.INT4:
+            int4_fed.update(n.inputs)
     if unsupported:
         raise UnsupportedGraph(
             "elementwise analysis only covers PokeBNN-family graphs; "
@@ -214,8 +213,7 @@ def count_elementwise(g: GraphSpec, shapes: ShapeMap | None = None) -> Elementwi
                    else "residual_local")
             bd[key][0] += e
         elif n.op == "spatial_mean":
-            key = ("se_spatial_mean" if DType.INT4 in quant_bits.get(n.id, ())
-                   else "global_pool")
+            key = "se_spatial_mean" if n.id in int4_fed else "global_pool"
             bd[key][0] += _elements(shapes[n.inputs[0]])
             bd[key][1] += out[2]
         elif n.op == "hardsigmoid":
