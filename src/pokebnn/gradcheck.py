@@ -111,9 +111,11 @@ def _graph_error(b, last_id, rng, seed: int) -> float:
     run by Model in phase 1."""
     model = Model(b.finish(last_id), seed=seed)
     x = rng.normal(size=(2, *b.g.input_shape))
+    data = model.arena.writable()     # perturbed in place; forward caches nothing
     return check_gradients(
         lambda: model.forward(x, training=False, phase=1),
-        model.params, lambda: model.arena.grad_views, seed=seed)
+        {n: data[model.arena.spans[n]].reshape(v.shape) for n, v in model.params.items()},
+        lambda: model.arena.grad_views, seed=seed)
 
 
 def run_gradcheck(seed: int = 0, instances: int = 20) -> dict[str, float]:

@@ -1,6 +1,5 @@
 from .autodiff import Tensor
 from .checkpoint import CheckpointError, load_tensors, save_tensors
-from .model import Model, QuantContext
+from .model import Model
 
-__all__ = ["Tensor", "Model", "QuantContext", "save_tensors", "load_tensors",
-           "CheckpointError"]
+__all__ = ["Tensor", "Model", "save_tensors", "load_tensors", "CheckpointError"]

@@ -79,11 +79,12 @@ def _step(forward, vjp, call, ste=None):
 
 
 class ParamArena:
-    """Named arrays stored as views into one flat buffer.
+    """Named arrays stored as read-only views into one flat buffer.
 
     ``data`` holds every value, in insertion order, and ``views[name]`` is
-    the slice ``spans[name]`` of it in the array's own shape, so a write
-    through either one is seen by the other. ``grad`` is a second buffer of
+    the slice ``spans[name]`` of it in the array's own shape; a write to
+    either raises. ``writable()`` is the one way to change a value, and
+    ``version`` counts its calls. ``grad`` is a second, writable buffer of
     the same size, with the views ``grad_views[name]`` in the same way.
     """
 
@@ -91,6 +92,9 @@ class ParamArena:
         flat = [np.ravel(a) for a in arrays.values()]
         # the leading empty array keeps a model without parameters valid
         self.data = np.concatenate([np.empty(0), *flat], dtype=dtype)
+        self._writable = self.data.view()   # taken while data is writable
+        _read_only(self.data)               # so every view of it is too
+        self.version = 0
         self.grad = np.zeros(self.data.size, dtype=dtype)
         self.spans: dict[str, slice] = {}
         self.views: dict[str, np.ndarray] = {}
@@ -102,6 +106,12 @@ class ParamArena:
             self.views[name] = self.data[span].reshape(np.shape(a))
             self.grad_views[name] = self.grad[span].reshape(np.shape(a))
             start = span.stop
+
+    def writable(self) -> np.ndarray:
+        """The flat buffer behind ``data``, writable; bumps ``version``, which
+        marks cached constants stale, so write before the next read."""
+        self.version += 1
+        return self._writable
 
 
 class Model:
@@ -118,14 +128,14 @@ class Model:
         self.bounds: dict[str, quant.BoundState] = {}
         init = self._init_params(np.random.default_rng(seed))
         # every parameter's value and gradient are views into the arena's
-        # buffers; write a value with params[name][...] = value
+        # buffers; the values are read-only, and arena.writable() changes them
         self.arena = ParamArena(init, self.dtype)
         self.params = MappingProxyType(self.arena.views)
         # logits' per-state constants by node id, as (sources, constants)
-        # (see _cached), valid while the arena's bytes equal the snapshot
-        # taken when the cache was emptied
+        # (see _cached), valid while the arena's version is the one they
+        # were computed at
         self._constants: dict[str, tuple] = {}
-        self._snapshot: np.ndarray | None = None
+        self._version = None
         # the plan: one step per node, as (node, input slots, run, parameter
         # names, the VJP's needs); the slot after the last step holds the batch
         index = {node.id: i for i, node in enumerate(graph.nodes)}
@@ -220,16 +230,15 @@ class Model:
                            steps)
         return out.reshape(len(out), -1), backward
 
-    def logits(self, x, training: bool = False, phase: int = 2,
-               hooks=()) -> np.ndarray:
-        """Runs the plan and keeps nothing for a gradient; returns [N, classes].
-
-        The inference call. With ``training`` it still updates the BN
-        running statistics and the unfrozen EMA bounds, as ``forward`` does.
-        """
-        if phase >= 2 or not training:     # a call that reads the constants
-            self._check_constants()
-        out = self._execute(x, hooks, QuantContext(training, phase,
+    def logits(self, x, phase: int = 2, hooks=()) -> np.ndarray:
+        """The inference call: runs the plan in eval mode and keeps nothing
+        for a gradient; returns [N, classes]. Parameter constants are reused
+        while ``arena.version`` stays; running statistics and bound states
+        are checked per entry, by ``_cached``."""
+        if self._version != self.arena.version:
+            self._constants.clear()
+            self._version = self.arena.version
+        out = self._execute(x, hooks, QuantContext(False, phase,
                                                    cache=self._constants))
         return out.reshape(out.shape[0], -1)
 
@@ -300,20 +309,6 @@ class Model:
                 grads_in = (ad._ste_vjp(grads_in[0], None, None, *ste)[0], *grads_in[1:])
             for name, g in zip(names, grads_in):
                 views[name] += g
-
-    def _check_constants(self):
-        """Empties the constant cache unless the arena's bytes equal the
-        snapshot, which is then retaken. One exact compare catches every
-        writer of a parameter: Adam, ``load_state_dict`` and in-place writes
-        through a view or to ``arena.data``. Running statistics and bound
-        states are checked per entry, by ``_cached``."""
-        data = self.arena.data
-        # the bits as unsigned words of the element size: as exact as bytes,
-        # and fewer elements to compare
-        data = data.view(f"u{data.itemsize}" if data.itemsize <= 8 else np.uint8)
-        if self._snapshot is None or not np.array_equal(data, self._snapshot):
-            self._constants.clear()
-            self._snapshot = data.copy()
 
     def _lower(self, node: NodeSpec) -> Callable:
         """The step function ``run(model, ins, ctx)`` of one node, which
@@ -449,8 +444,8 @@ class Model:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Copies ``state`` into the model; parameters are written into their
-        arena views in place, and running statistics and bounds are stored as
+        """Copies ``state`` into the model; parameters are written into the
+        arena in place, and running statistics and bounds are stored as
         read-only copies, so that no array of ``state`` is aliased. Raises one
         ValueError naming every missing, unexpected and wrong-shaped entry
         before anything is written."""
@@ -463,8 +458,9 @@ class Model:
         if errors:
             raise ValueError("state dict does not match the model: "
                              + "; ".join(errors))
-        for name, v in self.params.items():
-            v[...] = state[name]
+        data = self.arena.writable()
+        for name, span in self.arena.spans.items():
+            data[span] = np.ravel(state[name])
         self.arena.grad.fill(0)
         for nid, stats in self.bn_stats.items():
             for key in ("mean", "var"):

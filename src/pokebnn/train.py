@@ -118,7 +118,7 @@ def adam_init(arena: ParamArena, decay_names=frozenset()) -> dict:
 
 
 def adam_step(arena: ParamArena, state: dict, lr: float, cfg: TrainConfig) -> None:
-    """One in-place Adam update of ``arena.data`` from ``arena.grad``.
+    """One in-place Adam update of ``arena.writable()`` from ``arena.grad``.
 
     The update runs over the arena in blocks of ``ADAM_BLOCK`` entries, with
     the per-element arithmetic of a per-tensor Adam. A non-finite gradient
@@ -134,9 +134,10 @@ def adam_step(arena: ParamArena, state: dict, lr: float, cfg: TrainConfig) -> No
     b1, b2 = cfg.beta1, cfg.beta2
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     decay = state["decay"] if cfg.weight_decay else None
+    data = arena.writable()
     for lo in range(0, g.size, ADAM_BLOCK):
         block = slice(lo, lo + ADAM_BLOCK)
-        p, m, v, gb = arena.data[block], state["m"][block], state["v"][block], g[block]
+        p, m, v, gb = data[block], state["m"][block], state["v"][block], g[block]
         s1, s2 = (s[:gb.size] for s in state["scratch"])
         m *= b1
         m += np.multiply(gb, 1 - b1, out=s1)
@@ -179,7 +180,7 @@ def eval_averaged_top1(model: Model, dataset, checkpoints) -> float:
     accs = []
     for state in checkpoints:
         model.load_state_dict(state)
-        logits = model.logits(dataset.x, training=False, phase=2)
+        logits = model.logits(dataset.x, phase=2)
         accs.append(top1_accuracy(logits, dataset.y))
     return float(np.mean(accs))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import re
@@ -75,7 +76,7 @@ class TestForward:
     @pytest.mark.parametrize("phase", [1, 2])
     def test_finite_logits_of_correct_length(self, toy, batch, phase):
         model = Model(toy, seed=1)
-        logits = model.logits(batch, training=False, phase=phase)
+        logits = model.logits(batch, phase=phase)
         assert logits.shape == (4, 10)
         assert np.all(np.isfinite(logits))
 
@@ -88,8 +89,8 @@ class TestForward:
 
     def test_eval_mode_deterministic(self, toy, batch):
         model = Model(toy, seed=1)
-        a = model.logits(batch, training=False, phase=2)
-        b = model.logits(batch, training=False, phase=2)
+        a = model.logits(batch, phase=2)
+        b = model.logits(batch, phase=2)
         assert np.array_equal(a, b)
 
     def test_training_updates_bn_stats_eval_does_not(self, toy, batch):
@@ -124,27 +125,24 @@ class TestForward:
 class TestPlan:
     """``logits`` runs the forward plan on plain arrays with no tape."""
 
+    # the ids keep the "False-" of the training flag that logits once took,
+    # so that each case keeps its name
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("phase", [1, 2])
-    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("phase", [1, 2], ids=lambda phase: f"False-{phase}")
     def test_logits_equal_forward_and_move_the_same_state(self, toy, batch,
-                                                          dtype, phase, training):
+                                                          dtype, phase):
         taped, plain = Model(toy, seed=4, dtype=dtype), Model(toy, seed=4, dtype=dtype)
         initial = plain.state_dict()
-        for _ in range(2):     # the second call reads the moved statistics
-            want, _ = taped.forward(batch, training=training, phase=phase)
-            got = plain.logits(batch, training=training, phase=phase)
+        for _ in range(2):     # the second call reads the cached constants
+            want, _ = taped.forward(batch, training=False, phase=phase)
+            got = plain.logits(batch, phase=phase)
             assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
         state, twin = plain.state_dict(), taped.state_dict()
         assert all(state[k].tobytes() == twin[k].tobytes() for k in twin)
-        moved = {k for k in state if not np.array_equal(state[k], initial[k])}
-        stats = {k for k in state if k.endswith(("running_mean", "running_var",
-                                                 ".bound"))}
-        assert moved == (stats if training else set())
+        assert all(np.array_equal(state[k], initial[k]) for k in state)
 
-    @pytest.mark.parametrize("training", [False, True])
-    def test_logits_records_no_tape(self, toy, batch, monkeypatch, training):
+    def test_logits_records_no_tape(self, toy, batch, monkeypatch):
         cols, conv2d = [], ad._conv2d
 
         def watched(*args):
@@ -165,18 +163,18 @@ class TestPlan:
             raise AssertionError("the model created a Tensor")
 
         monkeypatch.setattr(ad.Tensor, "__init__", no_tensor)
-        logits, backward = model.forward(batch, training=training, phase=2,
+        logits, backward = model.forward(batch, training=False, phase=2,
                                          hooks=[hook])
         assert alive and all(alive)            # the record holds every im2col
         backward(np.ones_like(logits))
         alive.clear()
-        model.logits(batch, training=training, phase=2, hooks=[hook])
+        model.logits(batch, phase=2, hooks=[hook])
         assert alive and not any(alive)        # each dies with its step
 
     def test_float32_stays_float32_at_every_node(self, toy, batch):
         model = Model(toy, seed=1, dtype=np.float32)
-        for run in (model.logits, model.forward):
-            outs = node_outputs(run, batch, training=False, phase=2)
+        for run in (model.logits, functools.partial(model.forward, training=False)):
+            outs = node_outputs(run, batch, phase=2)
             assert list(outs) == [n.id for n in toy.nodes]
             assert {o.dtype for o in outs.values()} == {np.dtype(np.float32)}
         assert model.logits(batch).dtype == np.float32
@@ -388,12 +386,12 @@ class TestCheckpoint:
     def test_restored_model_evaluates_identically(self, toy, batch, tmp_path):
         model = Model(toy, seed=1)
         model.forward(batch, training=True, phase=1)
-        want = model.logits(batch, training=False, phase=2)
+        want = model.logits(batch, phase=2)
         path = tmp_path / "model.ckpt"
         save_tensors(path, model.state_dict())
         fresh = Model(toy, seed=99)
         fresh.load_state_dict(load_tensors(path))
-        assert np.array_equal(fresh.logits(batch, training=False, phase=2), want)
+        assert np.array_equal(fresh.logits(batch, phase=2), want)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -473,8 +471,26 @@ class TestParamArena:
         for name, v in model.params.items():
             assert v.base is arena.data, name
             assert np.array_equal(v.ravel(), arena.data[arena.spans[name]])
-        arena.data[:] = 0.5
+        arena.writable()[:] = 0.5
         assert all(np.all(v == 0.5) for v in model.params.values())
+
+    def test_only_the_writer_changes_a_value(self, toy, batch):
+        model = Model(toy, seed=1, dtype=np.float32)
+        arena, name = model.arena, "init_conv.w"
+        span, value = arena.spans[name], np.zeros(model.params[name].shape)
+        before, version, want = arena.data.tobytes(), arena.version, model.logits(batch)
+        with pytest.raises(ValueError, match="read-only"):
+            model.params[name][...] = value
+        with pytest.raises(ValueError, match="read-only"):
+            model.params[name] *= -1
+        with pytest.raises(ValueError, match="read-only"):
+            arena.data[span] = value.ravel()
+        with pytest.raises(ValueError, match="read-only"):
+            arena.views[name][...] = value
+        assert arena.data.tobytes() == before and arena.version == version
+        assert model.logits(batch).tobytes() == want.tobytes()
+        arena.writable()
+        assert arena.version == version + 1
 
     def test_values_equal_per_tensor_init(self, toy):
         # the arena holds exactly the float64 draws cast to the model dtype
@@ -562,7 +578,7 @@ class TestParameterData:
         model = Model(toy, seed=1, dtype=np.float32)
         view = model.params["init_conv.w"]
         new = np.random.default_rng(5).normal(size=view.shape)
-        model.params["init_conv.w"][...] = new
+        model.load_state_dict({**model.state_dict(), "init_conv.w": new})
         assert model.params["init_conv.w"] is view
         assert view.tobytes() == new.astype(np.float32).tobytes()
         cfg = train.TrainConfig(total_steps=3, phase_switch_step=2, seed=0,
@@ -580,7 +596,7 @@ class TestParameterData:
         with pytest.raises(TypeError):
             model.params["init_conv.w"] = np.zeros(view.shape)
         with pytest.raises(ValueError, match="broadcast"):
-            model.params["init_conv.w"][...] = np.zeros(2)
+            model.arena.writable()[model.arena.spans["init_conv.w"]] = np.zeros(2)
         assert model.params["init_conv.w"] is view
         assert np.array_equal(view, before)
 
@@ -656,15 +672,18 @@ class TestStateDict:
 
 
 def _negate(model, name, how):
-    """Negates parameter ``name`` of ``model`` through one arena writer:
+    """Negates parameter ``name`` of ``model`` through ``arena.writable()``:
     ``data_setter`` assigns a whole new value, ``view_write`` multiplies in
-    place, ``arena_write`` writes to the flat buffer."""
+    place through a view in the parameter's shape, ``arena_write``
+    multiplies the flat span in place."""
+    span, data = model.arena.spans[name], model.arena.writable()
     if how == "data_setter":
-        model.params[name][...] = -model.params[name]
+        data[span] = -model.params[name].ravel()
     elif how == "view_write":
-        model.params[name][...] *= -1
+        view = data[span].reshape(model.params[name].shape)
+        view *= -1
     else:
-        model.arena.data[model.arena.spans[name]] *= -1
+        data[span] *= -1
 
 
 class TestQuantizedWeightCache:
@@ -710,10 +729,8 @@ class TestQuantizedWeightCache:
                                    for k, v in state.items()})
         elif writer == "train_forward":
             model.forward(batch, training=True, phase=2)
-        elif writer == "train_logits":
-            model.logits(batch, training=True)
         elif writer == "freeze_after_phase1":
-            model.logits(batch[:2], training=True, phase=1)
+            model.forward(batch[:2], training=True, phase=1)
             model.freeze_activation_bounds()
         else:
             _negate(model, *writer.split(":")[::-1])
@@ -723,8 +740,7 @@ class TestQuantizedWeightCache:
         *(f"{how}:{name}" for how in ("data_setter", "view_write", "arena_write")
           for name in ("init_conv.w", "b00_pc1_conv.w", "head_fc.w")),
         "view_write:init_bn1.scale", "load_state_dict:stats",
-        "load_state_dict:bounds", "train_forward", "train_logits",
-        "freeze_after_phase1"])
+        "load_state_dict:bounds", "train_forward", "freeze_after_phase1"])
     def test_every_arena_writer_is_seen(self, toy, batch, writer):
         # the last writer starts from unfrozen bounds, whose scales logits
         # caches as well
@@ -738,7 +754,7 @@ class TestQuantizedWeightCache:
     @pytest.mark.parametrize("writer", ["view_write:init_bn1.scale",
                                         "load_state_dict:stats", "train_forward"])
     def test_phase1_eval_sees_every_writer(self, toy, batch, writer):
-        # eval BN reads cached factors in phase 1 too, so the arena check runs
+        # eval BN reads cached factors in phase 1 too, so the version check runs
         model = self.calibrated(toy, batch)
         before = model.logits(batch, phase=1)
         self.write(toy, batch, model, writer)
@@ -795,8 +811,8 @@ class TestQuantizedWeightCache:
         model.logits(batch[:1])
         model.logits(batch)
         assert not calls
-        # a training call moves the statistics, not the frozen bounds
-        model.logits(batch, training=True)
+        # a training step moves the statistics, not the frozen bounds
+        model.forward(batch, training=True, phase=1)
         model.logits(batch)
         assert calls == {"_batchnorm_eval_constants": bns}
         calls.clear()
@@ -819,7 +835,8 @@ class TestQuantizedWeightCache:
         model.logits(batch)
         assert calls.pop("bounds") == ints
         model.logits(batch[:1])
-        model.logits(batch, training=True)
+        model.forward(batch, training=True, phase=1)    # moves only the statistics
+        model.logits(batch)
         assert calls["bounds"] == 0
         model.arena.grad[...] = 1.0
         train.adam_step(model.arena, train.adam_init(model.arena), 1e-3,
@@ -847,7 +864,7 @@ class TestSEGate:
     def test_zero_input_gate_is_hardsigmoid_of_bias(self, phase):
         model = se_model(8, seed=1)
         b2 = np.linspace(-4, 4, 8)
-        model.params["se_fc2.bias"][:] = b2
+        model.load_state_dict({**model.state_dict(), "se_fc2.bias": b2})
         gate, _ = model.forward(np.zeros((2, 4, 4, 8)), training=False, phase=phase)
         assert np.allclose(gate[0], np.clip(b2 + 3, 0, 6) / 6)
 
@@ -962,7 +979,7 @@ class TestDepthwiseWeightBounds:
         w = np.random.default_rng(21).uniform(-1, 1, size=(3, 3, 2, 2))
         w[:, :, 0, 0] *= 0.01
         w[:, :, 1, :] *= 100
-        model.params["n.w"][...] = w
+        model.load_state_dict({**model.state_dict(), "n.w": w})
         bounds = np.abs(w).max(axis=(0, 1))
         wq = quant.fake_quant(w, bounds, 8)
         block = np.zeros((3, 3, 2, 4))

@@ -445,7 +445,7 @@ class TestClippingBoundKnob:
         for bound in (1.0, 3.0):
             model = Model(g, seed=5, dtype=np.float64)
             model.binary_bound = bound
-            logits[bound] = model.logits(x, training=False, phase=1)
+            logits[bound] = model.logits(x, phase=1)
             out, backward = model.forward(x, training=True, phase=1)
             loss, saved = ad._cross_entropy(out, np.array([0, 1]))
             backward(ad._cross_entropy_vjp(np.ones_like(loss), saved, (True, False),
