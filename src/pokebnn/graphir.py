@@ -188,8 +188,13 @@ def windows(x, kh: int, kw: int, stride: int, padding: str, fill=0):
     *lead, sh, sw, sc = xp.strides
     shape = (*xp.shape[:-3], (hp - kh) // stride + 1, (wp - kw) // stride + 1,
              xp.shape[-1], kh, kw)
-    win = np.lib.stride_tricks.as_strided(
-        xp, shape, (*lead, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+    strides = (*lead, sh * stride, sw * stride, sc, sh, sw)
+    if xp.flags.c_contiguous:
+        # the view that as_strided makes, without its Python wrapper's cost
+        win = np.ndarray(shape, xp.dtype, xp, 0, strides)
+        win.flags.writeable = False
+    else:   # the constructor views one contiguous buffer only
+        win = np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
     return win, (pt, pb, pl, pr)
 
 
@@ -336,6 +341,12 @@ _ATTR_VALUES = {
 
 def validate_graph(g: GraphSpec) -> list[str]:
     """All structural invariants; returns one diagnostic string per violation."""
+    return check_graph(g)[0]
+
+
+def check_graph(g: GraphSpec) -> tuple[list[str], ShapeMap | None]:
+    """``validate_graph``'s diagnostics, and the shapes that ``infer_shapes``
+    gives, or None if there is a diagnostic."""
     diags: list[str] = []
     seen: set[str] = set()
     inputs = [n for n in g.nodes if n.op == "input"]
@@ -368,12 +379,12 @@ def validate_graph(g: GraphSpec) -> list[str]:
             valid, what = _ATTR_VALUES.get(key, (None, ""))
             if valid is not None and not valid(value):
                 diags.append(f"node {node.id!r}: {key} must be {what}, got {value!r}")
-    if not diags:
-        try:
-            infer_shapes(g)
-        except ShapeError as e:
-            diags.append(str(e))
-    return diags
+    if diags:
+        return diags, None
+    try:
+        return diags, infer_shapes(g)
+    except ShapeError as e:
+        return [str(e)], None
 
 
 # ---------------------------------------------------------------------------

@@ -378,8 +378,12 @@ def _max_pool_vjp(g, saved, needs, x, kernel=(3, 3), stride=2, padding="same"):
 
 
 def _spatial_mean(x):
-    """Mean over H and W, keeping [N, 1, 1, C]."""
-    return x.mean(axis=(1, 2), keepdims=True), None
+    """Mean over H and W, keeping [N, 1, 1, C]: ``np.mean``'s sum and its
+    divide by an ``intp`` count, without its Python wrapper, so bitwise
+    ``x.mean(axis=(1, 2), keepdims=True)``."""
+    out = np.add.reduce(x, (1, 2), None, None, True)
+    return np.true_divide(out, np.intp(x.shape[1] * x.shape[2]), out=out,
+                          casting="unsafe"), None
 
 
 def _spatial_mean_vjp(g, saved, needs, x):

@@ -5,10 +5,12 @@ conv/dense weights, BatchNorm affine + running statistics, DPReLU vectors,
 and per-quantizer clipping bounds. ``Model.__init__`` lowers the node list
 once into a plan of steps, and fixes the order in which a pullback visits
 them. ``forward`` runs the plan on arrays and returns the logits with their
-pullback, which calls each step's VJP once; ``logits`` runs the same plan
-and keeps nothing for a gradient. ``logits`` computes each per-state
-constant once, the quantized weights, the eval BatchNorm factors and the
-frozen quantizers' scales, and reuses it until its state changes.
+pullback, which calls each step's VJP once. ``logits`` runs an eval program
+bound from the same plan: per phase, one closure per step, holding the step's
+op and its per-state constants (the quantized weight, the eval BatchNorm
+factors, the quantizer scales), resolved once. It keeps nothing for a
+gradient, and binds again only when the parameters, a running statistic or a
+bound state change.
 """
 
 from __future__ import annotations
@@ -23,22 +25,19 @@ import numpy as np
 
 from .. import quant
 from ..graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphError, GraphSpec,
-                       NodeSpec, infer_shapes, param_shapes, validate_graph)
+                       NodeSpec, check_graph, param_shapes)
 from . import autodiff as ad
 
 
 @dataclass
 class QuantContext:
-    """Per-call mode: BN train/eval, the quantization phase (phase 1
-    binarizes activations only; phase 2 also quantizes weights and the 4/8-bit
-    activations), and the per-state constants by node id that ``logits``
-    reads and fills (see ``_cached``), or None where ``forward`` computes
-    them afresh for its gradient. Every quantizer has one forward, the sign
-    or the rounded grid, and the straight-through gradient."""
+    """``forward``'s per-call mode: BN train/eval and the quantization phase
+    (phase 1 binarizes activations only; phase 2 also quantizes weights and
+    the 4/8-bit activations). Every quantizer has one forward, the sign or
+    the rounded grid, and the straight-through gradient."""
 
     training: bool = True
     phase: int = 1
-    cache: dict | None = None
 
 
 # the initial value of each parameter other than a weight, if not 0
@@ -67,6 +66,25 @@ def _cached(cache: dict, nid: str, sources: tuple, compute: Callable):
     if entry is None or not all(map(operator.is_, entry[0], sources)):
         entry = cache[nid] = (sources, compute())
     return entry[1]
+
+
+def _identity(x):
+    return x
+
+
+def _plus_zero(x):
+    return x + 0.0
+
+
+def _spread(fn: Callable) -> Callable:
+    """``fn`` taking its arguments as one tuple."""
+    return lambda ins: fn(*ins)
+
+
+def _fixed(fn: Callable) -> Callable:
+    """The ``bind`` of a step with no per-state constants: ``fn`` in every
+    phase and state."""
+    return lambda model, phase: fn
 
 
 def _step(forward, vjp, call, ste=None):
@@ -116,11 +134,11 @@ class ParamArena:
 
 class Model:
     def __init__(self, graph: GraphSpec, seed: int = 0, dtype=np.float64):
-        diags = validate_graph(graph)
+        diags, shapes = check_graph(graph)
         if diags:
             raise GraphError(f"graph {graph.name!r}: " + "; ".join(diags))
         self.graph = graph
-        self.shapes = infer_shapes(graph)
+        self.shapes = shapes
         self.dtype = np.dtype(dtype)
         self.binary_bound = 3.0
         self.bn_momentum = 0.9
@@ -136,8 +154,12 @@ class Model:
         # were computed at
         self._constants: dict[str, tuple] = {}
         self._version = None
-        # the plan: one step per node, as (node, input slots, run, parameter
-        # names, the VJP's needs); the slot after the last step holds the batch
+        # logits' eval program by phase, as (arena version, sources, steps)
+        # (see _program)
+        self._programs: dict[int, tuple] = {}
+        # the plan: one step per node, as (node, input slots, run, bind,
+        # parameter names, the VJP's needs); the slot after the last step
+        # holds the batch
         index = {node.id: i for i, node in enumerate(graph.nodes)}
         # whether each slot's value depends on a parameter, so takes a gradient
         needs = [False] * (len(graph.nodes) + 1)
@@ -147,7 +169,7 @@ class Model:
                      else tuple([index[s] for s in node.inputs]))
             names = tuple([f"{node.id}.{k}" for k in OP_PARAMS.get(node.op, ())])
             needs[i] = bool(names) or any(needs[s] for s in slots)
-            self._plan.append((node, slots, self._lower(node), names,
+            self._plan.append((node, slots, *self._lower(node), names,
                                tuple([needs[s] for s in slots]) + (True,) * len(names)))
         self._output = next(i for i, node in enumerate(graph.nodes)
                             if node.op == "output")
@@ -220,7 +242,8 @@ class Model:
         the node's output array.
         """
         record = [None] * len(self._plan)
-        out = self._execute(x, hooks, QuantContext(training, phase), record)
+        out = self._execute(self._input(x), hooks, QuantContext(training, phase),
+                            record)
 
         def backward(grad):
             if not record:
@@ -231,35 +254,78 @@ class Model:
         return out.reshape(len(out), -1), backward
 
     def logits(self, x, phase: int = 2, hooks=()) -> np.ndarray:
-        """The inference call: runs the plan in eval mode and keeps nothing
-        for a gradient; returns [N, classes]. Parameter constants are reused
-        while ``arena.version`` stays; running statistics and bound states
-        are checked per entry, by ``_cached``."""
-        if self._version != self.arena.version:
-            self._constants.clear()
-            self._version = self.arena.version
-        out = self._execute(x, hooks, QuantContext(False, phase,
-                                                   cache=self._constants))
+        """The inference call: runs the phase's eval program and keeps
+        nothing for a gradient; returns [N, classes]. Each of ``hooks`` is
+        called as ``hook(node, out)`` after every step, as in ``forward``.
+
+        The program holds every step's per-state constants. Each call checks
+        that ``arena.version`` and the running-statistic arrays and bound
+        states the program was bound from are still the model's, and binds
+        it again if not (see ``_program``)."""
+        x = self._input(x)
+        values = [None] * len(self._plan) + [x]
+        for i, (fn, ins, node) in enumerate(self._program(phase)):
+            values[i] = out = fn(ins(values))
+            for hook in hooks:
+                hook(node, out)
+        out = values[self._output]
         return out.reshape(out.shape[0], -1)
 
-    def _execute(self, x, hooks, ctx, record=None):
-        """Runs the plan; returns the output node's array. Stores each
-        step's record in ``record``, by step, if it is a list."""
+    def _program(self, phase: int) -> list:
+        """The steps of ``phase``'s eval program, each ``(fn, ins, node)``:
+        ``ins(values)`` picks the step's inputs from the slots, and ``fn``,
+        bound by the step's ``bind``, takes them as one argument.
+
+        A program is kept with the arena version and the ``_sources`` it was
+        bound from, and bound again when either changed. Binding reads each
+        step's constants from ``_constants`` by the per-entry rule of
+        ``_cached``, after emptying it if the arena changed since it was
+        filled; so a training step recomputes only the BN factors."""
+        sources = self._sources()
+        program = self._programs.get(phase)
+        if (program is not None and program[0] == self.arena.version
+                and all(map(operator.is_, program[1], sources))):
+            return program[2]
+        del program     # so that stale weights are freed before binding
+        if self._version != self.arena.version:
+            self._constants.clear()
+            self._programs.clear()
+            self._version = self.arena.version
+        steps = []
+        for node, slots, _, bind, _, _ in self._plan:
+            fn = bind(self, phase)
+            if len(slots) > 1:      # itemgetter picks these as a tuple
+                fn = _spread(fn)
+            steps.append((fn, operator.itemgetter(*slots), node))
+        self._programs[phase] = (self.arena.version, sources, steps)
+        return steps
+
+    def _sources(self) -> list:
+        """The objects besides the arena that eval constants are computed
+        from, in one list: each BN step's running mean and variance, then each
+        quantizer's bound state."""
+        return [*[a for stats in self.bn_stats.values()
+                  for a in (stats["mean"], stats["var"])], *self.bounds.values()]
+
+    def _input(self, x) -> np.ndarray:
+        """``x`` as an [N, H, W, C] array of the model's dtype; raises
+        ValueError if its shape is not the graph's input shape."""
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
             raise ValueError(f"expected [N, H, W, C] input, got shape {x.shape}")
         if x.shape[1:] != tuple(self.graph.input_shape):
             raise ValueError(f"graph {self.graph.name!r} expects input "
                              f"{tuple(self.graph.input_shape)}, got {x.shape[1:]}")
+        return x
+
+    def _execute(self, x, hooks, ctx, record):
+        """Runs the plan on ``x``; returns the output node's array. Stores
+        each step's record in ``record``, by step."""
         values = [None] * len(self._plan) + [x]
-        for i, (node, slots, run, _, _) in enumerate(self._plan):
-            out, rec = run(self, [values[s] for s in slots], ctx)
-            values[i] = out
-            if record is not None:
-                record[i] = rec
-            del rec     # with no record, the step's saved arrays die here
+        for i, (node, slots, run, _, _, _) in enumerate(self._plan):
+            values[i], record[i] = run(self, [values[s] for s in slots], ctx)
             for hook in hooks:
-                hook(node, out)
+                hook(node, values[i])
         return values[self._output]
 
     def _backward_order(self) -> list:
@@ -294,7 +360,7 @@ class Model:
             if grads[i] is None:
                 continue
             vjp, saved, call, ste = record[i]
-            _, slots, _, names, needs = self._plan[i]
+            _, slots, _, _, names, needs = self._plan[i]
             grads_in = vjp(grads[i], saved, needs, *call)
             record[i] = grads[i] = None
             for s, need, x, g in zip(slots, needs, call, grads_in):
@@ -310,24 +376,27 @@ class Model:
             for name, g in zip(names, grads_in):
                 views[name] += g
 
-    def _lower(self, node: NodeSpec) -> Callable:
-        """The step function ``run(model, ins, ctx)`` of one node, which
-        returns the node's output and the step's record (see ``_step``), or
-        None for a step that passes its input through or that read its
-        constants from ``ctx.cache``, in a call that keeps no record.
+    def _lower(self, node: NodeSpec) -> tuple[Callable, Callable]:
+        """The step functions of one node, ``(run, bind)``.
+
+        ``run(model, ins, ctx)`` is ``forward``'s step: it returns the node's
+        output and the step's record (see ``_step``), or None for a step that
+        passes its input through. ``bind(model, phase)`` returns the eval
+        program's step, ``fn(*ins)``, which returns the node's output with the
+        step's per-state constants resolved at binding, by ``_cached``.
 
         Attributes, ops and parameters are resolved here, once. BN statistics
-        and bound state are read from ``model`` when the step runs, since
-        training updates them; the step holds no reference to the model, so a
-        dropped model is freed at once rather than by the cycle collector.
+        and bound state are read from ``model`` when a step runs or binds,
+        since training updates them; no step holds a reference to the model,
+        so a dropped model is freed at once rather than by the cycle collector.
         """
         op, a, nid = node.op, node.attrs, node.id
         if op in ("input", "output"):
-            return lambda model, ins, ctx: (ins[0], None)
+            return (lambda model, ins, ctx: (ins[0], None)), _fixed(_identity)
         if op == "spatial_mean" and self.shapes[node.inputs[0]][:2] == (1, 1):
             # the mean over a 1x1 input is that input, but for -0.0, which
             # the mean's sum from 0 makes +0.0; its gradient passes through
-            return lambda model, ins, ctx: (ins[0] + 0.0, None)
+            return (lambda model, ins, ctx: (_plus_zero(ins[0]), None)), _fixed(_plus_zero)
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
         # the parameters after the weight
@@ -340,22 +409,31 @@ class Model:
             args += (a.get("divisor"),)
         name = "mul" if op == "multiply" else op
         forward, vjp = getattr(ad, f"_{name}"), getattr(ad, f"_{name}_vjp")
+        extra = (*params, *args)
         if op not in WEIGHT_OPS:
-            return lambda model, ins, ctx: _step(forward, vjp, (*ins, *params, *args))
-        weight = self._lower_weight(nid, a["weight_bits"],
-                                    depthwise=op == "depthwise_conv2d")
+            return ((lambda model, ins, ctx: _step(forward, vjp, (*ins, *extra))),
+                    _fixed(lambda *ins: forward(*ins, *extra)[0]))
+        weight, eval_weight = self._lower_weight(
+            nid, a["weight_bits"], depthwise=op == "depthwise_conv2d")
 
         def run(model, ins, ctx):
             w, ste = weight(ctx)
-            return _step(forward, vjp, (ins[0], w, *params, *args), ste)
-        return run
+            return _step(forward, vjp, (ins[0], w, *extra), ste)
+
+        def bind(model, phase):
+            w = eval_weight(model, phase)
+            return lambda x: forward(x, w, *extra)[0]
+        return run, bind
 
     @staticmethod
-    def _lower_act_quant(nid: str, bits: DType) -> Callable:
+    def _lower_act_quant(nid: str, bits: DType) -> tuple[Callable, Callable]:
         binarize, fake_quant, vjp = ad._binarize, ad._fake_quant, ad._ste_vjp
         if bits is DType.BIN:
-            return lambda model, ins, ctx: _step(
-                binarize, vjp, (ins[0], model.binary_bound))
+            # sign() reads no bound; only a gradient is gated by one
+            return ((lambda model, ins, ctx: _step(binarize, vjp,
+                                                   (ins[0], model.binary_bound))),
+                    _fixed(lambda x: binarize(x, None)[0]))
+        scaled = quant.fake_quant_scaled
 
         def run(model, ins, ctx):
             state = model.bounds[nid]
@@ -363,17 +441,21 @@ class Model:
                 model.bounds[nid] = state = quant.update_ema_bound(state, ins[0])
             if ctx.phase < 2:
                 return ins[0], None
-            if ctx.cache is None:
-                return _step(fake_quant, vjp, (ins[0], state.bound, bits.bits))
-            x = ins[0]
-            scales = _cached(ctx.cache, nid, (state,), lambda:
-                             ad._fake_quant_scales(state.bound, bits.bits, x.dtype))
-            return quant.fake_quant_scaled(x, scales, bits.bits), None
-        return run
+            return _step(fake_quant, vjp, (ins[0], state.bound, bits.bits))
+
+        def bind(model, phase):
+            if phase < 2:
+                return _identity
+            state, dtype = model.bounds[nid], model.dtype
+            scales = _cached(model._constants, nid, (state,), lambda:
+                             ad._fake_quant_scales(state.bound, bits.bits, dtype))
+            return lambda x: scaled(x, scales, bits.bits)
+        return run, bind
 
     @staticmethod
-    def _lower_batchnorm(nid: str, params) -> Callable:
+    def _lower_batchnorm(nid: str, params) -> tuple[Callable, Callable]:
         train, evaluate = ad._batchnorm_train, ad._batchnorm_eval
+        apply = ad._batchnorm_eval_apply
         scale, bias = params
 
         def run(model, ins, ctx):
@@ -384,25 +466,28 @@ class Model:
                 stats["mean"] = _read_only(m * stats["mean"] + (1 - m) * bm)
                 stats["var"] = _read_only(m * stats["var"] + (1 - m) * bv)
                 return out, (ad._batchnorm_train_vjp, saved, (ins[0], *params), None)
-            running = (stats["mean"], stats["var"])
-            if ctx.cache is None:
-                return _step(evaluate, ad._batchnorm_eval_vjp,
-                             (ins[0], *params, *running))
-            x = ins[0]
-            mean, _, k = _cached(ctx.cache, nid, running, lambda:
-                                 ad._batchnorm_eval_constants(scale, *running, x.dtype))
-            return ad._batchnorm_eval_apply(x, bias, mean, k)[0], None
-        return run
+            return _step(evaluate, ad._batchnorm_eval_vjp,
+                         (ins[0], *params, stats["mean"], stats["var"]))
 
-    def _lower_weight(self, nid: str, bits: DType, depthwise: bool) -> Callable:
-        """``weight(ctx)``: the node's weight as its op reads it, quantized
-        from phase 2 on unless ``bits`` is a float type, and the ``(w,
-        bounds)`` of its straight-through gradient or None. With a cache in
-        ``ctx``, the quantized weight is computed once and read from the
-        cache, read-only, until the arena changes."""
+        def bind(model, phase):
+            stats, dtype = model.bn_stats[nid], model.dtype
+            running = (stats["mean"], stats["var"])
+            mean, _, k = _cached(model._constants, nid, running, lambda:
+                                 ad._batchnorm_eval_constants(scale, *running, dtype))
+            return lambda x: apply(x, bias, mean, k)[0]
+        return run, bind
+
+    def _lower_weight(self, nid: str, bits: DType,
+                      depthwise: bool) -> tuple[Callable, Callable]:
+        """``(weight, eval_weight)``. ``weight(ctx)`` is the node's weight as
+        its op reads it, quantized from phase 2 on unless ``bits`` is a float
+        type, and the ``(w, bounds)`` of its straight-through gradient or
+        None. ``eval_weight(model, phase)`` is the same weight for the eval
+        program: from phase 2 on it is computed once per arena state and kept,
+        read-only, in ``model._constants``."""
         w = self.arena.views[f"{nid}.w"]
         if bits.is_float:
-            return lambda ctx: (w, None)
+            return (lambda ctx: (w, None)), (lambda model, phase: w)
         binary = bits is DType.BIN
         quantize = ad._binarize if binary else ad._fake_quant
         # one bound per output channel: (C, mult) for depthwise, else the last axis
@@ -414,17 +499,16 @@ class Model:
             attrs = (bounds,) if binary else (bounds, bits.bits)
             return quantize(w, *attrs)[0], (w, bounds)
 
-        def constant():
-            # sign() reads no bound; only a gradient is gated by one
-            return _read_only(quantize(w, None)[0] if binary else quantized()[0])
-
         def weight(ctx):
-            if ctx.phase < 2:
-                return w, None
-            if ctx.cache is None:
-                return quantized()
-            return _cached(ctx.cache, nid, (), constant), None
-        return weight
+            return (w, None) if ctx.phase < 2 else quantized()
+
+        def eval_weight(model, phase):
+            if phase < 2:
+                return w
+            # sign() reads no bound; only a gradient is gated by one
+            return _cached(model._constants, nid, (), lambda: _read_only(
+                quantize(w, None)[0] if binary else quantized()[0]))
+        return weight, eval_weight
 
     # ------------------------------------------------------------------
     # State access

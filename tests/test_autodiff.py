@@ -412,6 +412,18 @@ class TestBitwiseAgainstReferences:
         assert bits(model.forward(x)[0]) == bits(want.reshape(3, 6))
         assert bits(ad._spatial_mean_vjp(x, None, (True,), x)[0]) == bits(x)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 4, 4, 32), (64, 2, 2, 64), (3, 5, 7, 9)])
+    def test_spatial_mean_is_np_mean(self, dtype, shape):
+        rng = np.random.default_rng(6)
+        for fill in (None, 0.0, -0.0, np.nan):
+            x = rng.normal(size=shape).astype(dtype) * 1e3
+            if fill is not None:
+                x[..., ::2] = fill
+            x[0, 0, 0, -1] = -0.0
+            got = ad._spatial_mean(x)[0]
+            assert bits(got) == bits(x.mean(axis=(1, 2), keepdims=True))
+
     def test_depthwise_input_gradient(self):
         # the toy network's depthwise layer: 3x3, multiplier 2, at 4x4
         rng = np.random.default_rng(2)

@@ -66,6 +66,42 @@ class TestWindows:
         assert win.shape == want.shape and win.strides == want.strides
         assert np.array_equal(win, want)
 
+    @pytest.mark.parametrize("case", ["padded", "valid", "strided", "non_contiguous",
+                                      "read_only", "uint64", "finfo_min"])
+    def test_same_view_as_as_strided(self, case):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 7, 6, 5)).astype(np.float32)
+        kh, kw, stride, padding, fill = 3, 3, 1, "same", 0
+        if case == "valid":
+            padding = "valid"
+        elif case == "strided":
+            stride, padding = 2, "valid"
+        elif case == "non_contiguous":
+            x, padding = x[:, ::-1, :, ::2], "valid"
+        elif case == "read_only":
+            x.flags.writeable, padding = False, "valid"
+        elif case == "uint64":
+            x = rng.integers(0, 2**64, size=(5, 6, 2), dtype=np.uint64)
+            padding = "valid"
+        elif case == "finfo_min":
+            fill = np.finfo(x.dtype).min
+        win, pads = windows(x, kh, kw, stride, padding, fill=fill)
+        pt, pb, pl, pr = pads
+        xp = x
+        if any(pads):
+            xp = np.pad(x, [(0, 0)] * (x.ndim - 3) + [(pt, pb), (pl, pr), (0, 0)],
+                        constant_values=fill)
+        *lead, sh, sw, sc = xp.strides
+        shape = (*xp.shape[:-3], (xp.shape[-3] - kh) // stride + 1,
+                 (xp.shape[-2] - kw) // stride + 1, xp.shape[-1], kh, kw)
+        want = np.lib.stride_tricks.as_strided(
+            xp, shape, (*lead, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+        assert win.shape == want.shape and win.strides == want.strides
+        assert win.dtype == x.dtype and win.tobytes() == want.tobytes()
+        assert np.shares_memory(win, x) == (not any(pads))
+        with pytest.raises(ValueError, match="read-only"):
+            win[...] = 0
+
     def test_window_larger_than_input_rejected(self):
         with pytest.raises(ValueError, match="larger than the padded input"):
             windows(np.zeros((3, 5, 2)), 4, 2, 1, "valid")

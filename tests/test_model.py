@@ -25,6 +25,7 @@ from pokebnn.graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphError, GraphSpec
                              NodeSpec, validate_graph)
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn import autodiff as ad
+from pokebnn.nn import model as model_module
 from pokebnn.nn.autodiff import Tensor
 from pokebnn.nn.checkpoint import MAGIC, CheckpointError, load_tensors, save_tensors
 from pokebnn.nn.model import _ATTR_ARGS, Model
@@ -848,6 +849,57 @@ class TestQuantizedWeightCache:
         assert calls["bounds"] == 0
         model.forward(batch, training=False, phase=2)
         assert calls.pop("bounds") == ints + len(self.quantized_nodes(toy, binary=True))
+
+    @pytest.mark.parametrize("entry", ["stats_array", "stats_dict", "bound"])
+    def test_program_sees_a_reassigned_entry(self, toy, batch, entry):
+        model = self.calibrated(toy, batch)
+        before = model.logits(batch)
+        bn = next(n.id for n in toy.nodes if n.op == "batchnorm")
+        stats = model.bn_stats[bn]
+        if entry == "stats_array":
+            stats["mean"] = stats["mean"] + 0.5
+        elif entry == "stats_dict":
+            model.bn_stats[bn] = {"mean": stats["mean"] + 0.5, "var": stats["var"]}
+        else:
+            nid, state = next(iter(model.bounds.items()))
+            model.bounds[nid] = dataclasses.replace(state, bound=state.bound * 0.5)
+        assert model.logits(batch).tobytes() != before.tobytes()
+        self.assert_fresh(toy, model, batch)
+
+    def test_repeated_call_binds_nothing(self, toy, batch, monkeypatch):
+        model = self.calibrated(toy, batch)
+        calls = Counter()
+
+        def counted(*args, _f=model_module._cached):
+            calls["cached"] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(model_module, "_cached", counted)
+        model.logits(batch)
+        assert calls.pop("cached") > 0
+        for x in (batch[:1], batch, batch[1:3]):
+            model.logits(x)
+        assert not calls
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_hooks_see_every_step_once_in_plan_order(self, toy, batch, phase):
+        model = self.calibrated(toy, batch)
+        plain = model.logits(batch, phase=phase)
+        seen, ids = [], []
+        model.logits(batch, phase=phase, hooks=[
+            lambda node, out: seen.append((node.id, out.tobytes())),
+            lambda node, out: ids.append(node.id)])
+        assert [nid for nid, _ in seen] == ids == [n.id for n in toy.nodes]
+        want = node_outputs(functools.partial(model.forward, training=False),
+                            batch, phase=phase)
+        assert all(out == want[nid].tobytes() for nid, out in seen)
+        assert seen[-1][1] == plain.tobytes()
+        assert model.logits(batch, phase=phase).tobytes() == plain.tobytes()
+
+    def test_switching_phases_equals_a_fresh_model(self, toy, batch):
+        model = self.calibrated(toy, batch)
+        for phase in (2, 1, 2, 1, 1, 2):
+            self.assert_fresh(toy, model, batch, phase=phase)
 
 
 def se_model(channels, seed, gated=False):
