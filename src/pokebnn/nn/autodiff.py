@@ -231,10 +231,16 @@ def _fake_quant(x, bound, bits):
                                    bits), None
 
 
+def _ste_mask(x, bound):
+    """Where the straight-through gradient passes: x inside (-B, B)."""
+    return np.abs(x) < bound
+
+
 def _ste_vjp(g, saved, needs, x, bound, *attrs):
     """The straight-through gradient of both quantizers: ``g`` where x is
-    inside (-B, B), 0 outside."""
-    return (g * (np.abs(x) < bound),)
+    inside (-B, B), 0 outside. ``saved`` is None, or that mask itself, as
+    ``_ste_mask`` made it in the forward, and then x is not read."""
+    return (g * (_ste_mask(x, bound) if saved is None else saved),)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +299,17 @@ def _conv2d_vjp(g, saved, needs, x, w, stride=1, padding="same"):
     return gx, gw
 
 
+_PAIR_PATH = ("einsum_path", (0, 1))
+
+
 def _depthwise_conv2d(x, w, stride=1, padding="same"):
     """Depthwise convolution with channel multiplier, w [kh,kw,C,mult]."""
     kh, kw, c, m = w.shape
     if x.shape[-1] != c:
         raise ValueError(f"depthwise channel mismatch: input {x.shape[-1]}, weight {c}")
     win, pads = windows(x, kh, kw, stride, padding)
-    out = np.einsum("nhwckl,klcm->nhwcm", win, w, optimize=True)
+    # the path that optimize=True finds for two operands, without its search
+    out = np.einsum("nhwckl,klcm->nhwcm", win, w, optimize=_PAIR_PATH)
     n, ho, wo = out.shape[:3]
     return out.reshape(n, ho, wo, c * m), (win, pads)
 
@@ -557,6 +567,15 @@ def _kl_divergence(logits, teacher_probs):
 def _kl_divergence_vjp(g, saved, needs, logits, teacher_probs):
     ls, t = saved
     return _log_softmax_vjp(-g * t / t.shape[0], ls, needs, logits)
+
+
+# The ops whose VJP reads the arrays passed in front of the parameters (the
+# activation inputs; both of add's) only for their shape and dtype; so a
+# pullback record may keep a zero-byte stand-in of each
+SHAPE_ONLY = frozenset({
+    "add", "dprelu", "conv2d", "depthwise_conv2d", "avg_pool", "max_pool",
+    "spatial_mean", "pad_channels", "tile_channels", "avg_channels",
+    "batchnorm_train", "batchnorm_eval"})
 
 
 # ---------------------------------------------------------------------------

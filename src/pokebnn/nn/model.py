@@ -4,8 +4,10 @@ The executor owns every parameter and calibration state keyed by node id:
 conv/dense weights, BatchNorm affine + running statistics, DPReLU vectors,
 and per-quantizer clipping bounds. ``Model.__init__`` lowers the node list
 once into a plan of steps, and fixes the order in which a pullback visits
-them. ``forward`` runs the plan on arrays and returns the logits with their
-pullback, which calls each step's VJP once. ``logits`` runs an eval program
+them and the step after which each value is read for the last time; both
+calls drop a value there. ``forward`` runs the plan on arrays and returns the
+logits with their pullback, which calls each step's VJP once; each step's
+record keeps only what its VJP reads. ``logits`` runs an eval program
 bound from the same plan: per phase, one closure per step, holding the step's
 op and its per-state constants (the quantized weight, the eval BatchNorm
 factors, the quantizer scales), resolved once. It keeps nothing for a
@@ -87,13 +89,36 @@ def _fixed(fn: Callable) -> Callable:
     return lambda model, phase: fn
 
 
-def _step(forward, vjp, call, ste=None):
-    """Runs an op's array ``forward`` on the arguments ``call``; returns its
-    output and the step's record, ``(vjp, saved, call, ste)``: the op's VJP,
-    what the forward saved, ``call``, and the ``(w, bounds)`` of a quantized
-    weight's straight-through gradient or None."""
-    out, saved = forward(*call)
-    return out, (vjp, saved, call, ste)
+# eight zero bytes, read-only: the buffer of every stand-in (see _stand_in)
+_ZEROS = _read_only(np.zeros(8, dtype=np.uint8))
+
+
+def _stand_in(a: np.ndarray) -> np.ndarray:
+    """A read-only array of zeros with ``a``'s shape and dtype that holds no
+    buffer of its own: what a record keeps of an input whose VJP reads only
+    its shape and dtype."""
+    return np.ndarray(a.shape, a.dtype, _ZEROS, 0, (0,) * a.ndim)
+
+
+def _step(forward, vjp, ins, extra, shape_only, ste=None):
+    """Runs an op's array ``forward`` on the inputs ``ins``, then ``extra``;
+    returns its output and the step's record, ``(vjp, saved, call, ste)``:
+    the op's VJP, what the forward saved, the arguments, and the ``(w,
+    bounds)`` of a quantized weight's straight-through gradient or None. If
+    ``shape_only``, the VJP reads the inputs only for their shape and dtype
+    (see ``autodiff.SHAPE_ONLY``), and ``call`` holds a stand-in of each."""
+    out, saved = forward(*ins, *extra)
+    if shape_only:
+        ins = map(_stand_in, ins)
+    return out, (vjp, saved, (*ins, *extra), ste)
+
+
+def _ste_step(forward, x, bound, *attrs):
+    """A quantizer's step, as ``_step``: the record keeps the mask ``|x| <
+    bound``, all ``_ste_vjp`` reads of x, and a stand-in of x."""
+    out, _ = forward(x, bound, *attrs)
+    return out, (ad._ste_vjp, ad._ste_mask(x, bound), (_stand_in(x), bound, *attrs),
+                 None)
 
 
 class ParamArena:
@@ -107,9 +132,9 @@ class ParamArena:
     """
 
     def __init__(self, arrays: dict, dtype):
-        flat = [np.ravel(a) for a in arrays.values()]
-        # the leading empty array keeps a model without parameters valid
-        self.data = np.concatenate([np.empty(0), *flat], dtype=dtype)
+        """``arrays`` maps each name to its initial value, cast into the
+        buffer; a broadcast view gives a constant without a copy."""
+        self.data = np.empty(sum(np.size(a) for a in arrays.values()), dtype=dtype)
         self._writable = self.data.view()   # taken while data is writable
         _read_only(self.data)               # so every view of it is too
         self.version = 0
@@ -119,10 +144,11 @@ class ParamArena:
         self.grad_views: dict[str, np.ndarray] = {}
         start = 0
         for name, a in arrays.items():
-            span = slice(start, start + np.size(a))
+            span, shape = slice(start, start + np.size(a)), np.shape(a)
+            self._writable[span].reshape(shape)[...] = a
             self.spans[name] = span
-            self.views[name] = self.data[span].reshape(np.shape(a))
-            self.grad_views[name] = self.grad[span].reshape(np.shape(a))
+            self.views[name] = self.data[span].reshape(shape)
+            self.grad_views[name] = self.grad[span].reshape(shape)
             start = span.stop
 
     def writable(self) -> np.ndarray:
@@ -144,10 +170,16 @@ class Model:
         self.bn_momentum = 0.9
         self.bn_stats: dict[str, dict[str, np.ndarray]] = {}
         self.bounds: dict[str, quant.BoundState] = {}
-        init = self._init_params(np.random.default_rng(seed))
+        init, stds = self._init_params()
         # every parameter's value and gradient are views into the arena's
         # buffers; the values are read-only, and arena.writable() changes them
         self.arena = ParamArena(init, self.dtype)
+        # each weight drawn in float64, in node order, and cast into the arena
+        # at once, so that building holds one draw at a time
+        rng, data = np.random.default_rng(seed), self.arena.writable()
+        for name, std in stds.items():
+            data[self.arena.spans[name]] = rng.normal(
+                0.0, std, size=init[name].shape).ravel()
         self.params = MappingProxyType(self.arena.views)
         # logits' per-state constants by node id, as (sources, constants)
         # (see _cached), valid while the arena's version is the one they
@@ -174,14 +206,25 @@ class Model:
         self._output = next(i for i, node in enumerate(graph.nodes)
                             if node.op == "output")
         self._order = self._backward_order()
+        # the slots whose value each step reads for the last time, which
+        # forward and logits drop after the step and its hooks; the output's
+        # is kept
+        last = {s: i for i, step in enumerate(self._plan) for s in step[1]}
+        drops = [[] for _ in self._plan]
+        for s, i in last.items():
+            if s != self._output:
+                drops[i].append(s)
+        self._drops = [tuple(d) for d in drops]
 
     # ------------------------------------------------------------------
     # Parameter setup
     # ------------------------------------------------------------------
 
-    def _init_params(self, rng) -> dict[str, np.ndarray]:
-        """Initial parameter values by name; sets up BN and bound state."""
-        init = {}
+    def _init_params(self) -> tuple[dict, dict]:
+        """Each parameter's initial value by name, as a zero-byte broadcast
+        of a constant, 0 for a weight; and the standard deviation of each
+        weight's normal draw. Sets up BN and bound state."""
+        init, stds = {}, {}
         for node in self.graph.nodes:
             nid, op = node.id, node.op
             out_c = self.shapes[nid][2]
@@ -192,15 +235,13 @@ class Model:
                 shapes = param_shapes(node, self.shapes[node.inputs[0]],
                                       self.shapes[nid])
                 for key, shape in zip(OP_PARAMS[op], shapes):
+                    name = f"{nid}.{key}"
                     if key == "w":
                         # He init for convolutions, LeCun for dense; the
                         # fan-in is the weights that one output reads
                         gain = 1.0 if op == "dense" else 2.0
-                        fan_in = math.prod(shape) // out_c
-                        value = rng.normal(0.0, (gain / fan_in) ** 0.5, size=shape)
-                    else:
-                        value = np.full(shape, _INIT_VALUES.get(key, 0.0))
-                    init[f"{nid}.{key}"] = value
+                        stds[name] = (gain / (math.prod(shape) // out_c)) ** 0.5
+                    init[name] = np.broadcast_to(_INIT_VALUES.get(key, 0.0), shape)
             if op == "batchnorm":
                 self.bn_stats[nid] = {
                     "mean": _read_only(np.zeros(out_c, dtype=self.dtype)),
@@ -208,7 +249,7 @@ class Model:
                 }
             elif op == "quantize_act" and node.attrs["act_bits"] is not DType.BIN:
                 self.bounds[nid] = quant.BoundState(bound=np.float64(1.0))
-        return init
+        return init, stds
 
     # ------------------------------------------------------------------
     # Quantizer state
@@ -239,11 +280,12 @@ class Model:
         ``phase`` selects active quantizers: binary activations always, all
         weights and the 4/8-bit activations from phase 2 on. Each of
         ``hooks`` is called as ``hook(node, out)`` after every step, with
-        the node's output array.
+        the node's output array. A value is dropped after the step that
+        reads it last; the record keeps what the VJPs read, and no more.
         """
-        record = [None] * len(self._plan)
-        out = self._execute(self._input(x), hooks, QuantContext(training, phase),
-                            record)
+        values, record = self._slots(x), [None] * len(self._plan)
+        del x       # so that the batch too is freed after its last reader
+        out = self._execute(values, hooks, QuantContext(training, phase), record)
 
         def backward(grad):
             if not record:
@@ -256,25 +298,29 @@ class Model:
     def logits(self, x, phase: int = 2, hooks=()) -> np.ndarray:
         """The inference call: runs the phase's eval program and keeps
         nothing for a gradient; returns [N, classes]. Each of ``hooks`` is
-        called as ``hook(node, out)`` after every step, as in ``forward``.
+        called as ``hook(node, out)`` after every step, as in ``forward``,
+        and a value is dropped after the step that reads it last.
 
         The program holds every step's per-state constants. Each call checks
         that ``arena.version`` and the running-statistic arrays and bound
         states the program was bound from are still the model's, and binds
         it again if not (see ``_program``)."""
-        x = self._input(x)
-        values = [None] * len(self._plan) + [x]
-        for i, (fn, ins, node) in enumerate(self._program(phase)):
+        values = self._slots(x)
+        del x       # so that the batch too is freed after its last reader
+        for i, (fn, ins, node, drops) in enumerate(self._program(phase)):
             values[i] = out = fn(ins(values))
             for hook in hooks:
                 hook(node, out)
+            for s in drops:
+                values[s] = None
         out = values[self._output]
         return out.reshape(out.shape[0], -1)
 
     def _program(self, phase: int) -> list:
-        """The steps of ``phase``'s eval program, each ``(fn, ins, node)``:
-        ``ins(values)`` picks the step's inputs from the slots, and ``fn``,
-        bound by the step's ``bind``, takes them as one argument.
+        """The steps of ``phase``'s eval program, each ``(fn, ins, node,
+        drops)``: ``ins(values)`` picks the step's inputs from the slots,
+        ``fn``, bound by the step's ``bind``, takes them as one argument, and
+        ``drops`` are the slots read for the last time.
 
         A program is kept with the arena version and the ``_sources`` it was
         bound from, and bound again when either changed. Binding reads each
@@ -292,11 +338,11 @@ class Model:
             self._programs.clear()
             self._version = self.arena.version
         steps = []
-        for node, slots, _, bind, _, _ in self._plan:
+        for (node, slots, _, bind, _, _), drops in zip(self._plan, self._drops):
             fn = bind(self, phase)
             if len(slots) > 1:      # itemgetter picks these as a tuple
                 fn = _spread(fn)
-            steps.append((fn, operator.itemgetter(*slots), node))
+            steps.append((fn, operator.itemgetter(*slots), node, drops))
         self._programs[phase] = (self.arena.version, sources, steps)
         return steps
 
@@ -307,25 +353,29 @@ class Model:
         return [*[a for stats in self.bn_stats.values()
                   for a in (stats["mean"], stats["var"])], *self.bounds.values()]
 
-    def _input(self, x) -> np.ndarray:
-        """``x`` as an [N, H, W, C] array of the model's dtype; raises
-        ValueError if its shape is not the graph's input shape."""
+    def _slots(self, x) -> list:
+        """The value slots of one call: one per step, empty, then the batch
+        ``x`` as an [N, H, W, C] array of the model's dtype. Raises ValueError
+        if its shape is not the graph's input shape."""
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
             raise ValueError(f"expected [N, H, W, C] input, got shape {x.shape}")
         if x.shape[1:] != tuple(self.graph.input_shape):
             raise ValueError(f"graph {self.graph.name!r} expects input "
                              f"{tuple(self.graph.input_shape)}, got {x.shape[1:]}")
-        return x
+        return [None] * len(self._plan) + [x]
 
-    def _execute(self, x, hooks, ctx, record):
-        """Runs the plan on ``x``; returns the output node's array. Stores
+    def _execute(self, values, hooks, ctx, record):
+        """Runs the plan on the slots ``values`` (see ``_slots``), dropping
+        each after its last reader; returns the output node's array. Stores
         each step's record in ``record``, by step."""
-        values = [None] * len(self._plan) + [x]
-        for i, (node, slots, run, _, _, _) in enumerate(self._plan):
+        for i, ((node, slots, run, _, _, _), drops) in enumerate(
+                zip(self._plan, self._drops)):
             values[i], record[i] = run(self, [values[s] for s in slots], ctx)
             for hook in hooks:
                 hook(node, values[i])
+            for s in drops:
+                values[s] = None
         return values[self._output]
 
     def _backward_order(self) -> list:
@@ -409,16 +459,16 @@ class Model:
             args += (a.get("divisor"),)
         name = "mul" if op == "multiply" else op
         forward, vjp = getattr(ad, f"_{name}"), getattr(ad, f"_{name}_vjp")
-        extra = (*params, *args)
+        extra, shape_only = (*params, *args), name in ad.SHAPE_ONLY
         if op not in WEIGHT_OPS:
-            return ((lambda model, ins, ctx: _step(forward, vjp, (*ins, *extra))),
+            return ((lambda model, ins, ctx: _step(forward, vjp, ins, extra, shape_only)),
                     _fixed(lambda *ins: forward(*ins, *extra)[0]))
         weight, eval_weight = self._lower_weight(
             nid, a["weight_bits"], depthwise=op == "depthwise_conv2d")
 
         def run(model, ins, ctx):
             w, ste = weight(ctx)
-            return _step(forward, vjp, (ins[0], w, *extra), ste)
+            return _step(forward, vjp, ins, (w, *extra), shape_only, ste)
 
         def bind(model, phase):
             w = eval_weight(model, phase)
@@ -427,11 +477,11 @@ class Model:
 
     @staticmethod
     def _lower_act_quant(nid: str, bits: DType) -> tuple[Callable, Callable]:
-        binarize, fake_quant, vjp = ad._binarize, ad._fake_quant, ad._ste_vjp
+        binarize, fake_quant = ad._binarize, ad._fake_quant
         if bits is DType.BIN:
             # sign() reads no bound; only a gradient is gated by one
-            return ((lambda model, ins, ctx: _step(binarize, vjp,
-                                                   (ins[0], model.binary_bound))),
+            return ((lambda model, ins, ctx: _ste_step(binarize, ins[0],
+                                                       model.binary_bound)),
                     _fixed(lambda x: binarize(x, None)[0]))
         scaled = quant.fake_quant_scaled
 
@@ -441,7 +491,7 @@ class Model:
                 model.bounds[nid] = state = quant.update_ema_bound(state, ins[0])
             if ctx.phase < 2:
                 return ins[0], None
-            return _step(fake_quant, vjp, (ins[0], state.bound, bits.bits))
+            return _ste_step(fake_quant, ins[0], state.bound, bits.bits)
 
         def bind(model, phase):
             if phase < 2:
@@ -461,13 +511,14 @@ class Model:
         def run(model, ins, ctx):
             stats = model.bn_stats[nid]
             if ctx.training:
-                (out, bm, bv), saved = train(ins[0], *params)
+                (out, bm, bv), record = _step(train, ad._batchnorm_train_vjp, ins,
+                                              params, True)
                 m = model.bn_momentum
                 stats["mean"] = _read_only(m * stats["mean"] + (1 - m) * bm)
                 stats["var"] = _read_only(m * stats["var"] + (1 - m) * bv)
-                return out, (ad._batchnorm_train_vjp, saved, (ins[0], *params), None)
-            return _step(evaluate, ad._batchnorm_eval_vjp,
-                         (ins[0], *params, stats["mean"], stats["var"]))
+                return out, record
+            return _step(evaluate, ad._batchnorm_eval_vjp, ins,
+                         (*params, stats["mean"], stats["var"]), True)
 
         def bind(model, phase):
             stats, dtype = model.bn_stats[nid], model.dtype

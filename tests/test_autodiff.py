@@ -447,6 +447,20 @@ class TestBitwiseAgainstReferences:
         assert np.all(np.abs(x.grad - want) <= 4 * eps * scale)
         assert np.all(np.abs(per_tap(gr, wd) - want) <= 4 * eps * scale)
 
+    # the init_dw layer of the toy network and of PokeBNN-1.0x
+    @pytest.mark.parametrize("size", [4, 56])
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_depthwise_fixed_path_equals_the_searched_one(self, size, n, dtype):
+        rng = np.random.default_rng(size + n)
+        x = rng.normal(size=(n, size, size, 32)).astype(dtype)
+        w = rng.normal(size=(3, 3, 32, 2)).astype(dtype)
+        win, _ = windows(x, 3, 3, 1, "same")
+        want = np.einsum("nhwckl,klcm->nhwcm", win, w, optimize=True)
+        got = ad._depthwise_conv2d(x, w, 1, "same")[0]
+        assert got.dtype == dtype
+        assert bits(got) == bits(want.reshape(n, size, size, 64))
+
 
 def tape(root):
     """Every node reachable from ``root`` through ``_parents``."""

@@ -332,6 +332,144 @@ class TestPullback:
             gc.enable()
 
 
+def arrays_in(obj):
+    """Every array in a record: ``obj`` itself, or the arrays in its tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in arrays_in(item)]
+    return []
+
+
+class TestLiveness:
+    """``forward`` and ``logits`` drop each value after the step that reads
+    it last, and a pullback record keeps only what its VJP reads."""
+
+    # graph ops whose record keeps no buffer of an input (but a 1x1 conv2d,
+    # whose im2col is its input's rows): their VJPs read the input only for
+    # its shape and dtype, or, for a quantizer, only the mask |x| < B
+    SHAPE_ONLY = {"add", "avg_pool", "spatial_mean", "pad_channels", "tile_channels",
+                  "avg_channels", "dprelu", "batchnorm", "conv2d", "depthwise_conv2d",
+                  "quantize_act"}
+
+    @staticmethod
+    def reads_values(node):
+        """Whether ``node``'s record keeps its inputs' values."""
+        return node.op not in TestLiveness.SHAPE_ONLY or (
+            node.op == "conv2d" and node.attrs["kernel"] == [1, 1]
+            and node.attrs["stride"] == 1)
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("call", ["logits", "eval", "train"])
+    def test_each_value_dies_after_its_last_reader(self, toy, batch, call, phase):
+        model = Model(toy, seed=1, dtype=np.float32)
+        run = {"logits": model.logits,
+               "eval": functools.partial(model.forward, training=False),
+               "train": functools.partial(model.forward, training=True)}[call]
+        index = {node.id: i for i, node in enumerate(toy.nodes)}
+        last = {index[s]: i for i, node in enumerate(toy.nodes) for s in node.inputs}
+        # the outputs a record keeps until the pullback runs
+        kept = set() if call == "logits" else {
+            index[s] for node in toy.nodes if self.reads_values(node)
+            for s in node.inputs}
+        refs, checked = [], Counter()
+
+        def hook(node, out):
+            i = len(refs)
+            refs.append(weakref.ref(out))
+            for j in range(i):
+                value = refs[j]()
+                if value is None:
+                    continue
+                # a step that passes its input through shares its value
+                holders = [k for k in range(i + 1) if refs[k]() is value]
+                assert any(k == i or last.get(k, i) >= i or k in kept
+                           for k in holders), \
+                    f"{toy.nodes[j].id} is alive at {node.id}"
+                checked[j in kept] += 1
+
+        gc.disable()
+        try:
+            run(batch, phase=phase, hooks=[hook])
+        finally:
+            gc.enable()
+        assert len(refs) == len(toy.nodes)
+        assert checked[False] and (call == "logits") == (not checked[True])
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_shape_only_records_hold_no_input_buffer(self, toy, batch, training):
+        model = Model(toy, seed=1, dtype=np.float32)
+        outs, record = {}, [None] * len(toy.nodes)
+        model._execute(model._slots(batch),
+                       [lambda node, out: outs.__setitem__(node.id, out)],
+                       model_module.QuantContext(training, 2), record)
+        checked = set()
+        for node, rec in zip(toy.nodes, record):
+            if rec is None or self.reads_values(node):
+                continue
+            for a in arrays_in(rec):
+                assert not any(np.shares_memory(a, outs[s]) for s in node.inputs), \
+                    f"the record of {node.id} holds an input's buffer"
+            # the inputs' place in the record holds zero bytes of zeros
+            for a, s in zip(rec[2], node.inputs):
+                assert a.shape == outs[s].shape and a.dtype == outs[s].dtype
+                assert a.strides == (0,) * a.ndim and not a.any()
+            checked.add(node.op)
+        assert checked == self.SHAPE_ONLY
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("quantizer", ["binarize", "fake_quant"])
+    def test_mask_record_gradient_equals_the_ste(self, dtype, quantizer):
+        rng = np.random.default_rng(7)
+        bound = np.float64(1.5)
+        x = (rng.normal(size=(4, 5, 5, 8)) * 2).astype(dtype)
+        x[0, 0, 0, :4] = [bound, -bound, np.nan, -0.0]
+        g = rng.normal(size=x.shape).astype(dtype)
+        g[0, 0, 1, :2] = [np.inf, np.nan]
+        attrs = (4,) if quantizer == "fake_quant" else ()
+        out, (vjp, saved, call, ste) = model_module._ste_step(
+            getattr(ad, f"_{quantizer}"), x, bound, *attrs)
+        assert saved.dtype == bool and not np.shares_memory(call[0], x)
+        got = vjp(g, saved, None, *call)[0]
+        want = ad._ste_vjp(g, None, None, x, bound, *attrs)[0]
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_shape_only_vjps_read_no_input_value(self):
+        # each op of ad.SHAPE_ONLY: its inputs, then the rest of its arguments
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(2, 5, 5, 4)), rng.normal(size=(2, 5, 5, 4))
+        c = [rng.normal(size=4) for _ in range(4)]
+        cases = {
+            "add": ((x, y), ()),
+            "dprelu": ((x,), tuple(c)),
+            "conv2d": ((x,), (rng.normal(size=(3, 3, 4, 6)), 2, "same")),
+            "depthwise_conv2d": ((x,), (rng.normal(size=(3, 3, 4, 2)), 1, "same")),
+            "avg_pool": ((x,), ((3, 3), 2, "same")),
+            "max_pool": ((x,), ((3, 2), 1, "valid")),
+            "spatial_mean": ((x,), ()),
+            "pad_channels": ((x,), (7,)),
+            "tile_channels": ((x,), (7,)),
+            "avg_channels": ((x,), (2,)),
+            "batchnorm_train": ((x,), tuple(c[:2])),
+            "batchnorm_eval": ((x,), (c[0], c[1], c[2], np.abs(c[3]))),
+        }
+        assert set(cases) == ad.SHAPE_ONLY
+        for name, (ins, rest) in cases.items():
+            forward, vjp = getattr(ad, f"_{name}"), getattr(ad, f"_{name}_vjp")
+            out, saved = forward(*ins, *rest)
+            out = out[0] if type(out) is tuple else out
+            g = rng.normal(size=out.shape)
+            needs = [True] * (len(ins) + len(rest))
+            want = vjp(g, saved, needs, *ins, *rest)
+            got = vjp(g, saved, needs, *map(model_module._stand_in, ins), *rest)
+            assert [bits(a) for a in got] == [bits(a) for a in want], name
+
+
+def bits(a):
+    return None if a is None else (a.dtype, a.shape, np.ascontiguousarray(a).tobytes())
+
+
 def downstream_closure(graph, seeds):
     reach = set(seeds)
     changed = True
@@ -503,6 +641,17 @@ class TestParamArena:
             want = np.random.default_rng(3).normal(0.0, (2.0 / fan_in) ** 0.5,
                                                    size=first.shape)
             assert first.tobytes() == want.astype(dtype).tobytes()
+            # and every parameter: the weights drawn in node order, one rng
+            rng, ops = np.random.default_rng(3), {n.id: n.op for n in toy.nodes}
+            for name, value in model.params.items():
+                nid, key = name.rsplit(".", 1)
+                if key == "w":
+                    gain = 1.0 if ops[nid] == "dense" else 2.0
+                    fan_in = value.size // model.shapes[nid][2]
+                    want = rng.normal(0.0, (gain / fan_in) ** 0.5, size=value.shape)
+                else:
+                    want = np.full(value.shape, model_module._INIT_VALUES.get(key, 0.0))
+                assert value.tobytes() == want.astype(dtype).tobytes(), name
 
     def test_gradients_accumulate_in_the_arena(self, toy, batch):
         model = Model(toy, seed=1, dtype=np.float32)
