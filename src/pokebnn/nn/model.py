@@ -17,6 +17,7 @@ bound state change.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -121,6 +122,17 @@ def _ste_step(forward, x, bound, *attrs):
                  None)
 
 
+def _freeze_bounds(bounds: dict) -> int:
+    """Freezes every EMA bound in ``bounds``; returns how many flipped this
+    call: a model's ``freeze_activation_bounds``."""
+    flipped = 0
+    for nid, state in bounds.items():
+        if not state.frozen:
+            bounds[nid] = state.freeze()
+            flipped += 1
+    return flipped
+
+
 class ParamArena:
     """Named arrays stored as read-only views into one flat buffer.
 
@@ -128,7 +140,8 @@ class ParamArena:
     the slice ``spans[name]`` of it in the array's own shape; a write to
     either raises. ``writable()`` is the one way to change a value, and
     ``version`` counts its calls. ``grad`` is a second, writable buffer of
-    the same size, with the views ``grad_views[name]`` in the same way.
+    the same size, with the views ``grad_views[name]`` in the same way, and
+    ``zero_grad()`` fills it with zeros.
     """
 
     def __init__(self, arrays: dict, dtype):
@@ -157,6 +170,9 @@ class ParamArena:
         self.version += 1
         return self._writable
 
+    def zero_grad(self) -> None:
+        self.grad.fill(0)
+
 
 class Model:
     def __init__(self, graph: GraphSpec, seed: int = 0, dtype=np.float64):
@@ -181,6 +197,13 @@ class Model:
             data[self.arena.spans[name]] = rng.normal(
                 0.0, std, size=init[name].shape).ravel()
         self.params = MappingProxyType(self.arena.views)
+        # bound to the arena and to the bounds table, not to the model: a
+        # caller that wraps either on the instance (to count its calls, say)
+        # then makes no reference cycle through the model, so a dropped
+        # model's buffers are freed at once, not at the next full collection.
+        # Both hold their object, so arena and bounds change only in place
+        self.zero_grad = self.arena.zero_grad
+        self.freeze_activation_bounds = functools.partial(_freeze_bounds, self.bounds)
         # logits' per-state constants by node id, as (sources, constants)
         # (see _cached), valid while the arena's version is the one they
         # were computed at
@@ -255,14 +278,8 @@ class Model:
     # Quantizer state
     # ------------------------------------------------------------------
 
-    def freeze_activation_bounds(self) -> int:
-        """Freezes every EMA bound; returns how many flipped this call."""
-        flipped = 0
-        for nid, state in self.bounds.items():
-            if not state.frozen:
-                self.bounds[nid] = state.freeze()
-                flipped += 1
-        return flipped
+    # freeze_activation_bounds() is _freeze_bounds on the model's bounds,
+    # set in __init__
 
     def activation_bounds(self) -> dict:
         return {nid: float(np.asarray(s.bound)) for nid, s in self.bounds.items()}
@@ -565,8 +582,7 @@ class Model:
     # State access
     # ------------------------------------------------------------------
 
-    def zero_grad(self):
-        self.arena.grad.fill(0)
+    # zero_grad() is the arena's, set in __init__
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: np.array(v) for name, v in self.params.items()}

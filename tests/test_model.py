@@ -192,6 +192,28 @@ class TestPlan:
         finally:
             gc.enable()
 
+    def test_wrapping_train_calls_on_the_instance_makes_no_cycle(self, toy):
+        # a wrapper that counts train_loop's calls keeps the callable it
+        # wraps in the model's own __dict__; a bound method of the model
+        # there would free the model only at a full collection
+        gc.disable()
+        try:
+            model, calls = Model(toy, seed=1, dtype=np.float32), Counter()
+            for name in ("zero_grad", "freeze_activation_bounds"):
+                def counted(original=getattr(model, name), name=name):
+                    calls[name] += 1
+                    return original()
+                setattr(model, name, counted)
+            cfg = train.TrainConfig(total_steps=3, phase_switch_step=1, seed=0,
+                                    batch_size=8)
+            train.train_loop(model, train.make_toy_dataset(n=16, seed=0), cfg)
+            assert calls == {"zero_grad": 3, "freeze_activation_bounds": 1}
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_graph_needs_one_output_node(self):
         g = GraphSpec("no-output", (4, 4, 1), [NodeSpec("in", "input")])
         with pytest.raises(ValueError, match="exactly one output node, found 0"):
