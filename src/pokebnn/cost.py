@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphSpec, ShapeMap,
-                      infer_shapes, param_shapes, weight_shape)
+from .graphir import (FUSIONS, OP_PARAMS, WEIGHT_OPS, DType, GraphSpec,
+                      ShapeMap, infer_shapes, param_shapes, weight_shape)
 
 ADD_ACE = 16        # int16 fixed-point addition
 WIDE_MUL_ACE = 128  # int16 x int8 multiplication
@@ -58,9 +58,9 @@ class FusionPolicy:
     """Which elementwise multiplies are free at inference.
 
     Power-of-two constant multiplies are always shifts. With
-    ``fuse_affine=True`` every affine multiply except the BatchNorm one is
-    folded into a neighboring BatchNorm (or a quantizer scale), leaving only
-    BN multiplies billed at int16 x int8.
+    ``fuse_affine=True`` the multiplies of every kind that a chain of
+    ``graphir.FUSIONS`` absorbs are folded into a neighboring BatchNorm (or a
+    quantizer scale), leaving only BN multiplies billed at int16 x int8.
     """
 
     fuse_affine: bool = True
@@ -230,19 +230,15 @@ def count_elementwise(g: GraphSpec, shapes: ShapeMap | None = None) -> Elementwi
 
 # Multiplies by power-of-two constants are shifts regardless of fusion.
 _SHIFT_MUL_KINDS = {"avg_ch", "avg_pool"}
-# Affine multiplies that fold into a neighboring BatchNorm or quantizer scale.
-_FUSABLE_MUL_KINDS = {"dprelu", "se_final_mul", "se_spatial_mean",
-                      "se_activations", "global_pool"}
 
 
 def elementwise_ace(c: ElementwiseCount,
                     policy: FusionPolicy = FusionPolicy()) -> int:
     """ACE of the elementwise layers: int16 adds, int16 x int8 multiplies."""
     total = c.adds * ADD_ACE
+    fused = {k for f in FUSIONS for k in f.absorbs} if policy.fuse_affine else set()
     for kind, (_, muls) in c.breakdown.items():
-        if kind in _SHIFT_MUL_KINDS:
-            continue
-        if policy.fuse_affine and kind in _FUSABLE_MUL_KINDS:
+        if kind in _SHIFT_MUL_KINDS or kind in fused:
             continue
         total += muls * WIDE_MUL_ACE
     return total

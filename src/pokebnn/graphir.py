@@ -107,6 +107,66 @@ OP_PARAMS = {
 WEIGHT_OPS = frozenset(op for op, keys in OP_PARAMS.items() if keys[0] == "w")
 
 
+@dataclass(frozen=True)
+class Fusion:
+    """A chain of nodes that folds into one inference step.
+
+    ``ops`` is the chain's op pattern, each node reading the one before as
+    its first input; an op ending in ``?`` may be left out, and a
+    ``quantize_act`` is a 4- or 8-bit one. ``absorbs`` names the elementwise
+    kinds of ``cost.count_elementwise`` whose multiplies the fold absorbs
+    into a neighbouring BatchNorm or quantizer scale, so that inference pays
+    for none of them.
+    """
+
+    name: str
+    ops: tuple
+    absorbs: frozenset
+
+
+# The one fusion table: ``cost.elementwise_ace`` bills no multiply of an
+# absorbed kind, and ``nn.Model``'s eval program runs each match as one step.
+FUSIONS = (
+    Fusion("pokeconv_tail", ("batchnorm", "add", "add?", "dprelu", "multiply",
+                             "batchnorm"), frozenset({"dprelu", "se_final_mul"})),
+    Fusion("se_gate", ("spatial_mean", "quantize_act", "dense", "relu",
+                       "quantize_act", "dense", "hardsigmoid"),
+           frozenset({"se_spatial_mean", "se_activations"})),
+    Fusion("stem", ("batchnorm", "dprelu"), frozenset({"dprelu"})),
+    Fusion("head", ("spatial_mean", "quantize_act"), frozenset({"global_pool"})),
+)
+
+
+def fused_chains(g: GraphSpec) -> list:
+    """Every match of ``FUSIONS`` in ``g``, as ``(fusion, node ids)``: the
+    entries in table order, each tried from every node in graph order, with
+    no node in two matches. Every node of a match but its last has one
+    reader, the next node, which reads it once, as its first input."""
+    readers: dict = {}
+    for n in g.nodes:
+        for ref in n.inputs:
+            readers.setdefault(ref, []).append(n)
+    taken, chains = set(), []
+    for fusion in FUSIONS:
+        for start in g.nodes:
+            if start.op != fusion.ops[0]:
+                continue
+            node, ids = start, []
+            for op in fusion.ops:
+                if (node is None or node.id in taken or node.op != op.rstrip("?")
+                        or (op == "quantize_act" and node.attrs["act_bits"] is DType.BIN)):
+                    if op.endswith("?"):
+                        continue
+                    break
+                ids.append(node.id)
+                nxt = readers.get(node.id, ())
+                node = nxt[0] if len(nxt) == 1 and nxt[0].inputs[0] == node.id else None
+            else:
+                chains.append((fusion, tuple(ids)))
+                taken.update(ids)
+    return chains
+
+
 class GraphError(ValueError):
     """Structural problem in a GraphSpec."""
 

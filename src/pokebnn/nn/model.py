@@ -4,15 +4,18 @@ The executor owns every parameter and calibration state keyed by node id:
 conv/dense weights, BatchNorm affine + running statistics, DPReLU vectors,
 and per-quantizer clipping bounds. ``Model.__init__`` lowers the node list
 once into a plan of steps, and fixes the order in which a pullback visits
-them and the step after which each value is read for the last time; both
-calls drop a value there. ``forward`` runs the plan on arrays and returns the
-logits with their pullback, which calls each step's VJP once; each step's
-record keeps only what its VJP reads. ``logits`` runs an eval program
-bound from the same plan: per phase, one closure per step, holding the step's
-op and its per-state constants (the quantized weight, the eval BatchNorm
-factors, the quantizer scales), resolved once. It keeps nothing for a
-gradient, and binds again only when the parameters, a running statistic or a
-bound state change.
+them and the step after which each value is read for the last time; it drops
+a value there. ``forward`` runs the plan on arrays and returns the logits
+with their pullback, which calls each step's VJP once; each step's record
+keeps only what its VJP reads. ``logits`` runs an eval program bound from the
+same plan, in which each chain of ``graphir.FUSIONS`` (a PokeConv's BN ->
+DPReLU -> gate -> BN tail, an SE gate, the stem's BN -> DPReLU, the head's
+pooling and quantizer) is one step: per phase, one closure per step, holding
+the step's op and its per-state constants (the quantized weight, the eval
+BatchNorm factors, the quantizer scales, or a chain's folds of them),
+resolved once. It drops each value after its last reader in that program,
+keeps nothing for a gradient, and binds again only when the parameters, a
+running statistic or a bound state change.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .. import quant
 from ..graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphError, GraphSpec,
-                       NodeSpec, check_graph, param_shapes)
+                       NodeSpec, check_graph, fused_chains, param_shapes)
 from . import autodiff as ad
 
 
@@ -90,6 +93,52 @@ def _fixed(fn: Callable) -> Callable:
     return lambda model, phase: fn
 
 
+def _chained(fns: list) -> Callable:
+    """The one-input steps ``fns`` run in turn, as one step."""
+    def run(x):
+        for fn in fns:
+            x = fn(x)
+        return x
+    return run
+
+
+def _last_reads(reads: list, keep: int) -> list:
+    """For steps that read the slot tuples ``reads``, in order: the slots
+    that each reads for the last time, but ``keep``."""
+    last = {s: i for i, slots in enumerate(reads) for s in slots}
+    drops = [[] for _ in reads]
+    for s, i in last.items():
+        if s != keep:
+            drops[i].append(s)
+    return [tuple(d) for d in drops]
+
+
+def _running(model, nid: str) -> tuple:
+    """BN step ``nid``'s running mean and variance in ``model``."""
+    stats = model.bn_stats[nid]
+    return stats["mean"], stats["var"]
+
+
+def _act_scales(model, nid: str, bits: int):
+    """The scale pair of ``model``'s 4/8-bit quantizer ``nid``, from its
+    bound state, by ``_cached``."""
+    state, dtype = model.bounds[nid], model.dtype
+    return _cached(model._constants, nid, (state,), lambda:
+                   ad._fake_quant_scales(state.bound, bits, dtype))
+
+
+def _dprelu_folded(t, a, b):
+    """``t·a + |t|·b``, written over ``t``. For a = (eta + gamma) / 2 and
+    b = (eta - gamma) / 2 this is DPReLU of the shifted input t = x - alpha
+    before its ``- beta``: eta·t where t > 0, else gamma·t. A factor that
+    follows (a gate, a BN scale) multiplies both a and b."""
+    m = np.abs(t)
+    m *= b
+    t *= a
+    t += m
+    return t
+
+
 # eight zero bytes, read-only: the buffer of every stand-in (see _stand_in)
 _ZEROS = _read_only(np.zeros(8, dtype=np.uint8))
 
@@ -144,10 +193,11 @@ class ParamArena:
     ``zero_grad()`` fills it with zeros.
     """
 
-    def __init__(self, arrays: dict, dtype):
-        """``arrays`` maps each name to its initial value, cast into the
-        buffer; a broadcast view gives a constant without a copy."""
-        self.data = np.empty(sum(np.size(a) for a in arrays.values()), dtype=dtype)
+    def __init__(self, shapes: dict, dtype):
+        """``shapes`` maps each name to its array's shape; every value
+        starts at 0."""
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.data = np.zeros(sum(sizes), dtype=dtype)
         self._writable = self.data.view()   # taken while data is writable
         _read_only(self.data)               # so every view of it is too
         self.version = 0
@@ -156,9 +206,8 @@ class ParamArena:
         self.views: dict[str, np.ndarray] = {}
         self.grad_views: dict[str, np.ndarray] = {}
         start = 0
-        for name, a in arrays.items():
-            span, shape = slice(start, start + np.size(a)), np.shape(a)
-            self._writable[span].reshape(shape)[...] = a
+        for (name, shape), size in zip(shapes.items(), sizes):
+            span = slice(start, start + size)
             self.spans[name] = span
             self.views[name] = self.data[span].reshape(shape)
             self.grad_views[name] = self.grad[span].reshape(shape)
@@ -186,16 +235,18 @@ class Model:
         self.bn_momentum = 0.9
         self.bn_stats: dict[str, dict[str, np.ndarray]] = {}
         self.bounds: dict[str, quant.BoundState] = {}
-        init, stds = self._init_params()
+        arena_shapes, consts, stds = self._init_params()
         # every parameter's value and gradient are views into the arena's
         # buffers; the values are read-only, and arena.writable() changes them
-        self.arena = ParamArena(init, self.dtype)
+        self.arena = ParamArena(arena_shapes, self.dtype)
+        spans, data = self.arena.spans, self.arena.writable()
+        for name, value in consts.items():
+            data[spans[name]] = value
         # each weight drawn in float64, in node order, and cast into the arena
         # at once, so that building holds one draw at a time
-        rng, data = np.random.default_rng(seed), self.arena.writable()
+        rng = np.random.default_rng(seed)
         for name, std in stds.items():
-            data[self.arena.spans[name]] = rng.normal(
-                0.0, std, size=init[name].shape).ravel()
+            data[spans[name]] = rng.normal(0.0, std, size=arena_shapes[name]).ravel()
         self.params = MappingProxyType(self.arena.views)
         # bound to the arena and to the bounds table, not to the model: a
         # caller that wraps either on the instance (to count its calls, say)
@@ -230,24 +281,35 @@ class Model:
                             if node.op == "output")
         self._order = self._backward_order()
         # the slots whose value each step reads for the last time, which
-        # forward and logits drop after the step and its hooks; the output's
-        # is kept
-        last = {s: i for i, step in enumerate(self._plan) for s in step[1]}
-        drops = [[] for _ in self._plan]
-        for s, i in last.items():
-            if s != self._output:
-                drops[i].append(s)
-        self._drops = [tuple(d) for d in drops]
+        # forward drops after the step and its hooks; the output's is kept
+        self._drops = _last_reads([step[1] for step in self._plan], self._output)
+        # the eval program's layout: per step, (bind, input slots, output
+        # slot, node). Each chain of graphir.FUSIONS that folds is one step
+        # at its last node, which reads the chain's inputs from outside it
+        # and which hooks see as that node; the chain's other steps are left
+        # out. logits drops each slot after its last reader in this program
+        folds, inside = {}, set()
+        for fusion, ids in fused_chains(graph):
+            steps = [self._plan[index[nid]] for nid in ids]
+            bind = self._lower_fold(fusion.name, steps)
+            if bind is not None:
+                slots = steps[0][1] + tuple([s for step in steps[1:] for s in step[1][1:]])
+                folds[index[ids[-1]]] = (bind, slots)
+                inside.update(index[nid] for nid in ids[:-1])
+        self._layout = [(*folds.get(i, (step[3], step[1])), i, step[0])
+                        for i, step in enumerate(self._plan) if i not in inside]
+        self._layout_drops = _last_reads([step[1] for step in self._layout],
+                                         self._output)
 
     # ------------------------------------------------------------------
     # Parameter setup
     # ------------------------------------------------------------------
 
-    def _init_params(self) -> tuple[dict, dict]:
-        """Each parameter's initial value by name, as a zero-byte broadcast
-        of a constant, 0 for a weight; and the standard deviation of each
-        weight's normal draw. Sets up BN and bound state."""
-        init, stds = {}, {}
+    def _init_params(self) -> tuple[dict, dict, dict]:
+        """Each parameter's shape by name, in arena order; the initial value
+        of each that starts at a constant other than 0; and the standard
+        deviation of each weight's normal draw. Sets up BN and bound state."""
+        shapes, consts, stds = {}, {}, {}
         for node in self.graph.nodes:
             nid, op = node.id, node.op
             out_c = self.shapes[nid][2]
@@ -255,16 +317,17 @@ class Model:
                 raise ValueError(f"node {nid!r}: conv2d with groups="
                                  f"{node.attrs['groups']} is costed but not executed")
             if op in OP_PARAMS:
-                shapes = param_shapes(node, self.shapes[node.inputs[0]],
-                                      self.shapes[nid])
-                for key, shape in zip(OP_PARAMS[op], shapes):
+                for key, shape in zip(OP_PARAMS[op], param_shapes(
+                        node, self.shapes[node.inputs[0]], self.shapes[nid])):
                     name = f"{nid}.{key}"
+                    shapes[name] = shape
                     if key == "w":
                         # He init for convolutions, LeCun for dense; the
                         # fan-in is the weights that one output reads
                         gain = 1.0 if op == "dense" else 2.0
                         stds[name] = (gain / (math.prod(shape) // out_c)) ** 0.5
-                    init[name] = np.broadcast_to(_INIT_VALUES.get(key, 0.0), shape)
+                    elif key in _INIT_VALUES:
+                        consts[name] = _INIT_VALUES[key]
             if op == "batchnorm":
                 self.bn_stats[nid] = {
                     "mean": _read_only(np.zeros(out_c, dtype=self.dtype)),
@@ -272,7 +335,7 @@ class Model:
                 }
             elif op == "quantize_act" and node.attrs["act_bits"] is not DType.BIN:
                 self.bounds[nid] = quant.BoundState(bound=np.float64(1.0))
-        return init, stds
+        return shapes, consts, stds
 
     # ------------------------------------------------------------------
     # Quantizer state
@@ -315,8 +378,13 @@ class Model:
     def logits(self, x, phase: int = 2, hooks=()) -> np.ndarray:
         """The inference call: runs the phase's eval program and keeps
         nothing for a gradient; returns [N, classes]. Each of ``hooks`` is
-        called as ``hook(node, out)`` after every step, as in ``forward``,
-        and a value is dropped after the step that reads it last.
+        called as ``hook(node, out)`` after every program step, and a value
+        is dropped after the step that reads it last.
+
+        The program runs each chain of ``graphir.FUSIONS`` as one step,
+        which hooks see as the chain's last node; its other nodes have no
+        step. A fold reorders float arithmetic, so the logits are close to
+        ``forward(x, training=False)``'s, not bitwise equal.
 
         The program holds every step's per-state constants. Each call checks
         that ``arena.version`` and the running-statistic arrays and bound
@@ -324,7 +392,7 @@ class Model:
         it again if not (see ``_program``)."""
         values = self._slots(x)
         del x       # so that the batch too is freed after its last reader
-        for i, (fn, ins, node, drops) in enumerate(self._program(phase)):
+        for fn, ins, i, node, drops in self._program(phase):
             values[i] = out = fn(ins(values))
             for hook in hooks:
                 hook(node, out)
@@ -334,10 +402,11 @@ class Model:
         return out.reshape(out.shape[0], -1)
 
     def _program(self, phase: int) -> list:
-        """The steps of ``phase``'s eval program, each ``(fn, ins, node,
+        """The steps of ``phase``'s eval program, each ``(fn, ins, out, node,
         drops)``: ``ins(values)`` picks the step's inputs from the slots,
-        ``fn``, bound by the step's ``bind``, takes them as one argument, and
-        ``drops`` are the slots read for the last time.
+        ``fn``, bound by the step's ``bind``, takes them as one argument and
+        its result goes to slot ``out``, and ``drops`` are the slots read for
+        the last time.
 
         A program is kept with the arena version and the ``_sources`` it was
         bound from, and bound again when either changed. Binding reads each
@@ -355,11 +424,11 @@ class Model:
             self._programs.clear()
             self._version = self.arena.version
         steps = []
-        for (node, slots, _, bind, _, _), drops in zip(self._plan, self._drops):
+        for (bind, slots, out, node), drops in zip(self._layout, self._layout_drops):
             fn = bind(self, phase)
             if len(slots) > 1:      # itemgetter picks these as a tuple
                 fn = _spread(fn)
-            steps.append((fn, operator.itemgetter(*slots), node, drops))
+            steps.append((fn, operator.itemgetter(*slots), out, node, drops))
         self._programs[phase] = (self.arena.version, sources, steps)
         return steps
 
@@ -373,10 +442,13 @@ class Model:
     def _slots(self, x) -> list:
         """The value slots of one call: one per step, empty, then the batch
         ``x`` as an [N, H, W, C] array of the model's dtype. Raises ValueError
-        if its shape is not the graph's input shape."""
+        if it is empty or its shape is not the graph's input shape."""
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
             raise ValueError(f"expected [N, H, W, C] input, got shape {x.shape}")
+        if not len(x):
+            raise ValueError(f"graph {self.graph.name!r} got an empty batch, "
+                             f"shape {x.shape}")
         if x.shape[1:] != tuple(self.graph.input_shape):
             raise ValueError(f"graph {self.graph.name!r} expects input "
                              f"{tuple(self.graph.input_shape)}, got {x.shape[1:]}")
@@ -466,9 +538,7 @@ class Model:
             return (lambda model, ins, ctx: (_plus_zero(ins[0]), None)), _fixed(_plus_zero)
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
-        # the parameters after the weight
-        params = tuple([self.arena.views[f"{nid}.{k}"] for k in OP_PARAMS.get(op, ())
-                        if k != "w"])
+        params = self._params(node)
         if op == "batchnorm":
             return self._lower_batchnorm(nid, params)
         args = tuple([a[k] for k in _ATTR_ARGS.get(op, ())])
@@ -492,6 +562,11 @@ class Model:
             return lambda x: forward(x, w, *extra)[0]
         return run, bind
 
+    def _params(self, node: NodeSpec) -> tuple:
+        """The arena views of ``node``'s parameters after the weight."""
+        return tuple([self.arena.views[f"{node.id}.{k}"]
+                      for k in OP_PARAMS.get(node.op, ()) if k != "w"])
+
     @staticmethod
     def _lower_act_quant(nid: str, bits: DType) -> tuple[Callable, Callable]:
         binarize, fake_quant = ad._binarize, ad._fake_quant
@@ -513,9 +588,7 @@ class Model:
         def bind(model, phase):
             if phase < 2:
                 return _identity
-            state, dtype = model.bounds[nid], model.dtype
-            scales = _cached(model._constants, nid, (state,), lambda:
-                             ad._fake_quant_scales(state.bound, bits.bits, dtype))
+            scales = _act_scales(model, nid, bits.bits)
             return lambda x: scaled(x, scales, bits.bits)
         return run, bind
 
@@ -538,8 +611,7 @@ class Model:
                          (*params, stats["mean"], stats["var"]), True)
 
         def bind(model, phase):
-            stats, dtype = model.bn_stats[nid], model.dtype
-            running = (stats["mean"], stats["var"])
+            running, dtype = _running(model, nid), model.dtype
             mean, _, k = _cached(model._constants, nid, running, lambda:
                                  ad._batchnorm_eval_constants(scale, *running, dtype))
             return lambda x: apply(x, bias, mean, k)[0]
@@ -577,6 +649,131 @@ class Model:
             return _cached(model._constants, nid, (), lambda: _read_only(
                 quantize(w, None)[0] if binary else quantized()[0]))
         return weight, eval_weight
+
+    def _lower_fold(self, name: str, steps: list) -> Callable | None:
+        """The ``bind`` of the eval step that runs the plan ``steps``, a
+        chain of the ``graphir.FUSIONS`` entry ``name``, or None if the chain
+        does not fold. The step takes the first step's inputs, then every
+        later step's inputs but its first, and returns the last one's output;
+        its constants are kept in ``_constants`` by ``_cached``, under the ids
+        of the BN, dense and quantizer nodes that they replace."""
+        nodes = [step[0] for step in steps]
+        if name in ("se_gate", "head"):
+            return self._lower_mean_quant(nodes, [step[3] for step in steps])
+        return self._lower_bn_dprelu(nodes)
+
+    def _lower_bn_dprelu(self, nodes: list) -> Callable | None:
+        """A stem, ``batchnorm -> dprelu``, or a PokeConv tail, ``batchnorm
+        -> add (1 or 2) -> dprelu -> multiply -> batchnorm``. The step
+        computes ``t = x·k + (each add's other input) + c``, with the first
+        BN's eval factor k and ``c = bias - mean·k - alpha``, then the rest as
+        ``t·A + |t|·B + D`` (see ``_dprelu_folded``): in a tail, the gate and
+        the second BN fold into the per-sample A, B and D. None if the
+        chain's output is larger than its input, which ``t`` cannot hold."""
+        bn1, act = nodes[0], next(n for n in nodes if n.op == "dprelu")
+        if self.shapes[nodes[-1].id] != self.shapes[bn1.inputs[0]]:
+            return None
+        (scale1, bias1), (alpha, beta, gamma, eta) = self._params(bn1), self._params(act)
+
+        def first_bn(model, slopes=False):
+            """k and c of the first BN, and the DPReLU's two slopes if asked."""
+            running, dtype = _running(model, bn1.id), model.dtype
+
+            def compute():
+                mean, _, k = ad._batchnorm_eval_constants(scale1, *running, dtype)
+                c = bias1 - mean * k - alpha
+                return (k, c, (eta + gamma) / 2, (eta - gamma) / 2) if slopes else (k, c)
+            return _cached(model._constants, bn1.id, running, compute)
+
+        if act is nodes[-1]:
+            def bind_stem(model, phase):
+                k, c, a, b = first_bn(model, slopes=True)
+
+                def stem(x):
+                    t = x * k
+                    t += c
+                    t = _dprelu_folded(t, a, b)
+                    t -= beta
+                    return t
+                return stem
+            return bind_stem
+        bn2 = nodes[-1]
+        scale2, bias2 = self._params(bn2)
+
+        def bind(model, phase):
+            (k, c), running, dtype = first_bn(model), _running(model, bn2.id), model.dtype
+
+            def compute():
+                mean, _, k2 = ad._batchnorm_eval_constants(scale2, *running, dtype)
+                return (k2 * ((eta + gamma) / 2), k2 * ((eta - gamma) / 2),
+                        bias2 - mean * k2, k2 * beta)
+            ka, kb, d, kbeta = _cached(model._constants, bn2.id, running, compute)
+
+            def tail(x, *rest):
+                *shortcuts, gate = rest
+                t = x * k
+                for s in shortcuts:
+                    t += s
+                t += c
+                t = _dprelu_folded(t, gate * ka, gate * kb)
+                t += d - gate * kbeta
+                return t
+            return tail
+        return bind
+
+    def _lower_mean_quant(self, nodes: list, binds: list) -> Callable:
+        """A head, ``spatial_mean -> quantize_act``, or an SE gate, which
+        goes on ``-> dense -> relu -> quantize_act -> dense -> hardsigmoid``.
+        From phase 2 on, the mean's divide folds into the first quantizer's
+        scale. In an SE gate, the second quantizer's up scale folds into the
+        first dense layer, and its down scale and hardsigmoid's ``(x + 3) /
+        6`` into the second; these scaled weights and biases replace the
+        quantized weights in ``_constants``. In phase 1, where no 4/8-bit
+        quantizer acts, the step runs the chain's own steps, ``binds``, in
+        turn."""
+        mean, q1 = nodes[:2]
+        count = math.prod(self.shapes[mean.inputs[0]][:2])
+        bits1, scaled = q1.attrs["act_bits"].bits, quant.fake_quant_scaled
+        gated = len(nodes) > 2
+        if gated:
+            fc1, q2, fc2 = nodes[2], nodes[4], nodes[5]
+            bits2 = q2.attrs["act_bits"].bits
+            top = quant.grid_endpoint(bits2) - quant.DEFAULT_EPSILON
+            # each dense layer's weight as forward's phase-2 step reads it
+            (w1, b1), (w2, b2) = [
+                (self._lower_weight(fc.id, fc.attrs["weight_bits"], False)[0],
+                 *self._params(fc)) for fc in (fc1, fc2)]
+            quantized = QuantContext(training=False, phase=2)
+
+        def bind(model, phase):
+            if phase < 2:
+                return _chained([b(model, phase) for b in binds])
+            up, down = _act_scales(model, q1.id, bits1)
+            pooled = (up / count, down)
+            if not gated:
+                return lambda x: scaled(np.add.reduce(x, (1, 2), None, None, True),
+                                        pooled, bits1)
+            up2, down2 = _act_scales(model, q2.id, bits2)
+            state = (model.bounds[q2.id],)
+            w1s, b1s = _cached(model._constants, fc1.id, state, lambda: (
+                _read_only(w1(quantized)[0] * up2), _read_only(b1 * up2)))
+            w2s, b2s = _cached(model._constants, fc2.id, state, lambda: (
+                _read_only(w2(quantized)[0] * (down2 / 6)), _read_only(b2 / 6 + 0.5)))
+
+            def gate(x):
+                h = scaled(np.add.reduce(x, (1, 2), None, None, True), pooled, bits1) @ w1s
+                h += b1s
+                # relu, then int_cast's clip to the grid's top and its round
+                # half away from zero, which is floor(h + 0.5) as h >= 0
+                np.maximum(h, 0.0, out=h)
+                np.minimum(h, top, out=h)
+                h += 0.5
+                g = np.floor(h, out=h) @ w2s
+                g += b2s
+                np.maximum(g, 0.0, out=g)
+                return np.minimum(g, 1.0, out=g)
+            return gate
+        return bind
 
     # ------------------------------------------------------------------
     # State access

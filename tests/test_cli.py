@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from pokebnn.builders import builtin_models
 from pokebnn.cli import main
 from pokebnn.graphir import load_graph
 
@@ -24,6 +26,31 @@ class TestAnalyze:
         adds, muls = (float(v) for v in sum_row.split()[-2:])
         assert abs(adds - 81.9) / 81.9 < 0.02
         assert abs(muls - 38.4) / 38.4 < 0.02
+
+    # sha256 prefixes of "exit code, stdout, stderr" of ``analyze --format
+    # json --elementwise``, per builtin: the published cost figures, which
+    # the fusion table that cost and the executor share must not move
+    ELEMENTWISE_JSON = {
+        "pokebnn-0.5x": "9d109f9df27faafa",
+        "pokebnn-0.75x": "b9055f9b14d5953a",
+        "pokebnn-1.0x": "1f625b80fc242839",
+        "pokebnn-1.25x": "c0eef5a78d76b40b",
+        "pokebnn-1.4x": "479aac760bde5f03",
+        "pokebnn-1.5x": "059a172bfef2de89",
+        "pokebnn-1.75x": "9c58e727122513e3",
+        "pokebnn-2.0x": "26c5bf9fa4e72bae",
+        "pokebnn-toy": "5c2b564c4ac31078",
+        "resnet50-bf16": "e7c9086901423f9e",
+        "resnet50-fp32": "e7c9086901423f9e",
+    }
+
+    def test_elementwise_json_is_unchanged_for_every_builtin(self, capsys):
+        got = {}
+        for name in sorted(builtin_models()):
+            code = main(["analyze", "--model", name, "--format", "json", "--elementwise"])
+            out, err = capsys.readouterr()
+            got[name] = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()[:16]
+        assert got == self.ELEMENTWISE_JSON
 
     def test_json_format_parses(self, capsys):
         assert main(["analyze", "--model", "pokebnn-0.5x", "--format", "json"]) == 0

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from pokebnn.builders import build_named, build_pokebnn, build_resnet50, builtin_models
 from pokebnn.graphir import (
+    FUSIONS,
     DType,
     GraphSchemaError,
     GraphSpec,
     NodeSpec,
     ShapeError,
     graph_from_json,
+    fused_chains,
     graph_to_json,
     infer_shapes,
     load_graph,
@@ -338,3 +341,61 @@ class TestDType:
 
     def test_binary_is_one_bit(self):
         assert DType.BIN.bits == 1 and not DType.BIN.is_float
+
+
+class TestFusions:
+    @pytest.mark.parametrize("name", sorted(builtin_models()))
+    def test_chain_counts_per_builtin(self, name):
+        counts = Counter(fusion.name for fusion, _ in fused_chains(build_named(name)))
+        per_block = 12 if name == "pokebnn-toy" else 48
+        want = ({} if name.startswith("resnet") else
+                {"pokeconv_tail": per_block, "se_gate": per_block, "stem": 2, "head": 1})
+        assert counts == want
+
+    @pytest.mark.parametrize("name", ["pokebnn-toy", "pokebnn-0.5x"])
+    def test_each_chain_follows_its_pattern_with_one_reader_inside(self, name):
+        g = build_named(name)
+        nodes = {n.id: n for n in g.nodes}
+        readers = Counter(ref for n in g.nodes for ref in n.inputs)
+        seen = []
+        for fusion, ids in fused_chains(g):
+            # the pattern with any of its optional ops left out
+            options = [[]]
+            for op in fusion.ops:
+                options = ([o + [op.rstrip("?")] for o in options]
+                           + (options if op.endswith("?") else []))
+            assert [nodes[nid].op for nid in ids] in options, ids
+            for nid, nxt in zip(ids, ids[1:]):
+                assert readers[nid] == 1 and nodes[nxt].inputs[0] == nid, nid
+            seen += ids
+        assert len(seen) == len(set(seen))
+
+    def test_tail_takes_one_or_two_adds(self):
+        tails = [ids for fusion, ids in fused_chains(build_named("pokebnn-toy"))
+                 if fusion.name == "pokeconv_tail"]
+        # the third PokeConv of each block adds the block's shortcut too
+        assert Counter(len(ids) for ids in tails) == {5: 8, 6: 4}
+
+    def test_a_second_reader_stops_a_chain(self):
+        bn = NodeSpec("bn", "batchnorm", ["in"])
+        act = NodeSpec("act", "dprelu", ["bn"])
+        both = NodeSpec("both", "add", ["act", "bn"])
+        g = GraphSpec("g", (2, 2, 3), [NodeSpec("in", "input"), bn, act, both,
+                                      NodeSpec("out", "output", ["both"])])
+        assert fused_chains(g) == []
+        both.inputs = ["act", "act"]
+        assert [(f.name, ids) for f, ids in fused_chains(g)] == [("stem", ("bn", "act"))]
+
+    def test_binary_quantizer_does_not_match(self):
+        nodes = [NodeSpec("in", "input"), NodeSpec("m", "spatial_mean", ["in"]),
+                 NodeSpec("q", "quantize_act", ["m"], {"act_bits": DType.BIN}),
+                 NodeSpec("out", "output", ["q"])]
+        g = GraphSpec("g", (2, 2, 3), nodes)
+        assert fused_chains(g) == []
+        nodes[2].attrs["act_bits"] = DType.INT8
+        assert [(f.name, ids) for f, ids in fused_chains(g)] == [("head", ("m", "q"))]
+
+    def test_absorbed_kinds_are_the_affine_multiplies(self):
+        absorbed = {k for f in FUSIONS for k in f.absorbs}
+        assert absorbed == {"dprelu", "se_final_mul", "se_spatial_mean",
+                            "se_activations", "global_pool"}

@@ -22,7 +22,7 @@ from pokebnn.builders import (
 )
 from pokebnn.cost import count_macs, model_size
 from pokebnn.graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphError, GraphSpec,
-                             NodeSpec, validate_graph)
+                             NodeSpec, fused_chains, validate_graph)
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn import autodiff as ad
 from pokebnn.nn import model as model_module
@@ -48,6 +48,19 @@ def node_outputs(run, x, **kwargs):
     outs = {}
     run(x, hooks=[lambda node, out: outs.__setitem__(node.id, out.copy())], **kwargs)
     return outs
+
+
+def program_steps(graph):
+    """``Model.logits``' program steps as ``(node id, input ids)``: each
+    chain of ``fused_chains`` is one step at its last node, which reads the
+    first node's inputs and every later node's inputs but its first."""
+    chains = {ids[-1]: ids for _, ids in fused_chains(graph)}
+    inside = {nid for ids in chains.values() for nid in ids[:-1]}
+    nodes = {n.id: n for n in graph.nodes}
+    return [(n.id, [*nodes[ids[0]].inputs,
+                    *(s for nid in ids[1:] for s in nodes[nid].inputs[1:])])
+            for n in graph.nodes if n.id not in inside
+            for ids in [chains.get(n.id, (n.id,))]]
 
 
 def output_of(model, x, **kwargs):
@@ -87,6 +100,13 @@ class TestForward:
         message = f"expects input (16, 16, 3), got {shape[1:]}"
         with pytest.raises(ValueError, match=re.escape(message)):
             Model(toy, seed=1).logits(np.zeros(shape))
+
+    def test_rejects_an_empty_batch(self, toy):
+        model = Model(toy, seed=1)
+        message = "graph 'pokebnn-toy-0.25x4g' got an empty batch, shape (0, 16, 16, 3)"
+        for run in (model.logits, model.forward):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run(np.zeros((0, 16, 16, 3)))
 
     def test_eval_mode_deterministic(self, toy, batch):
         model = Model(toy, seed=1)
@@ -134,11 +154,14 @@ class TestPlan:
                                                           dtype, phase):
         taped, plain = Model(toy, seed=4, dtype=dtype), Model(toy, seed=4, dtype=dtype)
         initial = plain.state_dict()
+        # a fold reorders float arithmetic: the logits are close, not equal
+        tol = 1e-5 if dtype == np.float32 else 1e-12
         for _ in range(2):     # the second call reads the cached constants
             want, _ = taped.forward(batch, training=False, phase=phase)
             got = plain.logits(batch, phase=phase)
             assert got.dtype == dtype
-            assert got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+            assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
         state, twin = plain.state_dict(), taped.state_dict()
         assert all(state[k].tobytes() == twin[k].tobytes() for k in twin)
         assert all(np.array_equal(state[k], initial[k]) for k in state)
@@ -174,9 +197,11 @@ class TestPlan:
 
     def test_float32_stays_float32_at_every_node(self, toy, batch):
         model = Model(toy, seed=1, dtype=np.float32)
-        for run in (model.logits, functools.partial(model.forward, training=False)):
+        for run, ids in ((model.logits, [nid for nid, _ in program_steps(toy)]),
+                         (functools.partial(model.forward, training=False),
+                          [n.id for n in toy.nodes])):
             outs = node_outputs(run, batch, phase=2)
-            assert list(outs) == [n.id for n in toy.nodes]
+            assert list(outs) == ids
             assert {o.dtype for o in outs.values()} == {np.dtype(np.float32)}
         assert model.logits(batch).dtype == np.float32
 
@@ -388,8 +413,11 @@ class TestLiveness:
         run = {"logits": model.logits,
                "eval": functools.partial(model.forward, training=False),
                "train": functools.partial(model.forward, training=True)}[call]
-        index = {node.id: i for i, node in enumerate(toy.nodes)}
-        last = {index[s]: i for i, node in enumerate(toy.nodes) for s in node.inputs}
+        # the steps as (node id, input ids): logits runs its program's
+        steps = (program_steps(toy) if call == "logits"
+                 else [(node.id, node.inputs) for node in toy.nodes])
+        index = {nid: i for i, (nid, _) in enumerate(steps)}
+        last = {index[s]: i for i, (_, ins) in enumerate(steps) for s in ins}
         # the outputs a record keeps until the pullback runs
         kept = set() if call == "logits" else {
             index[s] for node in toy.nodes if self.reads_values(node)
@@ -407,7 +435,7 @@ class TestLiveness:
                 holders = [k for k in range(i + 1) if refs[k]() is value]
                 assert any(k == i or last.get(k, i) >= i or k in kept
                            for k in holders), \
-                    f"{toy.nodes[j].id} is alive at {node.id}"
+                    f"{steps[j][0]} is alive at {node.id}"
                 checked[j in kept] += 1
 
         gc.disable()
@@ -415,7 +443,7 @@ class TestLiveness:
             run(batch, phase=phase, hooks=[hook])
         finally:
             gc.enable()
-        assert len(refs) == len(toy.nodes)
+        assert len(refs) == len(steps)
         assert checked[False] and (call == "logits") == (not checked[True])
 
     @pytest.mark.parametrize("training", [False, True])
@@ -960,10 +988,13 @@ class TestQuantizedWeightCache:
         # and one entry per BN step and 4/8-bit quantizer
         assert set(model._constants) - set(weights) == (
             {nid for nid, op in ops.items() if op == "batchnorm"} | set(model.bounds))
-        for nid, w in weights.items():
-            assert not w.flags.writeable, nid
-            with pytest.raises(ValueError, match="read-only"):
-                w[...] = 0
+        # an SE gate's entries hold its weights and biases with the scales
+        # folded in, in place of the quantized weights
+        for nid, entry in weights.items():
+            for w in arrays_in(entry):
+                assert not w.flags.writeable, nid
+                with pytest.raises(ValueError, match="read-only"):
+                    w[...] = 0
 
     def test_bn_factors_and_scales_computed_once_per_state(self, toy, batch,
                                                            monkeypatch):
@@ -1052,6 +1083,20 @@ class TestQuantizedWeightCache:
             model.logits(x)
         assert not calls
 
+    @staticmethod
+    def eval_steps(model, x, phase):
+        """Each program step's output in one ``logits`` call, by node id, and
+        its input ids; the batch is the input "" of the input node."""
+        outs = node_outputs(functools.partial(model.logits, phase=phase), x)
+        outs[""] = np.asarray(x, dtype=model.dtype)
+        return outs, {nid: ins or [""] for nid, ins in program_steps(model.graph)}
+
+    @staticmethod
+    def forward_step(model, nid, ins, phase):
+        """Node ``nid``'s output from ``forward``'s step in eval mode."""
+        run = next(step[2] for step in model._plan if step[0].id == nid)
+        return run(model, ins, model_module.QuantContext(False, phase))[0]
+
     @pytest.mark.parametrize("phase", [1, 2])
     def test_hooks_see_every_step_once_in_plan_order(self, toy, batch, phase):
         model = self.calibrated(toy, batch)
@@ -1060,17 +1105,59 @@ class TestQuantizedWeightCache:
         model.logits(batch, phase=phase, hooks=[
             lambda node, out: seen.append((node.id, out.tobytes())),
             lambda node, out: ids.append(node.id)])
-        assert [nid for nid, _ in seen] == ids == [n.id for n in toy.nodes]
-        want = node_outputs(functools.partial(model.forward, training=False),
-                            batch, phase=phase)
-        assert all(out == want[nid].tobytes() for nid, out in seen)
+        # a folded chain reports once, under its last node
+        assert [nid for nid, _ in seen] == ids == [nid for nid, _ in program_steps(toy)]
+        # every other step is bitwise forward's on the same inputs
+        outs, reads = self.eval_steps(model, batch, phase)
+        folded = {ids[-1] for _, ids in fused_chains(toy)}
+        for nid, out in seen:
+            if nid not in folded:
+                want = self.forward_step(model, nid, [outs[s] for s in reads[nid]], phase)
+                assert out == want.tobytes(), nid
         assert seen[-1][1] == plain.tobytes()
         assert model.logits(batch, phase=phase).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_each_fold_is_close_to_its_chain(self, toy, batch, dtype, phase):
+        # a folded step against forward's steps of its chain, in eval mode,
+        # on the same inputs: equal but for float rounding
+        model = Model(toy, seed=1, dtype=dtype)
+        model.forward(batch, training=True, phase=1)
+        model.freeze_activation_bounds()
+        outs, reads = self.eval_steps(model, batch, phase)
+        nodes = {n.id: n for n in toy.nodes}
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for fusion, ids in fused_chains(toy):
+            ins = [outs[s] for s in reads[ids[-1]]]
+            want = self.forward_step(model, ids[0], ins[:len(nodes[ids[0]].inputs)], phase)
+            ins = ins[len(nodes[ids[0]].inputs):]
+            for nid in ids[1:]:
+                extra = len(nodes[nid].inputs) - 1
+                want = self.forward_step(model, nid, [want, *ins[:extra]], phase)
+                ins = ins[extra:]
+            got = outs[ids[-1]]
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol, err_msg=ids[-1])
 
     def test_switching_phases_equals_a_fresh_model(self, toy, batch):
         model = self.calibrated(toy, batch)
         for phase in (2, 1, 2, 1, 1, 2):
             self.assert_fresh(toy, model, batch, phase=phase)
+
+    def test_tail_whose_gate_widens_it_stays_unfolded(self):
+        # a tail on a pooled [1, 1, C] value, gated by the [4, 4, C] input:
+        # its output outgrows its input, so its steps run one by one
+        b = _GraphBuilder("wide-gate", (4, 4, 8))
+        x = b.emit("bn1", "batchnorm", [b.emit("mean", "spatial_mean", ["in"])])
+        x = b.emit("act", "dprelu", [b.emit("add", "add", [x, "mean"])])
+        g = b.finish(b.emit("bn2", "batchnorm", [b.emit("mul", "multiply", [x, "in"])]))
+        assert [f.name for f, _ in fused_chains(g)] == ["pokeconv_tail"]
+        model = Model(g, seed=1)
+        x = np.random.default_rng(9).normal(size=(2, 4, 4, 8))
+        outs = node_outputs(model.logits, x)
+        assert list(outs) == [n.id for n in g.nodes]
+        assert outs["out"].tobytes() == output_of(model, x, training=False).tobytes()
 
 
 def se_model(channels, seed, gated=False):

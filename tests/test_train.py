@@ -98,19 +98,28 @@ def step_with_grads(arena, grads, state, lr, cfg):
     T.adam_step(arena, state, lr, cfg)
 
 
+def filled_arena(arrays, dtype):
+    """A ``ParamArena`` that holds ``arrays``, cast to ``dtype``."""
+    arena = ParamArena({k: np.shape(v) for k, v in arrays.items()}, dtype)
+    data = arena.writable()
+    for k, v in arrays.items():
+        data[arena.spans[k]] = np.ravel(v)
+    return arena
+
+
 class TestAdam:
     def cfg(self, **kw):
         return T.TrainConfig(total_steps=10, phase_switch_step=5, **kw)
 
     def test_zero_gradient_no_motion(self):
-        arena = ParamArena({"w": np.ones(4)}, np.float64)
+        arena = filled_arena({"w": np.ones(4)}, np.float64)
         state = T.adam_init(arena)
         step_with_grads(arena, {"w": np.zeros(4)}, state,
                         lr=0.1, cfg=self.cfg(weight_decay=0.0))
         assert np.array_equal(arena.views["w"], np.ones(4))
 
     def test_descends_quadratic(self):
-        arena = ParamArena({"w": np.array([1.0])}, np.float64)
+        arena = filled_arena({"w": np.array([1.0])}, np.float64)
         w = arena.views["w"]
         state = T.adam_init(arena)
         for _ in range(50):
@@ -122,7 +131,7 @@ class TestAdam:
         # closed form of the bias-corrected first step: lr * g / (|g| + eps)
         cfg = self.cfg(weight_decay=0.0)
         for g in (1e-6, 0.5, 100.0):
-            arena = ParamArena({"w": np.array([0.0])}, np.float64)
+            arena = filled_arena({"w": np.array([0.0])}, np.float64)
             state = T.adam_init(arena)
             step_with_grads(arena, {"w": np.array([g])}, state, lr=0.01, cfg=cfg)
             closed_form = 0.01 * g / (abs(g) + cfg.adam_eps)
@@ -131,7 +140,7 @@ class TestAdam:
             assert abs(w[0]) == pytest.approx(0.01, rel=0.02)
 
     def test_weight_decay_only_on_listed(self):
-        arena = ParamArena({"w": np.array([1.0]), "bn": np.array([1.0])},
+        arena = filled_arena({"w": np.array([1.0]), "bn": np.array([1.0])},
                            np.float64)
         state = T.adam_init(arena, decay_names={"w"})
         step_with_grads(arena, {"w": np.zeros(1), "bn": np.zeros(1)}, state,
@@ -140,7 +149,7 @@ class TestAdam:
         assert arena.views["bn"][0] == 1.0
 
     def test_nonfinite_gradient_aborts(self):
-        arena = ParamArena({"w": np.array([1.0])}, np.float64)
+        arena = filled_arena({"w": np.array([1.0])}, np.float64)
         state = T.adam_init(arena)
         with pytest.raises(T.TrainingDiverged):
             step_with_grads(arena, {"w": np.array([np.nan])}, state, lr=0.1,
@@ -148,7 +157,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_error_names_parameter_and_updates_nothing(self, bad):
-        arena = ParamArena({"a.w": np.ones(3), "b.w": np.ones((2, 2))},
+        arena = filled_arena({"a.w": np.ones(3), "b.w": np.ones((2, 2))},
                            np.float32)
         state = T.adam_init(arena)
         g = np.zeros((2, 2))
@@ -167,7 +176,7 @@ class TestAdam:
         shapes = {"c.w": (3, 3, 4, 5), "bn.scale": (5,), "d.w": (5, 2),
                   "act.gamma": (2,), "head.bias": (2,)}
         init = {k: rng.normal(size=s) for k, s in shapes.items()}
-        arena = ParamArena(init, dtype)
+        arena = filled_arena(init, dtype)
         ref = {k: v.astype(dtype) for k, v in init.items()}
         decay = {"c.w", "d.w", "act.gamma"}
         cfg = self.cfg(weight_decay=weight_decay)
@@ -228,7 +237,7 @@ class TestBlockedAdam:
         # and 256; "tail" ends in a partial block
         shapes = {"head.bias": (100,), "mid.w": (10, 20), "gap.scale": (50,),
                   "tail": (37,)}
-        return ParamArena({k: rng.normal(size=s) for k, s in shapes.items()},
+        return filled_arena({k: rng.normal(size=s) for k, s in shapes.items()},
                           np.float32)
 
     def test_matches_per_tensor_reference_bitwise(self, monkeypatch):
