@@ -186,6 +186,11 @@ def _dprelu(x, alpha, beta, gamma, eta):
     eta*(x-alpha)-beta on the positive side of x-alpha, gamma*(x-alpha)-beta
     otherwise; all four parameters are per-channel vectors. Parameter
     gradients reduce over batch and spatial axes.
+
+    Saves ``(shifted, pos)``: the shifted input x - alpha and the boolean
+    mask of its positive side. The VJP recomputes the per-element slope
+    from ``pos`` with the forward's own ``_dprelu_slope``, the same bits as
+    a saved slope, so the record holds no third array of x's size.
     """
     if alpha.shape[-1] != x.shape[-1]:
         raise ValueError(
@@ -193,15 +198,25 @@ def _dprelu(x, alpha, beta, gamma, eta):
             f"params have {alpha.shape[-1]}")
     shifted = x - alpha
     pos = shifted > 0
-    slope = eta * pos
-    slope += gamma * ~pos
+    # the slope is named, not a temporary: numpy writes a product into a
+    # large temporary operand, in that operand's layout, and the channel
+    # sums downstream add in layout order, so a changed layout changes bits
+    slope = _dprelu_slope(pos, gamma, eta)
     data = slope * shifted
     data -= beta
-    return data, (shifted, pos, slope)
+    return data, (shifted, pos)
+
+
+def _dprelu_slope(pos, gamma, eta):
+    """eta where ``pos``, else gamma, broadcast to ``pos``'s shape."""
+    slope = eta * pos
+    slope += gamma * ~pos
+    return slope
 
 
 def _dprelu_vjp(g, saved, needs, x, alpha, beta, gamma, eta):
-    shifted, pos, slope = saved
+    shifted, pos = saved
+    slope = _dprelu_slope(pos, gamma, eta)      # named, as in _dprelu
     g_slope = g * slope
     g_shifted = g * shifted
     # the negative side's sum is the whole sum less the positive side's
@@ -262,7 +277,9 @@ def _fold(x, pads, kh, kw, stride, ho, wo, tap):
 
 
 def _conv2d(x, w, stride=1, padding="same"):
-    """2D convolution, x [N,H,W,C] with w [kh,kw,C,F], as one im2col GEMM."""
+    """2D convolution, x [N,H,W,C] with w [kh,kw,C,F], as one im2col GEMM.
+    Saves the im2col and the padding; the VJP reads the weight from its
+    arguments."""
     kh, kw, c, f = w.shape
     if x.shape[-1] != c:
         raise ValueError(f"conv2d channel mismatch: input {x.shape[-1]}, weight {c}")
@@ -279,12 +296,11 @@ def _conv2d(x, w, stride=1, padding="same"):
         # and both gradient GEMMs
         cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
         cols = cols.reshape(n * ho * wo, kh * kw * c)
-    w2 = w.reshape(kh * kw * c, f)
-    return (cols @ w2).reshape(n, ho, wo, f), (cols, w2, pads)
+    return (cols @ w.reshape(kh * kw * c, f)).reshape(n, ho, wo, f), (cols, pads)
 
 
 def _conv2d_vjp(g, saved, needs, x, w, stride=1, padding="same"):
-    cols, w2, pads = saved
+    cols, pads = saved
     kh, kw, c, f = w.shape
     n, ho, wo = g.shape[:3]
     g2 = g.reshape(-1, f)

@@ -7,7 +7,8 @@ once into a plan of steps, and fixes the order in which a pullback visits
 them and the step after which each value is read for the last time; it drops
 a value there. ``forward`` runs the plan on arrays and returns the logits
 with their pullback, which calls each step's VJP once; each step's record
-keeps only what its VJP reads. ``logits`` runs an eval program bound from the
+keeps only what its VJP reads, and a binarized input's im2col and a binary
+weight as int8. ``logits`` runs an eval program bound from the
 same plan, in which each chain of ``graphir.FUSIONS`` (a PokeConv's BN ->
 DPReLU -> gate -> BN tail, an SE gate, the stem's BN -> DPReLU, the head's
 pooling and quantizer) is one step: per phase, one closure per step, holding
@@ -552,15 +553,45 @@ class Model:
                     _fixed(lambda *ins: forward(*ins, *extra)[0]))
         weight, eval_weight = self._lower_weight(
             nid, a["weight_bits"], depthwise=op == "depthwise_conv2d")
+        narrow = self._lower_int8_record(node, vjp) if op == "conv2d" else None
 
         def run(model, ins, ctx):
             w, ste = weight(ctx)
-            return _step(forward, vjp, ins, (w, *extra), shape_only, ste)
+            out, record = _step(forward, vjp, ins, (w, *extra), shape_only, ste)
+            return out, record if narrow is None else narrow(record)
 
         def bind(model, phase):
             w = eval_weight(model, phase)
             return lambda x: forward(x, w, *extra)[0]
         return run, bind
+
+    def _lower_int8_record(self, node: NodeSpec, vjp) -> Callable | None:
+        """``narrow(record)``, which returns conv2d ``node``'s record (see
+        ``_step``) with its im2col as int8 if a binary ``quantize_act`` makes
+        its input, and its weight as int8 if that is binary and quantized;
+        or None if neither holds. Exact, as their entries are -1, 0 (padding)
+        or +1. The narrowed record's VJP widens both back to the input's
+        dtype and runs ``vjp``. Decided from the producing node, not from the
+        conv's own ``act_bits`` label."""
+        src = self.graph.node(node.inputs[0])
+        cols8 = src.op == "quantize_act" and src.attrs["act_bits"] is DType.BIN
+        w8 = node.attrs["weight_bits"] is DType.BIN
+        if not (cols8 or w8):
+            return None
+
+        def widened(g, saved, needs, x, w, *attrs):
+            cols, pads = saved
+            return vjp(g, (cols.astype(x.dtype, copy=False), pads), needs, x,
+                       w.astype(x.dtype, copy=False), *attrs)
+
+        def narrow(record):
+            _, (cols, pads), (x, w, *attrs), ste = record
+            if cols8:
+                cols = cols.astype(np.int8)
+            if w8 and ste is not None:      # a straight-through weight is quantized
+                w = w.astype(np.int8)
+            return widened, (cols, pads), (x, w, *attrs), ste
+        return narrow
 
     def _params(self, node: NodeSpec) -> tuple:
         """The arena views of ``node``'s parameters after the weight."""

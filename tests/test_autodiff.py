@@ -345,6 +345,19 @@ class TestBitwiseAgainstReferences:
     def test_dprelu(self, shape):
         rng = np.random.default_rng(shape[-1])
         xd = rng.normal(size=shape).astype(np.float32)
+        self.check_dprelu(rng, xd)
+
+    def test_dprelu_of_a_channel_major_input(self):
+        # channels outermost in memory, as the depthwise conv's einsum lays
+        # out the toy's init_dw output, at 256 KiB: the size from which numpy
+        # writes a product into a temporary operand, in that one's layout
+        rng = np.random.default_rng(64)
+        xd = rng.normal(size=(64, 64, 4, 4)).astype(np.float32).transpose(1, 2, 3, 0)
+        self.check_dprelu(rng, xd)
+
+    @staticmethod
+    def check_dprelu(rng, xd):
+        shape = xd.shape
         pd = [rng.normal(size=shape[-1:]).astype(np.float32) for _ in range(4)]
         xd[0, 0, 0] = pd[0]                      # one row on the kink
         x = Tensor(xd, requires_grad=True)
@@ -396,7 +409,7 @@ class TestBitwiseAgainstReferences:
             assert bits(out) == bits((cols @ w2).reshape(n, h, w_, f))
             assert np.shares_memory(saved[0], xd) == xd.flags.c_contiguous
             got = ad._conv2d_vjp(g, saved, (True, True), xd, wd, 1, padding)
-            want = ad._conv2d_vjp(g, (cols, w2, pads), (True, True), xd, wd, 1, padding)
+            want = ad._conv2d_vjp(g, (cols, pads), (True, True), xd, wd, 1, padding)
             assert [bits(a) for a in got] == [bits(a) for a in want]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -63,6 +63,12 @@ def program_steps(graph):
             for ids in [chains.get(n.id, (n.id,))]]
 
 
+def binary_input(graph, node):
+    """Whether a binary ``quantize_act`` makes ``node``'s first input."""
+    src = graph.node(node.inputs[0])
+    return src.op == "quantize_act" and src.attrs["act_bits"] is DType.BIN
+
+
 def output_of(model, x, **kwargs):
     """The output node's [N, H, W, C] array in one ``Model.forward`` call."""
     return node_outputs(model.forward, x, **kwargs)[model.graph.nodes[-1].id]
@@ -189,7 +195,11 @@ class TestPlan:
         monkeypatch.setattr(ad.Tensor, "__init__", no_tensor)
         logits, backward = model.forward(batch, training=False, phase=2,
                                          hooks=[hook])
-        assert alive and all(alive)            # the record holds every im2col
+        # the record holds each float im2col; a binary input's im2col it
+        # keeps as an int8 copy, so the float one dies with its step
+        convs = [node for node in toy.nodes if node.op == "conv2d"]
+        assert alive == [not binary_input(toy, node) for node in convs]
+        assert any(alive)
         backward(np.ones_like(logits))
         alive.clear()
         model.logits(batch, phase=2, hooks=[hook])
@@ -354,15 +364,18 @@ class TestPullback:
 
     @pytest.mark.parametrize("run", [True, False])
     def test_record_is_freed(self, toy, batch, monkeypatch, run):
-        saved, conv2d = [], ad._conv2d
+        saved, model = [], Model(toy, seed=1, dtype=np.float32)
+        execute = model._execute
 
-        def watched(*args):
-            out, keep = conv2d(*args)
-            saved.extend(weakref.ref(a) for a in keep[:2])    # im2col, weight
-            return out, keep
+        def watched(values, hooks, ctx, record):
+            out = execute(values, hooks, ctx, record)
+            # each conv record's im2col and quantized weight, int8 or float
+            saved.extend(weakref.ref(a) for node, rec in zip(toy.nodes, record)
+                         if node.op == "conv2d" and not node.attrs["weight_bits"].is_float
+                         for a in (rec[1][0], rec[2][1]))
+            return out
 
-        monkeypatch.setattr(ad, "_conv2d", watched)
-        model = Model(toy, seed=1, dtype=np.float32)
+        monkeypatch.setattr(model, "_execute", watched)
         gc.disable()
         try:
             logits, backward = model.forward(batch, training=True, phase=2)
@@ -392,19 +405,20 @@ class TestLiveness:
     """``forward`` and ``logits`` drop each value after the step that reads
     it last, and a pullback record keeps only what its VJP reads."""
 
-    # graph ops whose record keeps no buffer of an input (but a 1x1 conv2d,
-    # whose im2col is its input's rows): their VJPs read the input only for
-    # its shape and dtype, or, for a quantizer, only the mask |x| < B
+    # graph ops whose record keeps no buffer of an input (but a 1x1 conv2d of
+    # a float input, whose im2col is its input's rows; of a binarized input
+    # it keeps an int8 copy): their VJPs read the input only for its shape
+    # and dtype, or, for a quantizer, only the mask |x| < B
     SHAPE_ONLY = {"add", "avg_pool", "spatial_mean", "pad_channels", "tile_channels",
                   "avg_channels", "dprelu", "batchnorm", "conv2d", "depthwise_conv2d",
                   "quantize_act"}
 
     @staticmethod
-    def reads_values(node):
+    def reads_values(graph, node):
         """Whether ``node``'s record keeps its inputs' values."""
         return node.op not in TestLiveness.SHAPE_ONLY or (
             node.op == "conv2d" and node.attrs["kernel"] == [1, 1]
-            and node.attrs["stride"] == 1)
+            and node.attrs["stride"] == 1 and not binary_input(graph, node))
 
     @pytest.mark.parametrize("phase", [1, 2])
     @pytest.mark.parametrize("call", ["logits", "eval", "train"])
@@ -420,7 +434,7 @@ class TestLiveness:
         last = {index[s]: i for i, (_, ins) in enumerate(steps) for s in ins}
         # the outputs a record keeps until the pullback runs
         kept = set() if call == "logits" else {
-            index[s] for node in toy.nodes if self.reads_values(node)
+            index[s] for node in toy.nodes if self.reads_values(toy, node)
             for s in node.inputs}
         refs, checked = [], Counter()
 
@@ -455,7 +469,7 @@ class TestLiveness:
                        model_module.QuantContext(training, 2), record)
         checked = set()
         for node, rec in zip(toy.nodes, record):
-            if rec is None or self.reads_values(node):
+            if rec is None or self.reads_values(toy, node):
                 continue
             for a in arrays_in(rec):
                 assert not any(np.shares_memory(a, outs[s]) for s in node.inputs), \
@@ -514,6 +528,83 @@ class TestLiveness:
             want = vjp(g, saved, needs, *ins, *rest)
             got = vjp(g, saved, needs, *map(model_module._stand_in, ins), *rest)
             assert [bits(a) for a in got] == [bits(a) for a in want], name
+
+
+def conv_records(graph, record):
+    """Each conv2d step's ``(node, im2col, weight)`` in a plan's record."""
+    return [(node, rec[1][0], rec[2][1]) for node, rec in zip(graph.nodes, record)
+            if node.op == "conv2d"]
+
+
+def training_record(model, x, phase):
+    """A training forward's record, by step, and every node's output."""
+    outs, record = {}, [None] * len(model.graph.nodes)
+    model._execute(model._slots(x), [lambda node, out: outs.__setitem__(node.id, out)],
+                   model_module.QuantContext(True, phase), record)
+    return record, outs
+
+
+class TestNarrowRecord:
+    """A training record keeps each value that int8 or bool holds exactly in
+    that form: a binarized input's im2col, a binary quantized weight and
+    DPReLU's sign mask; the VJPs widen them back, so no gradient changes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_binary_convs_keep_int8(self, toy, batch, phase, dtype):
+        model = Model(toy, seed=1, dtype=dtype)
+        record, outs = training_record(model, batch, phase)
+        kinds = Counter()
+        for node, cols, w in conv_records(toy, record):
+            binary_w = phase == 2 and node.attrs["weight_bits"] is DType.BIN
+            assert cols.dtype == (np.int8 if binary_input(toy, node) else dtype)
+            assert w.dtype == (np.int8 if binary_w else dtype)
+            # exact: the float im2col and weight, widened back
+            wide = w.astype(dtype)
+            if binary_w:
+                assert wide.tobytes() == quant.binarize(model.params[f"{node.id}.w"]).tobytes()
+            _, (want, _) = ad._conv2d(outs[node.inputs[0]], wide,
+                                      node.attrs["stride"], node.attrs["padding"])
+            assert cols.astype(dtype).tobytes() == want.tobytes()
+            kinds[cols.dtype.name, w.dtype.name] += 1
+        # every conv but the stem's reads a binarized input with a binary weight
+        wide, convs = np.dtype(dtype).name, sum(kinds.values())
+        assert kinds == {(wide, wide): 1, ("int8", "int8" if phase == 2 else wide): convs - 1}
+
+    def test_dprelu_record_holds_no_slope(self, toy, batch):
+        model = Model(toy, seed=1, dtype=np.float32)
+        record, outs = training_record(model, batch, 2)
+        acts = [(node, rec[1]) for node, rec in zip(toy.nodes, record) if node.op == "dprelu"]
+        assert acts
+        for node, saved in acts:
+            shifted, pos = saved
+            want = outs[node.inputs[0]] - model.params[f"{node.id}.alpha"]
+            assert shifted.tobytes() == want.tobytes()
+            assert pos.dtype == bool and np.array_equal(pos, want > 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_narrowing_follows_the_producer_not_the_label(self, dtype, phase):
+        # c1 is labelled binary but reads the float batch; c2 is labelled
+        # float but reads a binarized value
+        conv = dict(kernel=[3, 3], stride=1, padding="same", groups=1,
+                    weight_bits=DType.FP32)
+        b = _GraphBuilder("labels", (5, 5, 3))
+        x = b.emit("c1", "conv2d", ["in"], out_channels=6, act_bits=DType.BIN, **conv)
+        x = b.emit("q", "quantize_act", [x], act_bits=DType.BIN)
+        x = b.emit("c2", "conv2d", [x], out_channels=10, act_bits=DType.FP32, **conv)
+        g = b.finish(b.emit("pool", "spatial_mean", [x]))
+        model, twin = Model(g, seed=5, dtype=dtype), Model(g, seed=5, dtype=dtype)
+        rng = np.random.default_rng(6)
+        x, grad = rng.normal(size=(3, 5, 5, 3)), rng.normal(size=(3, 10))
+        record, _ = training_record(model, x, phase)
+        assert [(node.id, cols.dtype, w.dtype) for node, cols, w in conv_records(g, record)] \
+            == [("c1", dtype, dtype), ("c2", np.int8, dtype)]
+        want_logits, want = tape_grads(twin, x, grad, True, phase)
+        logits, backward = model.forward(x, training=True, phase=phase)
+        backward(grad)
+        assert logits.tobytes() == want_logits.tobytes()
+        assert model.arena.grad.tobytes() == want.tobytes()
 
 
 def bits(a):
