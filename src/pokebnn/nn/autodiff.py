@@ -190,7 +190,8 @@ def _dprelu(x, alpha, beta, gamma, eta):
     Saves ``(shifted, pos)``: the shifted input x - alpha and the boolean
     mask of its positive side. The VJP recomputes the per-element slope
     from ``pos`` with the forward's own ``_dprelu_slope``, the same bits as
-    a saved slope, so the record holds no third array of x's size.
+    a saved slope, so the record holds no third array of x's size; or reads
+    it as a third entry of ``saved``, if a caller rebuilt it so already.
     """
     if alpha.shape[-1] != x.shape[-1]:
         raise ValueError(
@@ -215,8 +216,9 @@ def _dprelu_slope(pos, gamma, eta):
 
 
 def _dprelu_vjp(g, saved, needs, x, alpha, beta, gamma, eta):
-    shifted, pos = saved
-    slope = _dprelu_slope(pos, gamma, eta)      # named, as in _dprelu
+    shifted, pos, *rebuilt = saved
+    # named, as in _dprelu; or the slope that a caller rebuilt so already
+    slope = rebuilt[0] if rebuilt else _dprelu_slope(pos, gamma, eta)
     g_slope = g * slope
     g_shifted = g * shifted
     # the negative side's sum is the whole sum less the positive side's

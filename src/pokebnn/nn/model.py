@@ -7,8 +7,8 @@ once into a plan of steps, and fixes the order in which a pullback visits
 them and the step after which each value is read for the last time; it drops
 a value there. ``forward`` runs the plan on arrays and returns the logits
 with their pullback, which calls each step's VJP once; each step's record
-keeps only what its VJP reads, and a binarized input's im2col and a binary
-weight as int8. ``logits`` runs an eval program bound from the
+keeps only what its VJP reads and cannot rebuild exactly, in the narrowest
+type that holds it exactly. ``logits`` runs an eval program bound from the
 same plan, in which each chain of ``graphir.FUSIONS`` (a PokeConv's BN ->
 DPReLU -> gate -> BN tail, an SE gate, the stem's BN -> DPReLU, the head's
 pooling and quantizer) is one step: per phase, one closure per step, holding
@@ -172,6 +172,41 @@ def _ste_step(forward, x, bound, *attrs):
                  None)
 
 
+def _mul_of_rebuilt(g, saved, needs, a, b):
+    """``_mul_vjp`` for a record that keeps a stand-in of ``a``: ``saved`` is
+    a list into which the VJP that runs before this one put ``a``, rebuilt."""
+    return ad._mul_vjp(g, None, needs, saved[0], b)
+
+
+def _binarized(graph: GraphSpec, node: NodeSpec) -> bool:
+    """Whether a binary ``quantize_act`` makes ``node``'s first input."""
+    src = graph.node(node.inputs[0])
+    return src.op == "quantize_act" and src.attrs["act_bits"] is DType.BIN
+
+
+def _tail_chains(graph: GraphSpec, index: dict) -> dict:
+    """Each chain ``dprelu -> multiply -> batchnorm`` of ``graph`` in which
+    the DPReLU is the multiply's first input and each of the two is read
+    once, by the next node: a PokeConv's SE multiply and the BN after it.
+    Maps the id of each node of a chain to the chain's step indices, by
+    ``index``. A pullback runs the BN's VJP first, then the multiply's, then
+    the DPReLU's, as each is its producer's only reader."""
+    readers: dict = {}
+    for node in graph.nodes:
+        for s in node.inputs:
+            readers.setdefault(s, []).append(node)
+    chains = {}
+    for mul in graph.nodes:
+        act = graph.node(mul.inputs[0]) if mul.op == "multiply" else None
+        after = readers.get(mul.id, [])
+        if (act is not None and act.op == "dprelu" and readers[act.id] == [mul]
+                and len(after) == 1 and after[0].op == "batchnorm"):
+            nodes = (act, mul, after[0])
+            chains.update(dict.fromkeys([n.id for n in nodes],
+                                        tuple([index[n.id] for n in nodes])))
+    return chains
+
+
 def _freeze_bounds(bounds: dict) -> int:
     """Freezes every EMA bound in ``bounds``; returns how many flipped this
     call: a model's ``freeze_activation_bounds``."""
@@ -270,13 +305,14 @@ class Model:
         index = {node.id: i for i, node in enumerate(graph.nodes)}
         # whether each slot's value depends on a parameter, so takes a gradient
         needs = [False] * (len(graph.nodes) + 1)
+        tails = _tail_chains(graph, index)
         self._plan = []
         for i, node in enumerate(graph.nodes):
             slots = ((len(graph.nodes),) if node.op == "input"
                      else tuple([index[s] for s in node.inputs]))
             names = tuple([f"{node.id}.{k}" for k in OP_PARAMS.get(node.op, ())])
             needs[i] = bool(names) or any(needs[s] for s in slots)
-            self._plan.append((node, slots, *self._lower(node), names,
+            self._plan.append((node, slots, *self._lower(node, tails.get(node.id)), names,
                                tuple([needs[s] for s in slots]) + (True,) * len(names)))
         self._output = next(i for i, node in enumerate(graph.nodes)
                             if node.op == "output")
@@ -362,7 +398,8 @@ class Model:
         weights and the 4/8-bit activations from phase 2 on. Each of
         ``hooks`` is called as ``hook(node, out)`` after every step, with
         the node's output array. A value is dropped after the step that
-        reads it last; the record keeps what the VJPs read, and no more.
+        reads it last; the record keeps what the VJPs read and cannot rebuild
+        exactly, and no more.
         """
         values, record = self._slots(x), [None] * len(self._plan)
         del x       # so that the batch too is freed after its last reader
@@ -461,7 +498,7 @@ class Model:
         each step's record in ``record``, by step."""
         for i, ((node, slots, run, _, _, _), drops) in enumerate(
                 zip(self._plan, self._drops)):
-            values[i], record[i] = run(self, [values[s] for s in slots], ctx)
+            values[i], record[i] = run(self, [values[s] for s in slots], ctx, record)
             for hook in hooks:
                 hook(node, values[i])
             for s in drops:
@@ -516,14 +553,19 @@ class Model:
             for name, g in zip(names, grads_in):
                 views[name] += g
 
-    def _lower(self, node: NodeSpec) -> tuple[Callable, Callable]:
-        """The step functions of one node, ``(run, bind)``.
+    def _lower(self, node: NodeSpec, tail: tuple | None) -> tuple[Callable, Callable]:
+        """The step functions of one node, ``(run, bind)``; ``tail`` is the
+        step indices of the PokeConv tail that the node is in (see
+        ``_tail_chains``), or None.
 
-        ``run(model, ins, ctx)`` is ``forward``'s step: it returns the node's
-        output and the step's record (see ``_step``), or None for a step that
-        passes its input through. ``bind(model, phase)`` returns the eval
-        program's step, ``fn(*ins)``, which returns the node's output with the
-        step's per-state constants resolved at binding, by ``_cached``.
+        ``run(model, ins, ctx, record)`` is ``forward``'s step: it returns the
+        node's output and the step's record (see ``_step``), or None for a step
+        that passes its input through. ``record`` holds the records of the
+        call's earlier steps, by step: a record that rebuilds a value in its
+        VJP, rather than keep it, reads there the record of the step that made
+        the value. ``bind(model, phase)`` returns the eval program's step,
+        ``fn(*ins)``, which returns the node's output with the step's
+        per-state constants resolved at binding, by ``_cached``.
 
         Attributes, ops and parameters are resolved here, once. BN statistics
         and bound state are read from ``model`` when a step runs or binds,
@@ -532,16 +574,17 @@ class Model:
         """
         op, a, nid = node.op, node.attrs, node.id
         if op in ("input", "output"):
-            return (lambda model, ins, ctx: (ins[0], None)), _fixed(_identity)
+            return (lambda model, ins, ctx, record: (ins[0], None)), _fixed(_identity)
         if op == "spatial_mean" and self.shapes[node.inputs[0]][:2] == (1, 1):
             # the mean over a 1x1 input is that input, but for -0.0, which
             # the mean's sum from 0 makes +0.0; its gradient passes through
-            return (lambda model, ins, ctx: (_plus_zero(ins[0]), None)), _fixed(_plus_zero)
+            return ((lambda model, ins, ctx, record: (_plus_zero(ins[0]), None)),
+                    _fixed(_plus_zero))
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
         params = self._params(node)
         if op == "batchnorm":
-            return self._lower_batchnorm(nid, params)
+            return self._lower_batchnorm(node, params, tail)
         args = tuple([a[k] for k in _ATTR_ARGS.get(op, ())])
         if op == "avg_pool":
             args += (a.get("divisor"),)
@@ -549,49 +592,86 @@ class Model:
         forward, vjp = getattr(ad, f"_{name}"), getattr(ad, f"_{name}_vjp")
         extra, shape_only = (*params, *args), name in ad.SHAPE_ONLY
         if op not in WEIGHT_OPS:
-            return ((lambda model, ins, ctx: _step(forward, vjp, ins, extra, shape_only)),
-                    _fixed(lambda *ins: forward(*ins, *extra)[0]))
-        weight, eval_weight = self._lower_weight(
+            def step(model, ins, ctx, record):
+                return _step(forward, vjp, ins, extra, shape_only)
+            run = step if tail is None else self._lower_tail_step(op, step)
+            return run, _fixed(lambda *ins: forward(*ins, *extra)[0])
+        weight, eval_weight, rebuild = self._lower_weight(
             nid, a["weight_bits"], depthwise=op == "depthwise_conv2d")
-        narrow = self._lower_int8_record(node, vjp) if op == "conv2d" else None
+        narrow = self._lower_int8_record(node, vjp, rebuild)
 
-        def run(model, ins, ctx):
-            w, ste = weight(ctx)
-            out, record = _step(forward, vjp, ins, (w, *extra), shape_only, ste)
-            return out, record if narrow is None else narrow(record)
+        def run(model, ins, ctx, record):
+            w, ste, kept = weight(ctx)
+            out, rec = _step(forward, vjp, ins, (w, *extra), shape_only, ste)
+            return out, rec if narrow is None else narrow(rec, ins[0], kept)
 
         def bind(model, phase):
             w = eval_weight(model, phase)
             return lambda x: forward(x, w, *extra)[0]
         return run, bind
 
-    def _lower_int8_record(self, node: NodeSpec, vjp) -> Callable | None:
-        """``narrow(record)``, which returns conv2d ``node``'s record (see
-        ``_step``) with its im2col as int8 if a binary ``quantize_act`` makes
-        its input, and its weight as int8 if that is binary and quantized;
-        or None if neither holds. Exact, as their entries are -1, 0 (padding)
-        or +1. The narrowed record's VJP widens both back to the input's
-        dtype and runs ``vjp``. Decided from the producing node, not from the
-        conv's own ``act_bits`` label."""
-        src = self.graph.node(node.inputs[0])
-        cols8 = src.op == "quantize_act" and src.attrs["act_bits"] is DType.BIN
-        w8 = node.attrs["weight_bits"] is DType.BIN
-        if not (cols8 or w8):
+    def _lower_int8_record(self, node: NodeSpec, vjp, rebuild) -> Callable | None:
+        """``narrow(record, x, kept)``, which returns weight-op ``node``'s
+        record (see ``_step``), given its input ``x`` and what rebuilds its
+        quantized weight (see ``_lower_weight``), without the float arrays
+        that its VJP can rebuild exactly; or None if it keeps none of them:
+        - a conv2d whose input a binary ``quantize_act`` makes keeps that
+          input as int8, as its entries are -1 or +1, in place of its im2col;
+        - from phase 2 on, the record keeps ``kept`` and a stand-in of the
+          quantized weight, in place of that weight.
+        The narrowed record's VJP rebuilds the im2col by ``_conv2d``'s own
+        code and widens it to the input's dtype, rebuilds the weight with
+        ``rebuild``, and runs ``vjp``. Decided from the producing node, not
+        from the conv's own ``act_bits`` label."""
+        binary_input = node.op == "conv2d" and _binarized(self.graph, node)
+        if not binary_input and node.attrs["weight_bits"].is_float:
             return None
+        # a weight with no filters: _conv2d then makes its im2col and no product
+        no_filters = (np.zeros((*self.arena.views[f"{node.id}.w"].shape[:3], 0), np.int8)
+                      if binary_input else None)
 
-        def widened(g, saved, needs, x, w, *attrs):
-            cols, pads = saved
-            return vjp(g, (cols.astype(x.dtype, copy=False), pads), needs, x,
-                       w.astype(x.dtype, copy=False), *attrs)
+        def rebuilt(g, saved, needs, x, w, *attrs):
+            saved, kept = saved
+            if binary_input:
+                x8, pads = saved
+                cols = ad._conv2d(x8, no_filters, *attrs)[1][0]
+                saved = (cols.astype(x.dtype), pads)
+            if kept is not None:
+                w = rebuild(kept)
+            return vjp(g, saved, needs, x, w, *attrs)
 
-        def narrow(record):
-            _, (cols, pads), (x, w, *attrs), ste = record
-            if cols8:
-                cols = cols.astype(np.int8)
-            if w8 and ste is not None:      # a straight-through weight is quantized
-                w = w.astype(np.int8)
-            return widened, (cols, pads), (x, w, *attrs), ste
+        def narrow(record, x, kept):
+            _, saved, (stand_in, w, *attrs), ste = record
+            if not binary_input and kept is None:
+                return record
+            if binary_input:
+                saved = (x.astype(np.int8), saved[1])
+            if kept is not None:
+                w = _stand_in(w)
+            return rebuilt, (saved, kept), (stand_in, w, *attrs), ste
         return narrow
+
+    @staticmethod
+    def _lower_tail_step(op: str, step: Callable) -> Callable:
+        """The ``run`` of a PokeConv tail's DPReLU or multiply (see
+        ``_tail_chains``), given its plain ``run``, ``step``. The DPReLU's
+        record keeps ``(shifted, pos)`` in a list, to which the BN's VJP adds
+        the slope that it rebuilds. In training, the multiply's record keeps
+        a stand-in of the DPReLU output and an empty list, into which the
+        BN's VJP puts that output, rebuilt (see ``_lower_batchnorm``)."""
+        if op == "dprelu":
+            def run(model, ins, ctx, record):
+                out, (vjp, saved, call, ste) = step(model, ins, ctx, record)
+                return out, (vjp, list(saved), call, ste)
+            return run
+
+        def run(model, ins, ctx, record):
+            out, rec = step(model, ins, ctx, record)
+            if not ctx.training:
+                return out, rec
+            act, gate = rec[2]
+            return out, (_mul_of_rebuilt, [], (_stand_in(act), gate), None)
+        return run
 
     def _params(self, node: NodeSpec) -> tuple:
         """The arena views of ``node``'s parameters after the weight."""
@@ -603,12 +683,12 @@ class Model:
         binarize, fake_quant = ad._binarize, ad._fake_quant
         if bits is DType.BIN:
             # sign() reads no bound; only a gradient is gated by one
-            return ((lambda model, ins, ctx: _ste_step(binarize, ins[0],
-                                                       model.binary_bound)),
+            return ((lambda model, ins, ctx, record: _ste_step(binarize, ins[0],
+                                                               model.binary_bound)),
                     _fixed(lambda x: binarize(x, None)[0]))
         scaled = quant.fake_quant_scaled
 
-        def run(model, ins, ctx):
+        def run(model, ins, ctx, record):
             state = model.bounds[nid]
             if ctx.training and not state.frozen:
                 model.bounds[nid] = state = quant.update_ema_bound(state, ins[0])
@@ -623,21 +703,36 @@ class Model:
             return lambda x: scaled(x, scales, bits.bits)
         return run, bind
 
-    @staticmethod
-    def _lower_batchnorm(nid: str, params) -> tuple[Callable, Callable]:
+    def _lower_batchnorm(self, node: NodeSpec, params,
+                         tail: tuple | None) -> tuple[Callable, Callable]:
+        """A BN step. In training, its record keeps ``x - mean`` as
+        ``_batchnorm_train`` saves it, unless it can rebuild its input x (see
+        ``_lower_bn_input``): it then keeps what rebuilds x, and the batch
+        mean, and its VJP rebuilds ``x - mean`` by the forward's own code."""
+        nid = node.id
         train, evaluate = ad._batchnorm_train, ad._batchnorm_eval
         apply = ad._batchnorm_eval_apply
         scale, bias = params
+        keep, rebuild = self._lower_bn_input(node, tail)
 
-        def run(model, ins, ctx):
+        def rebuilt(g, saved, needs, x, *affine):
+            kept, mean, inv = saved
+            centered = rebuild(kept, x.dtype)   # x, in a new array of its layout
+            centered -= mean
+            return ad._batchnorm_train_vjp(g, (centered, inv), needs, x, *affine)
+
+        def run(model, ins, ctx, record):
             stats = model.bn_stats[nid]
             if ctx.training:
-                (out, bm, bv), record = _step(train, ad._batchnorm_train_vjp, ins,
-                                              params, True)
+                (out, bm, bv), rec = _step(train, ad._batchnorm_train_vjp, ins,
+                                           params, True)
                 m = model.bn_momentum
                 stats["mean"] = _read_only(m * stats["mean"] + (1 - m) * bm)
                 stats["var"] = _read_only(m * stats["var"] + (1 - m) * bv)
-                return out, record
+                kept = keep(ins[0], ctx, record)
+                if kept is not None:
+                    rec = (rebuilt, (kept, bm, rec[1][1]), rec[2], None)
+                return out, rec
             return _step(evaluate, ad._batchnorm_eval_vjp, ins,
                          (*params, stats["mean"], stats["var"]), True)
 
@@ -648,38 +743,107 @@ class Model:
             return lambda x: apply(x, bias, mean, k)[0]
         return run, bind
 
+    def _lower_bn_input(self, node: NodeSpec, tail: tuple | None) -> tuple:
+        """``(keep, rebuild)`` for BN ``node``'s training record.
+        ``keep(x, ctx, record)`` returns what the record keeps to rebuild the
+        input x, or None, and then the record keeps ``x - mean``;
+        ``rebuild(kept, dtype)`` returns x from it, in a new array of x's
+        ``dtype`` and layout. Decided from the producing node:
+        - In a PokeConv tail, the BN keeps the DPReLU's saved list and the
+          multiply's list and gate from their records. Its VJP rebuilds the
+          DPReLU's slope and output ``a``, then ``a·gate``, by the forward's
+          own code, adds the slope to the DPReLU's list and ``a`` to the
+          multiply's, whose VJPs run next and read them.
+        - From phase 2 on, after a conv2d with a binary weight whose input a
+          binary ``quantize_act`` makes, x is an integer of magnitude at most
+          kh·kw·C, which int16 holds exactly (int32 above 32,767).
+        - Else ``keep`` returns None."""
+        src = self.graph.node(node.inputs[0])
+        if tail is not None:
+            act, mul, _ = tail
+            _, beta, gamma, eta = self._params(self.graph.nodes[act])
+
+            def keep(x, ctx, record):
+                _, cell, (_, gate), _ = record[mul]
+                return record[act][1], cell, gate
+
+            def rebuild(kept, dtype):
+                saved, cell, gate = kept
+                shifted, pos = saved
+                slope = ad._dprelu_slope(pos, gamma, eta)      # named, as in _dprelu
+                a = slope * shifted
+                a -= beta
+                saved.append(slope)
+                cell.append(a)
+                return ad._mul(a, gate)[0]
+            return keep, rebuild
+        if (src.op == "conv2d" and src.attrs["weight_bits"] is DType.BIN
+                and _binarized(self.graph, src)):
+            reach = math.prod(self.arena.views[f"{src.id}.w"].shape[:3])
+            width = np.int16 if reach <= np.iinfo(np.int16).max else np.int32
+            return ((lambda x, ctx, record: x.astype(width) if ctx.phase >= 2 else None),
+                    (lambda kept, dtype: kept.astype(dtype)))
+        return (lambda x, ctx, record: None), None
+
     def _lower_weight(self, nid: str, bits: DType,
-                      depthwise: bool) -> tuple[Callable, Callable]:
-        """``(weight, eval_weight)``. ``weight(ctx)`` is the node's weight as
-        its op reads it, quantized from phase 2 on unless ``bits`` is a float
-        type, and the ``(w, bounds)`` of its straight-through gradient or
-        None. ``eval_weight(model, phase)`` is the same weight for the eval
-        program: from phase 2 on it is computed once per arena state and kept,
-        read-only, in ``model._constants``."""
+                      depthwise: bool) -> tuple[Callable, Callable, Callable | None]:
+        """``(weight, eval_weight, rebuild)``. ``weight(ctx)`` returns the
+        node's weight as its op reads it, quantized from phase 2 on unless
+        ``bits`` is a float type; the ``(w, bounds)`` of its straight-through
+        gradient; and what a record keeps to rebuild it by ``rebuild(kept)``:
+        for a binary weight the arena view, which one sign pass rebuilds;
+        for an int weight its grid codes as int8, with the down scale, which
+        one multiply rebuilds. A code of -0.0, which the rounding gives to a
+        weight in (-B/2C, 0), comes back as +0.0; a VJP reads the weight only
+        in matmuls, whose sums start from +0.0 and so do not see the sign of
+        a zero term, and no gradient bit changes. The last two are None
+        where no quantizer acts. ``eval_weight(model, phase)`` is the
+        same weight for the eval program: from phase 2 on it is computed once
+        per arena state and kept, read-only, in ``model._constants``."""
         w = self.arena.views[f"{nid}.w"]
         if bits.is_float:
-            return (lambda ctx: (w, None)), (lambda model, phase: w)
+            return (lambda ctx: (w, None, None)), (lambda model, phase: w), None
         binary = bits is DType.BIN
-        quantize = ad._binarize if binary else ad._fake_quant
         # one bound per output channel: (C, mult) for depthwise, else the last axis
         channels = w.shape[2:] if depthwise else w.shape[-1:]
         rows = (-1, math.prod(channels))
 
-        def quantized():
-            bounds = quant.weight_channel_bounds(w.reshape(rows)).reshape(channels)
-            attrs = (bounds,) if binary else (bounds, bits.bits)
-            return quantize(w, *attrs)[0], (w, bounds)
+        def bounded():
+            return quant.weight_channel_bounds(w.reshape(rows)).reshape(channels)
+
+        if binary:
+            def quantized():
+                bounds = bounded()
+                return ad._binarize(w, bounds)[0], (w, bounds), w
+
+            def rebuild(w):
+                return ad._binarize(w, None)[0]
+        else:
+            def quantized():
+                # _fake_quant's two steps, with its grid codes kept between them
+                bounds = bounded()
+                up, down = ad._fake_quant_scales(bounds, bits.bits, w.dtype)
+                q = quant.fake_quant_codes(w, up, bits.bits)
+                codes = q.astype(np.int8)
+                q *= down
+                return q, (w, bounds), (codes, down)
+
+            def rebuild(kept):
+                codes, down = kept
+                q = codes.astype(down.dtype)
+                q *= down
+                return q
 
         def weight(ctx):
-            return (w, None) if ctx.phase < 2 else quantized()
+            return (w, None, None) if ctx.phase < 2 else quantized()
 
         def eval_weight(model, phase):
             if phase < 2:
                 return w
             # sign() reads no bound; only a gradient is gated by one
             return _cached(model._constants, nid, (), lambda: _read_only(
-                quantize(w, None)[0] if binary else quantized()[0]))
-        return weight, eval_weight
+                rebuild(w) if binary else quantized()[0]))
+        return weight, eval_weight, rebuild
 
     def _lower_fold(self, name: str, steps: list) -> Callable | None:
         """The ``bind`` of the eval step that runs the plan ``steps``, a

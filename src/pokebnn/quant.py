@@ -25,10 +25,6 @@ def grid_endpoint(bits: int) -> float:
     return 2.0 ** (bits - 1) - 0.5
 
 
-def round_half_away(x):
-    return _round_half_away_into(_float_copy(x))
-
-
 def _float_copy(x):
     """A new array of ``x``'s values in the float type its arithmetic with a
     Python float gives: float32 stays float32, integers become float64."""
@@ -105,10 +101,16 @@ def fake_quant_scales(bound, bits: int):
 def fake_quant_scaled(x, scales, bits: int):
     """``fake_quant`` given its ``fake_quant_scales``."""
     up, down = scales
-    # every step after the scaling writes over the one new array
-    q = _int_cast_into(np.asarray(x * up), bits)
+    q = fake_quant_codes(x, up, bits)
     q *= down
     return q
+
+
+def fake_quant_codes(x, up, bits: int):
+    """The grid codes ``int_cast(x * up)`` of ``fake_quant``, as floats,
+    before its down scale."""
+    # every step after the scaling writes over the one new array
+    return _int_cast_into(np.asarray(x * up), bits)
 
 
 def binarize(x):
@@ -119,10 +121,12 @@ def binarize(x):
     gradient does (see ``ste_mask``).
     """
     x = np.asarray(x)
-    out = (x >= 0).astype(x.dtype if x.dtype.kind == "f" else np.float64)
-    out *= 2
-    out -= 1
-    return out
+    # 2·(x >= 0) - 1 in int8, then one cast: the same ±1 in a quarter of
+    # the bytes until the cast
+    signs = (x >= 0).view(np.int8)
+    signs = signs + signs
+    signs -= 1
+    return signs.astype(x.dtype if x.dtype.kind == "f" else np.float64)
 
 
 def ste_mask(x, bound):

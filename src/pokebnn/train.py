@@ -202,8 +202,11 @@ def make_toy_dataset(n: int = 512, classes: int = 10, shape=(16, 16, 3),
     rng = np.random.default_rng(seed)
     prototypes = rng.normal(0.0, 1.0, size=(classes, *shape))
     y = np.arange(n) % classes
-    x = prototypes[y] + noise * rng.normal(0.0, 1.0, size=(n, *shape))
-    return ToyDataset(x=x.astype(np.float64), y=y)
+    # built in place: the noise, scaled, plus each example's prototype
+    x = rng.normal(0.0, 1.0, size=(n, *shape))
+    x *= noise
+    x += prototypes[y]
+    return ToyDataset(x=x, y=y)
 
 
 def load_teacher_probs(path, classes: int | None = None) -> np.ndarray:

@@ -369,10 +369,11 @@ class TestPullback:
 
         def watched(values, hooks, ctx, record):
             out = execute(values, hooks, ctx, record)
-            # each conv record's im2col and quantized weight, int8 or float
-            saved.extend(weakref.ref(a) for node, rec in zip(toy.nodes, record)
-                         if node.op == "conv2d" and not node.attrs["weight_bits"].is_float
-                         for a in (rec[1][0], rec[2][1]))
+            # every array that a record holds but the arena's views: the
+            # int8 conv inputs, int16 BN inputs, stand-ins of the quantized
+            # weights, DPReLU records, batch means and kept activations
+            saved.extend(weakref.ref(a) for rec in record for a in arrays_in(rec)
+                         if not np.shares_memory(a, model.arena.data))
             return out
 
         monkeypatch.setattr(model, "_execute", watched)
@@ -393,10 +394,11 @@ class TestPullback:
 
 
 def arrays_in(obj):
-    """Every array in a record: ``obj`` itself, or the arrays in its tuples."""
+    """Every array in a record: ``obj`` itself, or the arrays in its tuples
+    and lists."""
     if isinstance(obj, np.ndarray):
         return [obj]
-    if isinstance(obj, tuple):
+    if isinstance(obj, (tuple, list)):
         return [a for item in obj for a in arrays_in(item)]
     return []
 
@@ -414,11 +416,18 @@ class TestLiveness:
                   "quantize_act"}
 
     @staticmethod
-    def reads_values(graph, node):
-        """Whether ``node``'s record keeps its inputs' values."""
-        return node.op not in TestLiveness.SHAPE_ONLY or (
-            node.op == "conv2d" and node.attrs["kernel"] == [1, 1]
-            and node.attrs["stride"] == 1 and not binary_input(graph, node))
+    def kept_inputs(graph, node, training):
+        """The inputs whose values ``node``'s record keeps. In training, a
+        multiply of a DPReLU output keeps only its gate: the BN after it
+        rebuilds that output (every toy multiply is such a PokeConv tail)."""
+        if node.op == "multiply" and training:
+            assert graph.node(node.inputs[0]).op == "dprelu"
+            return node.inputs[1:]
+        if node.op not in TestLiveness.SHAPE_ONLY or (
+                node.op == "conv2d" and node.attrs["kernel"] == [1, 1]
+                and node.attrs["stride"] == 1 and not binary_input(graph, node)):
+            return node.inputs
+        return []
 
     @pytest.mark.parametrize("phase", [1, 2])
     @pytest.mark.parametrize("call", ["logits", "eval", "train"])
@@ -434,8 +443,8 @@ class TestLiveness:
         last = {index[s]: i for i, (_, ins) in enumerate(steps) for s in ins}
         # the outputs a record keeps until the pullback runs
         kept = set() if call == "logits" else {
-            index[s] for node in toy.nodes if self.reads_values(toy, node)
-            for s in node.inputs}
+            index[s] for node in toy.nodes
+            for s in self.kept_inputs(toy, node, call == "train")}
         refs, checked = [], Counter()
 
         def hook(node, out):
@@ -469,17 +478,20 @@ class TestLiveness:
                        model_module.QuantContext(training, 2), record)
         checked = set()
         for node, rec in zip(toy.nodes, record):
-            if rec is None or self.reads_values(toy, node):
+            kept = self.kept_inputs(toy, node, training)
+            if rec is None or kept == node.inputs:
                 continue
+            dropped = [s for s in node.inputs if s not in kept]
             for a in arrays_in(rec):
-                assert not any(np.shares_memory(a, outs[s]) for s in node.inputs), \
+                assert not any(np.shares_memory(a, outs[s]) for s in dropped), \
                     f"the record of {node.id} holds an input's buffer"
-            # the inputs' place in the record holds zero bytes of zeros
+            # a dropped input's place in the record holds zero bytes of zeros
             for a, s in zip(rec[2], node.inputs):
-                assert a.shape == outs[s].shape and a.dtype == outs[s].dtype
-                assert a.strides == (0,) * a.ndim and not a.any()
+                if s in dropped:
+                    assert a.shape == outs[s].shape and a.dtype == outs[s].dtype
+                    assert a.strides == (0,) * a.ndim and not a.any()
             checked.add(node.op)
-        assert checked == self.SHAPE_ONLY
+        assert checked == self.SHAPE_ONLY | ({"multiply"} if training else set())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("quantizer", ["binarize", "fake_quant"])
@@ -531,9 +543,21 @@ class TestLiveness:
 
 
 def conv_records(graph, record):
-    """Each conv2d step's ``(node, im2col, weight)`` in a plan's record."""
-    return [(node, rec[1][0], rec[2][1]) for node, rec in zip(graph.nodes, record)
-            if node.op == "conv2d"]
+    """Each conv2d step's ``(node, kept, weight)`` in a plan's record: what
+    the record keeps of its input (the int8 input, or the float im2col), and
+    the weight in its call."""
+    out = []
+    for node, rec in zip(graph.nodes, record):
+        if node.op == "conv2d":
+            # a narrowed record saves (the conv's saved tuple, its STE entry)
+            saved = rec[1][0] if isinstance(rec[1][0], tuple) else rec[1]
+            out.append((node, saved[0], rec[2][1]))
+    return out
+
+
+def is_stand_in(a):
+    """Whether ``a`` is a stand-in: zeros with no buffer of its own."""
+    return a.strides == (0,) * a.ndim and np.shares_memory(a, model_module._ZEROS)
 
 
 def training_record(model, x, phase):
@@ -544,10 +568,33 @@ def training_record(model, x, phase):
     return record, outs
 
 
+def shifted_model(g, seed, dtype):
+    """A model of ``g`` whose every parameter is moved off its initial value,
+    as training moves it: DPReLU's beta is then no longer 0, for example."""
+    model = Model(g, seed=seed, dtype=dtype)
+    data = model.arena.writable()
+    data += np.random.default_rng(seed).normal(0.0, 0.1, size=data.size).astype(dtype)
+    return model
+
+
+def assert_gradients_equal_the_tape(g, x, phase, seed=5):
+    """A training pullback of ``g`` on ``x``, with shifted parameters, gives
+    the tape's bytes."""
+    model, twin = shifted_model(g, seed, x.dtype), shifted_model(g, seed, x.dtype)
+    grad = np.random.default_rng(seed).normal(size=(len(x), 10))
+    want_logits, want = tape_grads(twin, x, grad, True, phase)
+    logits, backward = model.forward(x, training=True, phase=phase)
+    backward(grad)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert model.arena.grad.tobytes() == want.tobytes()
+
+
 class TestNarrowRecord:
-    """A training record keeps each value that int8 or bool holds exactly in
-    that form: a binarized input's im2col, a binary quantized weight and
-    DPReLU's sign mask; the VJPs widen them back, so no gradient changes."""
+    """A training record keeps only what its VJP cannot rebuild exactly: a
+    binarized conv input as int8, a BIN x BIN conv's integer output as
+    int16 in the BN after it, DPReLU's sign mask as bool, and no quantized
+    weight and no DPReLU output of a PokeConv tail; the VJPs rebuild the
+    rest by the forward's own code, so no gradient changes."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("phase", [1, 2])
@@ -555,21 +602,114 @@ class TestNarrowRecord:
         model = Model(toy, seed=1, dtype=dtype)
         record, outs = training_record(model, batch, phase)
         kinds = Counter()
-        for node, cols, w in conv_records(toy, record):
-            binary_w = phase == 2 and node.attrs["weight_bits"] is DType.BIN
-            assert cols.dtype == (np.int8 if binary_input(toy, node) else dtype)
-            assert w.dtype == (np.int8 if binary_w else dtype)
-            # exact: the float im2col and weight, widened back
-            wide = w.astype(dtype)
-            if binary_w:
-                assert wide.tobytes() == quant.binarize(model.params[f"{node.id}.w"]).tobytes()
-            _, (want, _) = ad._conv2d(outs[node.inputs[0]], wide,
-                                      node.attrs["stride"], node.attrs["padding"])
-            assert cols.astype(dtype).tobytes() == want.tobytes()
-            kinds[cols.dtype.name, w.dtype.name] += 1
-        # every conv but the stem's reads a binarized input with a binary weight
-        wide, convs = np.dtype(dtype).name, sum(kinds.values())
-        assert kinds == {(wide, wide): 1, ("int8", "int8" if phase == 2 else wide): convs - 1}
+        for node, kept, w in conv_records(toy, record):
+            x = outs[node.inputs[0]]
+            if binary_input(toy, node):
+                # the binarized input itself, exactly
+                assert kept.dtype == np.int8 and kept.shape == x.shape
+                assert kept.astype(dtype).tobytes() == x.tobytes()
+            else:
+                _, (cols, _) = ad._conv2d(x, model.params[f"{node.id}.w"],
+                                          node.attrs["stride"], node.attrs["padding"])
+                assert kept.tobytes() == cols.tobytes()
+            # phase 1 reads the arena's weight; a quantized one is not kept
+            if phase == 2:
+                assert is_stand_in(w) and w.dtype == dtype
+            else:
+                assert w is model.params[f"{node.id}.w"]
+            kinds[kept.dtype.name] += 1
+        # every conv but the stem's reads a binarized input
+        convs = sum(kinds.values())
+        assert kinds == {np.dtype(dtype).name: 1, "int8": convs - 1}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_bn_after_a_binary_conv_keeps_its_integer_input(self, toy, batch, phase,
+                                                            dtype):
+        model = Model(toy, seed=1, dtype=dtype)
+        record, outs = training_record(model, batch, phase)
+        kinds = Counter()
+        for node, rec in zip(toy.nodes, record):
+            conv = toy.node(node.inputs[0]) if node.op == "batchnorm" else None
+            if conv is None or conv.op != "conv2d":
+                continue
+            x = outs[conv.id]
+            params = [model.params[f"{node.id}.{k}"] for k in ("scale", "bias")]
+            (_, mean, _), (centered, inv) = ad._batchnorm_train(x, *params)
+            if phase == 2 and binary_input(toy, conv):
+                kept, got_mean, got_inv = rec[1]
+                assert kept.dtype == np.int16
+                assert kept.astype(dtype).tobytes() == x.tobytes()
+                assert got_mean.tobytes() == mean.tobytes()
+            else:
+                got, got_inv = rec[1]
+                assert got.tobytes() == centered.tobytes()
+            assert got_inv.tobytes() == inv.tobytes()
+            kinds[rec[1][0].dtype.name] += 1
+        # the stem's BN, after an int8 conv, keeps its float record
+        wide, bns = np.dtype(dtype).name, sum(kinds.values())
+        assert kinds == ({wide: 1, "int16": bns - 1} if phase == 2 else {wide: bns})
+
+    def test_quantized_weights_are_not_kept(self, toy, batch):
+        model = Model(toy, seed=1, dtype=np.float32)
+        record, _ = training_record(model, batch, 2)
+        ops = Counter()
+        for node, rec in zip(toy.nodes, record):
+            if node.op not in WEIGHT_OPS:
+                continue
+            w = model.params[f"{node.id}.w"]
+            # a stand-in in the call; the STE entry holds the arena's weight
+            assert is_stand_in(rec[2][1]) and rec[3][0] is w
+            _, kept = rec[1]
+            if node.attrs["weight_bits"] is DType.BIN:
+                assert kept is w        # rebuilt by one sign pass
+            else:
+                codes, down = kept      # rebuilt by one multiply
+                want = ad._fake_quant(w, rec[3][1], node.attrs["weight_bits"].bits)[0]
+                assert codes.dtype == np.int8 and np.array_equal(codes * down, want)
+            ops[node.op, node.attrs["weight_bits"]] += 1
+        assert set(ops) == {("conv2d", DType.BIN), ("conv2d", DType.INT8),
+                            ("depthwise_conv2d", DType.INT8), ("dense", DType.INT4),
+                            ("dense", DType.INT8)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_rebuilt_records_give_the_tapes_gradients(self, toy, batch, phase, dtype):
+        assert_gradients_equal_the_tape(toy, batch.astype(dtype), phase)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_int_weight_codes_lose_only_the_sign_of_zero(self, dtype):
+        # every weight from input channel 0 of the int4 dense layer is
+        # negative and below half a grid step: each quantizes to -0.0
+        conv = dict(kernel=[1, 1], stride=1, padding="same", groups=1,
+                    act_bits=DType.FP32, weight_bits=DType.FP32)
+        b = _GraphBuilder("codes", (1, 1, 6))
+        x = b.emit("c", "conv2d", ["in"], out_channels=6, **conv)
+        g = b.finish(b.emit("fc", "dense", [x], out_channels=10, act_bits=DType.INT4,
+                            weight_bits=DType.INT4))
+
+        def build():
+            m = Model(g, seed=5, dtype=dtype)
+            m.arena.writable()[m.arena.spans["fc.w"]][:10] = -1e-4
+            return m
+        x = np.random.default_rng(6).normal(size=(3, 1, 1, 6)).astype(dtype)
+        record, _ = training_record(build(), x, 2)
+        (_, (codes, down)), _, (w, bounds) = record[2][1:]
+        wq = ad._fake_quant(w, bounds, 4)[0]
+        assert np.signbit(wq[0]).all() and not wq[0].any()
+        rebuilt = codes.astype(dtype) * down
+        assert codes.dtype == np.int8 and np.array_equal(rebuilt, wq)
+        assert not np.signbit(rebuilt[0]).any()
+        # the gradients, which reach the conv through that row, are the
+        # tape's; a positive output gradient makes each of the row's terms
+        # in the tape -0.0, and +0.0 with the rebuilt weight
+        model, twin = build(), build()
+        grad = np.abs(np.random.default_rng(5).normal(size=(len(x), 10)))
+        want_logits, want = tape_grads(twin, x, grad, True, 2)
+        logits, backward = model.forward(x, training=True, phase=2)
+        backward(grad)
+        assert logits.tobytes() == want_logits.tobytes()
+        assert model.arena.grad.tobytes() == want.tobytes()
 
     def test_dprelu_record_holds_no_slope(self, toy, batch):
         model = Model(toy, seed=1, dtype=np.float32)
@@ -581,6 +721,30 @@ class TestNarrowRecord:
             want = outs[node.inputs[0]] - model.params[f"{node.id}.alpha"]
             assert shifted.tobytes() == want.tobytes()
             assert pos.dtype == bool and np.array_equal(pos, want > 0)
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_tail_keeps_no_dprelu_output(self, toy, batch, phase):
+        model = Model(toy, seed=1, dtype=np.float32)
+        record, outs = training_record(model, batch, phase)
+        recs = dict(zip([node.id for node in toy.nodes], record))
+        muls = [node for node in toy.nodes if node.op == "multiply"]
+        assert muls
+        for mul in muls:
+            act, gate = mul.inputs
+            bn = next(node for node in toy.nodes if node.inputs == [mul.id])
+            # the multiply keeps the gate, a stand-in of the DPReLU output and
+            # the list into which the BN's VJP puts that output, rebuilt
+            _, cell, (a, g), _ = recs[mul.id]
+            assert cell == [] and g is outs[gate]
+            assert is_stand_in(a) and a.shape == outs[act].shape
+            # the BN keeps the DPReLU's and the multiply's lists, the gate and
+            # its batch mean, and rebuilds its input from them
+            (saved, kept_cell, kept_gate), mean, _ = recs[bn.id][1]
+            assert saved is recs[act][1] and kept_cell is cell and kept_gate is g
+            params = [model.params[f"{bn.id}.{k}"] for k in ("scale", "bias")]
+            assert mean.tobytes() == ad._batchnorm_train(outs[mul.id], *params)[0][1].tobytes()
+            assert not any(np.shares_memory(x, outs[act]) for rec in record
+                           for x in arrays_in(rec))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("phase", [1, 2])
@@ -594,17 +758,66 @@ class TestNarrowRecord:
         x = b.emit("q", "quantize_act", [x], act_bits=DType.BIN)
         x = b.emit("c2", "conv2d", [x], out_channels=10, act_bits=DType.FP32, **conv)
         g = b.finish(b.emit("pool", "spatial_mean", [x]))
-        model, twin = Model(g, seed=5, dtype=dtype), Model(g, seed=5, dtype=dtype)
-        rng = np.random.default_rng(6)
-        x, grad = rng.normal(size=(3, 5, 5, 3)), rng.normal(size=(3, 10))
-        record, _ = training_record(model, x, phase)
+        x = np.random.default_rng(6).normal(size=(3, 5, 5, 3)).astype(dtype)
+        record, _ = training_record(Model(g, seed=5, dtype=dtype), x, phase)
         assert [(node.id, cols.dtype, w.dtype) for node, cols, w in conv_records(g, record)] \
             == [("c1", dtype, dtype), ("c2", np.int8, dtype)]
-        want_logits, want = tape_grads(twin, x, grad, True, phase)
-        logits, backward = model.forward(x, training=True, phase=phase)
-        backward(grad)
-        assert logits.tobytes() == want_logits.tobytes()
-        assert model.arena.grad.tobytes() == want.tobytes()
+        assert_gradients_equal_the_tape(g, x, phase)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bn_of_a_conv_labelled_binary_stays_float(self, dtype):
+        # c1 is labelled BIN x BIN but reads the float batch, so its output is
+        # no integer; c2 reads a binarized value with binary weights
+        conv = dict(kernel=[3, 3], stride=1, padding="same", groups=1,
+                    act_bits=DType.BIN, weight_bits=DType.BIN)
+        b = _GraphBuilder("labels", (5, 5, 3))
+        x = b.emit("bn1", "batchnorm", [b.emit("c1", "conv2d", ["in"], out_channels=6,
+                                                **conv)])
+        x = b.emit("q", "quantize_act", [x], act_bits=DType.BIN)
+        x = b.emit("bn2", "batchnorm", [b.emit("c2", "conv2d", [x], out_channels=10,
+                                                **conv)])
+        g = b.finish(b.emit("pool", "spatial_mean", [x]))
+        x = np.random.default_rng(6).normal(size=(3, 5, 5, 3)).astype(dtype)
+        record, _ = training_record(Model(g, seed=5, dtype=dtype), x, 2)
+        assert [rec[1][0].dtype for node, rec in zip(g.nodes, record)
+                if node.op == "batchnorm"] == [dtype, np.int16]
+        assert_gradients_equal_the_tape(g, x, 2)
+
+    def test_wide_binary_conv_keeps_int32(self):
+        # kh·kw·C = 9·3641 = 32,769 is more than int16 holds
+        conv = dict(kernel=[3, 3], stride=1, padding="same", groups=1,
+                    act_bits=DType.BIN, weight_bits=DType.BIN)
+        b = _GraphBuilder("wide", (2, 2, 3641))
+        x = b.emit("q", "quantize_act", ["in"], act_bits=DType.BIN)
+        x = b.emit("bn", "batchnorm", [b.emit("c", "conv2d", [x], out_channels=10, **conv)])
+        g = b.finish(b.emit("pool", "spatial_mean", [x]))
+        x = np.random.default_rng(6).normal(size=(2, 2, 2, 3641)).astype(np.float32)
+        record, outs = training_record(Model(g, seed=5, dtype=np.float32), x, 2)
+        kept = record[[node.id for node in g.nodes].index("bn")][1][0]
+        assert kept.dtype == np.int32 and kept.astype(np.float32).tobytes() == outs["c"].tobytes()
+        assert_gradients_equal_the_tape(g, x, 2)
+
+    @pytest.mark.parametrize("act", ["dprelu", "relu", "dprelu-read-twice"])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_only_a_tail_multiply_drops_its_input(self, act, phase):
+        # act -> multiply by an SE-like gate -> batchnorm; the multiply drops
+        # the activation only if that is a DPReLU that nothing else reads
+        conv = dict(kernel=[1, 1], stride=1, padding="same", groups=1,
+                    act_bits=DType.FP32, weight_bits=DType.FP32)
+        b = _GraphBuilder("gated", (4, 4, 3))
+        x = b.emit("c", "conv2d", ["in"], out_channels=10, **conv)
+        a = b.emit("act", act.split("-")[0], [x])
+        gate = b.emit("gate", "hardsigmoid", [b.emit("mean", "spatial_mean", [x])])
+        x = b.emit("bn", "batchnorm", [b.emit("mul", "multiply", [a, gate])])
+        if act == "dprelu-read-twice":
+            x = b.emit("add", "add", [x, a])
+        g = b.finish(b.emit("pool", "spatial_mean", [x]))
+        x = np.random.default_rng(6).normal(size=(3, 4, 4, 3))
+        record, outs = training_record(Model(g, seed=5), x, phase)
+        kept = record[[node.id for node in g.nodes].index("mul")][2][0]
+        assert is_stand_in(kept) == (act == "dprelu")
+        assert is_stand_in(kept) or kept is outs["act"]
+        assert_gradients_equal_the_tape(g, x, phase)
 
 
 def bits(a):
@@ -1186,7 +1399,7 @@ class TestQuantizedWeightCache:
     def forward_step(model, nid, ins, phase):
         """Node ``nid``'s output from ``forward``'s step in eval mode."""
         run = next(step[2] for step in model._plan if step[0].id == nid)
-        return run(model, ins, model_module.QuantContext(False, phase))[0]
+        return run(model, ins, model_module.QuantContext(False, phase), [])[0]
 
     @pytest.mark.parametrize("phase", [1, 2])
     def test_hooks_see_every_step_once_in_plan_order(self, toy, batch, phase):
