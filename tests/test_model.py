@@ -569,21 +569,27 @@ def training_record(model, x, phase):
 
 
 def shifted_model(g, seed, dtype):
-    """A model of ``g`` whose every parameter is moved off its initial value,
-    as training moves it: DPReLU's beta is then no longer 0, for example."""
+    """A model of ``g`` whose every parameter and BN running statistic is
+    moved off its initial value, as training moves it: DPReLU's beta is then
+    no longer 0, for example."""
     model = Model(g, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
     data = model.arena.writable()
-    data += np.random.default_rng(seed).normal(0.0, 0.1, size=data.size).astype(dtype)
+    data += rng.normal(0.0, 0.1, size=data.size).astype(dtype)
+    for stats in model.bn_stats.values():
+        shift = rng.normal(0.0, 0.1, size=(2, stats["mean"].size)).astype(dtype)
+        stats["mean"] = stats["mean"] + shift[0]
+        stats["var"] = stats["var"] * np.exp(shift[1])
     return model
 
 
-def assert_gradients_equal_the_tape(g, x, phase, seed=5):
-    """A training pullback of ``g`` on ``x``, with shifted parameters, gives
-    the tape's bytes."""
+def assert_gradients_equal_the_tape(g, x, phase, seed=5, training=True):
+    """A pullback of ``g`` on ``x``, with shifted parameters, in training or
+    eval mode, gives the tape's bytes."""
     model, twin = shifted_model(g, seed, x.dtype), shifted_model(g, seed, x.dtype)
     grad = np.random.default_rng(seed).normal(size=(len(x), 10))
-    want_logits, want = tape_grads(twin, x, grad, True, phase)
-    logits, backward = model.forward(x, training=True, phase=phase)
+    want_logits, want = tape_grads(twin, x, grad, training, phase)
+    logits, backward = model.forward(x, training=training, phase=phase)
     backward(grad)
     assert logits.tobytes() == want_logits.tobytes()
     assert model.arena.grad.tobytes() == want.tobytes()
@@ -676,6 +682,13 @@ class TestNarrowRecord:
     @pytest.mark.parametrize("phase", [1, 2])
     def test_rebuilt_records_give_the_tapes_gradients(self, toy, batch, phase, dtype):
         assert_gradients_equal_the_tape(toy, batch.astype(dtype), phase)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_eval_records_give_the_tapes_gradients(self, toy, batch, phase, dtype):
+        # the eval-mode pullback, which gradcheck differentiates, with DPReLU's
+        # alpha and beta and the BN running statistics off their initial values
+        assert_gradients_equal_the_tape(toy, batch.astype(dtype), phase, training=False)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_int_weight_codes_lose_only_the_sign_of_zero(self, dtype):
