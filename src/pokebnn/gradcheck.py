@@ -111,7 +111,7 @@ def _graph_error(b, last_id, rng, seed: int) -> float:
     run by Model in phase 1."""
     model = Model(b.finish(last_id), seed=seed)
     x = rng.normal(size=(2, *b.g.input_shape))
-    data = model.arena.writable()     # perturbed in place; forward caches nothing
+    data = model.arena.writable()     # perturbed in place; forward caches no value
     return check_gradients(
         lambda: model.forward(x, training=False, phase=1),
         {n: data[model.arena.spans[n]].reshape(v.shape) for n, v in model.params.items()},

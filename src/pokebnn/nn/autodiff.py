@@ -56,19 +56,7 @@ class Tensor:
         The sweep consumes the graph: every node it visits loses its backward
         closure and parents, so a graph is differentiated once.
         """
-        topo, seen = [], set()
-        stack = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
+        topo = _post_order(self, lambda node: node._parents)
         if grad is None:
             grad = np.ones_like(self.data)
         self.grad = np.asarray(grad, dtype=self.data.dtype)
@@ -79,6 +67,23 @@ class Tensor:
             # closure and parents frees the tape as the sweep goes.
             node._backward = None
             node._parents = ()
+
+
+def _post_order(root, parents) -> list:
+    """The nodes that ``root`` reaches by ``parents(node)``, itself too, in
+    the post-order of a depth-first sweep that enters the last parent first.
+    Reversed, it is the order of ``Tensor.backward`` and ``Model``'s
+    pullback, so both sum a value's gradients in the same order."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack += [(p, False) for p in parents(node)]
+    return order
 
 
 def _channel_sum(a):

@@ -3,20 +3,21 @@
 The executor owns every parameter and calibration state keyed by node id:
 conv/dense weights, BatchNorm affine + running statistics, DPReLU vectors,
 and per-quantizer clipping bounds. ``Model.__init__`` lowers the node list
-once into a plan of steps, and fixes the order in which a pullback visits
-them and the step after which each value is read for the last time; it drops
-a value there. ``forward`` runs the plan on arrays and returns the logits
-with their pullback, which calls each step's VJP once; each step's record
-keeps only what its VJP reads and cannot rebuild exactly, in the narrowest
-type that holds it exactly. ``logits`` runs an eval program bound from the
-same plan, in which each chain of ``graphir.FUSIONS`` (a PokeConv's BN ->
-DPReLU -> gate -> BN tail, an SE gate, the stem's BN -> DPReLU, the head's
-pooling and quantizer) is one step: per phase, one closure per step, holding
-the step's op and its per-state constants (the quantized weight, the eval
-BatchNorm factors, the quantizer scales, or a chain's folds of them),
-resolved once. It drops each value after its last reader in that program,
-keeps nothing for a gradient, and binds again only when the parameters, a
-running statistic or a bound state change.
+once into a plan of steps. ``forward`` runs the program of its (training,
+phase), bound from the plan once with the order in which a pullback visits
+the steps and the step after which each value is read for the last time; it
+drops a value there. It returns the logits with their pullback, which calls
+each step's VJP once; each step's record keeps only what its VJP reads and
+cannot rebuild exactly, in the narrowest type that holds it exactly.
+``logits`` runs an eval program bound from the same plan, in which each
+chain of ``graphir.FUSIONS`` (a PokeConv's BN -> DPReLU -> gate -> BN tail,
+an SE gate, the stem's BN -> DPReLU, the head's pooling and quantizer) is one
+step: per phase, one closure per step, holding the step's op and its
+per-state constants (the quantized weight, the eval BatchNorm factors, the
+quantizer scales, or a chain's folds of them), resolved once. It drops each
+value after its last reader in that program, keeps nothing for a gradient,
+and binds again only when the parameters, a running statistic or a bound
+state change.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
 
@@ -34,17 +34,6 @@ from .. import quant
 from ..graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphError, GraphSpec,
                        NodeSpec, check_graph, fused_chains, param_shapes)
 from . import autodiff as ad
-
-
-@dataclass
-class QuantContext:
-    """``forward``'s per-call mode: BN train/eval and the quantization phase
-    (phase 1 binarizes activations only; phase 2 also quantizes weights and
-    the 4/8-bit activations). Every quantizer has one forward, the sign or
-    the rounded grid, and the straight-through gradient."""
-
-    training: bool = True
-    phase: int = 1
 
 
 # the initial value of each parameter other than a weight, if not 0
@@ -88,10 +77,10 @@ def _spread(fn: Callable) -> Callable:
     return lambda ins: fn(*ins)
 
 
-def _fixed(fn: Callable) -> Callable:
-    """The ``bind`` of a step with no per-state constants: ``fn`` in every
-    phase and state."""
-    return lambda model, phase: fn
+def _fixed(value) -> Callable:
+    """A function that returns ``value`` whatever its arguments: a binder
+    whose result does not depend on the mode or the state."""
+    return lambda *mode: value
 
 
 def _chained(fns: list) -> Callable:
@@ -297,11 +286,12 @@ class Model:
         self._constants: dict[str, tuple] = {}
         self._version = None
         # logits' eval program by phase, as (arena version, sources, steps)
-        # (see _program)
+        # (see _program), and forward's by (training, phase)
         self._programs: dict[int, tuple] = {}
-        # the plan: one step per node, as (node, input slots, run, bind,
-        # parameter names, the VJP's needs); the slot after the last step
-        # holds the batch
+        self._forwards: dict[tuple, tuple] = {}
+        # the plan: one step per node, as (node, input slots, bind_forward,
+        # bind, parameter names, the VJP's needs); the slot after the last
+        # step holds the batch
         index = {node.id: i for i, node in enumerate(graph.nodes)}
         # whether each slot's value depends on a parameter, so takes a gradient
         needs = [False] * (len(graph.nodes) + 1)
@@ -316,10 +306,6 @@ class Model:
                                tuple([needs[s] for s in slots]) + (True,) * len(names)))
         self._output = next(i for i, node in enumerate(graph.nodes)
                             if node.op == "output")
-        self._order = self._backward_order()
-        # the slots whose value each step reads for the last time, which
-        # forward drops after the step and its hooks; the output's is kept
-        self._drops = _last_reads([step[1] for step in self._plan], self._output)
         # the eval program's layout: per step, (bind, input slots, output
         # slot, node). Each chain of graphir.FUSIONS that folds is one step
         # at its last node, which reads the chain's inputs from outside it
@@ -328,7 +314,9 @@ class Model:
         folds, inside = {}, set()
         for fusion, ids in fused_chains(graph):
             steps = [self._plan[index[nid]] for nid in ids]
-            bind = self._lower_fold(fusion.name, steps)
+            nodes = [step[0] for step in steps]
+            bind = (self._lower_mean_quant(nodes, [step[3] for step in steps])
+                    if fusion.name in ("se_gate", "head") else self._lower_bn_dprelu(nodes))
             if bind is not None:
                 slots = steps[0][1] + tuple([s for step in steps[1:] for s in step[1][1:]])
                 folds[index[ids[-1]]] = (bind, slots)
@@ -389,35 +377,44 @@ class Model:
     # ------------------------------------------------------------------
 
     def forward(self, x, training: bool = True, phase: int = 1, hooks=()):
-        """Runs the plan; returns ``(logits, backward)``: the ``[N, classes]``
-        output and its pullback. ``backward(grad)`` takes the gradient with
-        respect to ``logits`` and adds each parameter's gradient into
-        ``arena.grad``; it frees the record as it goes and runs once.
+        """Runs the forward program of ``(training, phase)``; returns
+        ``(logits, backward)``: the ``[N, classes]`` output and its pullback.
+        ``backward(grad)`` takes the gradient with respect to ``logits`` and
+        adds each parameter's gradient into ``arena.grad``; it frees the
+        record as it goes and runs once.
 
         ``phase`` selects active quantizers: binary activations always, all
-        weights and the 4/8-bit activations from phase 2 on. Each of
-        ``hooks`` is called as ``hook(node, out)`` after every step, with
-        the node's output array. A value is dropped after the step that
-        reads it last; the record keeps what the VJPs read and cannot rebuild
-        exactly, and no more.
+        weights and the 4/8-bit activations in phase 2; any other value
+        raises ValueError. Each of ``hooks`` is called as ``hook(node, out)``
+        after every step, with the node's output array. A value is dropped
+        after the step that reads it last; the record keeps what the VJPs
+        read and cannot rebuild exactly, and no more.
         """
-        values, record = self._slots(x), [None] * len(self._plan)
+        steps, pullback = self._forward_program(training, phase)
+        values, record = self._slots(x), [None] * len(steps)
         del x       # so that the batch too is freed after its last reader
-        out = self._execute(values, hooks, QuantContext(training, phase), record)
+        for i, (run, slots, node, drops) in enumerate(steps):
+            values[i], record[i] = run(self, [values[s] for s in slots], record)
+            for hook in hooks:
+                hook(node, values[i])
+            for s in drops:
+                values[s] = None
+        out = values[self._output]
 
         def backward(grad):
             if not record:
                 raise RuntimeError("this pullback has already run")
-            steps, record[:] = record[:], []
+            records, record[:] = record[:], []
             self._backward(np.asarray(grad, dtype=out.dtype).reshape(out.shape),
-                           steps)
+                           records, *pullback)
         return out.reshape(len(out), -1), backward
 
     def logits(self, x, phase: int = 2, hooks=()) -> np.ndarray:
         """The inference call: runs the phase's eval program and keeps
         nothing for a gradient; returns [N, classes]. Each of ``hooks`` is
         called as ``hook(node, out)`` after every program step, and a value
-        is dropped after the step that reads it last.
+        is dropped after the step that reads it last. A ``phase`` other than 1
+        or 2 raises ValueError.
 
         The program runs each chain of ``graphir.FUSIONS`` as one step,
         which hooks see as the chain's last node; its other nodes have no
@@ -451,6 +448,8 @@ class Model:
         step's constants from ``_constants`` by the per-entry rule of
         ``_cached``, after emptying it if the arena changed since it was
         filled; so a training step recomputes only the BN factors."""
+        if phase not in (1, 2):
+            raise ValueError(f"phase must be 1 or 2, got {phase!r}")
         sources = self._sources()
         program = self._programs.get(phase)
         if (program is not None and program[0] == self.arena.version
@@ -492,61 +491,50 @@ class Model:
                              f"{tuple(self.graph.input_shape)}, got {x.shape[1:]}")
         return [None] * len(self._plan) + [x]
 
-    def _execute(self, values, hooks, ctx, record):
-        """Runs the plan on the slots ``values`` (see ``_slots``), dropping
-        each after its last reader; returns the output node's array. Stores
-        each step's record in ``record``, by step."""
-        for i, ((node, slots, run, _, _, _), drops) in enumerate(
-                zip(self._plan, self._drops)):
-            values[i], record[i] = run(self, [values[s] for s in slots], ctx, record)
-            for hook in hooks:
-                hook(node, values[i])
-            for s in drops:
-                values[s] = None
-        return values[self._output]
+    def _forward_program(self, training: bool, phase: int) -> tuple:
+        """``forward``'s ``(steps, pullback)`` for ``(training, phase)``,
+        bound once, as no step reads the model's state before it runs. A
+        step is ``(run, slots, node, drops)``, ``drops`` the slots it reads
+        last. ``pullback`` is the output gradient's slot and, in pullback
+        order, ``(step, slots, names, needs)`` of each step that takes a
+        gradient and does not pass its input through; its input's slot takes
+        the gradient of a step that does."""
+        if phase not in (1, 2):
+            raise ValueError(f"phase must be 1 or 2, got {phase!r}")
+        mode = (bool(training), phase)
+        if mode not in self._forwards:
+            reads = [step[1] for step in self._plan] + [()]    # the batch reads none
+            steps, owner = [], list(range(len(reads)))
+            for i, ((node, slots, bind_forward, *_), drops) in enumerate(
+                    zip(self._plan, _last_reads(reads[:-1], self._output))):
+                run, through = bind_forward(*mode)
+                owner[i] = owner[slots[0]] if through else i
+                steps.append((run, slots, node, drops))
+            # the pullback's order is the tape's (see autodiff._post_order)
+            order = [(i, tuple([owner[s] for s in reads[i]]), *self._plan[i][4:])
+                     for i in reversed(ad._post_order(self._output, reads.__getitem__))
+                     if i < len(self._plan) and owner[i] == i and any(self._plan[i][5])]
+            self._forwards[mode] = (steps, (owner[self._output], order))
+        return self._forwards[mode]
 
-    def _backward_order(self) -> list:
-        """The steps in the order a pullback runs them: the reverse
-        post-order of a depth-first sweep from the output step over each
-        step's input slots, last input first. ``Tensor.backward`` sorts the
-        same ops in this order, so a slot with several consumers sums their
-        gradients in the same order as the op-level API."""
-        order, seen, stack = [], set(), [(self._output, False)]
-        while stack:
-            i, done = stack.pop()
-            if done:
-                order.append(i)
-            elif i not in seen:
-                seen.add(i)
-                stack.append((i, True))
-                stack += [(s, False) for s in self._plan[i][1] if s < len(self._plan)]
-        return order[::-1]
-
-    def _backward(self, grad, record):
+    def _backward(self, grad, record, root, order):
         """Adds into ``arena.grad`` the parameter gradients of the forward
-        call that left ``record``, given the gradient of its output."""
-        # a step that passed its input through passes its gradient back to it
-        owner = list(range(len(record) + 1))
-        for i, rec in enumerate(record):
-            if rec is None:
-                owner[i] = owner[self._plan[i][1][0]]
-        grads = [None] * len(owner)
-        grads[owner[self._output]] = grad
+        call that left ``record``, given its output's, by its program's
+        pullback ``(root, order)`` (see ``_forward_program``)."""
+        grads = [None] * (len(record) + 1)
+        grads[root] = grad
         views = self.arena.grad_views
-        for i in self._order:
-            if grads[i] is None:
-                continue
+        for i, slots, names, needs in order:
             vjp, saved, call, ste = record[i]
-            _, slots, _, _, names, needs = self._plan[i]
             grads_in = vjp(grads[i], saved, needs, *call)
             record[i] = grads[i] = None
             for s, need, x, g in zip(slots, needs, call, grads_in):
                 # as Tensor._accumulate: the first gradient in the slot's
                 # dtype, the rest added with numpy's promotion
-                if need and grads[owner[s]] is None:
-                    grads[owner[s]] = g if g.dtype == x.dtype else g.astype(x.dtype)
+                if need and grads[s] is None:
+                    grads[s] = g if g.dtype == x.dtype else g.astype(x.dtype)
                 elif need:
-                    grads[owner[s]] = grads[owner[s]] + g
+                    grads[s] = grads[s] + g
             grads_in = grads_in[len(slots):]
             if ste is not None:     # the quantized weight's straight-through gradient
                 grads_in = (ad._ste_vjp(grads_in[0], None, None, *ste)[0], *grads_in[1:])
@@ -554,18 +542,20 @@ class Model:
                 views[name] += g
 
     def _lower(self, node: NodeSpec, tail: tuple | None) -> tuple[Callable, Callable]:
-        """The step functions of one node, ``(run, bind)``; ``tail`` is the
-        step indices of the PokeConv tail that the node is in (see
-        ``_tail_chains``), or None.
+        """The binders of one node's steps, ``(bind_forward, bind)``;
+        ``tail`` is the step indices of the PokeConv tail that the node is in
+        (see ``_tail_chains``), or None.
 
-        ``run(model, ins, ctx, record)`` is ``forward``'s step: it returns the
-        node's output and the step's record (see ``_step``), or None for a step
-        that passes its input through. ``record`` holds the records of the
-        call's earlier steps, by step: a record that rebuilds a value in its
-        VJP, rather than keep it, reads there the record of the step that made
-        the value. ``bind(model, phase)`` returns the eval program's step,
-        ``fn(*ins)``, which returns the node's output with the step's
-        per-state constants resolved at binding, by ``_cached``.
+        ``bind_forward(training, phase)`` returns ``(run, through)``:
+        ``forward``'s step in that mode, ``run(model, ins, record)``, which
+        returns the node's output and the step's record (see ``_step``), or
+        None if ``through``: if it passes its input, and so its gradient,
+        through. ``record`` holds the records of the call's earlier steps, by
+        step: a record that rebuilds a value in its VJP, rather than keep it,
+        reads there the record of the step that made the value.
+        ``bind(model, phase)`` returns the eval program's step, ``fn(*ins)``,
+        which returns the node's output with the step's per-state constants
+        resolved at binding, by ``_cached``.
 
         Attributes, ops and parameters are resolved here, once. BN statistics
         and bound state are read from ``model`` when a step runs or binds,
@@ -574,11 +564,12 @@ class Model:
         """
         op, a, nid = node.op, node.attrs, node.id
         if op in ("input", "output"):
-            return (lambda model, ins, ctx, record: (ins[0], None)), _fixed(_identity)
+            return (_fixed(((lambda model, ins, record: (ins[0], None)), True)),
+                    _fixed(_identity))
         if op == "spatial_mean" and self.shapes[node.inputs[0]][:2] == (1, 1):
             # the mean over a 1x1 input is that input, but for -0.0, which
             # the mean's sum from 0 makes +0.0; its gradient passes through
-            return ((lambda model, ins, ctx, record: (_plus_zero(ins[0]), None)),
+            return (_fixed(((lambda model, ins, record: (_plus_zero(ins[0]), None)), True)),
                     _fixed(_plus_zero))
         if op == "quantize_act":
             return self._lower_act_quant(nid, a["act_bits"])
@@ -592,23 +583,28 @@ class Model:
         forward, vjp = getattr(ad, f"_{name}"), getattr(ad, f"_{name}_vjp")
         extra, shape_only = (*params, *args), name in ad.SHAPE_ONLY
         if op not in WEIGHT_OPS:
-            def step(model, ins, ctx, record):
+            def step(model, ins, record):
                 return _step(forward, vjp, ins, extra, shape_only)
-            run = step if tail is None else self._lower_tail_step(op, step)
-            return run, _fixed(lambda *ins: forward(*ins, *extra)[0])
+            bind_forward = (_fixed((step, False)) if tail is None
+                            else self._lower_tail_step(op, step))
+            return bind_forward, _fixed(lambda *ins: forward(*ins, *extra)[0])
         weight, eval_weight, rebuild = self._lower_weight(
             nid, a["weight_bits"], depthwise=op == "depthwise_conv2d")
         narrow = self._lower_int8_record(node, vjp, rebuild)
 
-        def run(model, ins, ctx, record):
-            w, ste, kept = weight(ctx)
-            out, rec = _step(forward, vjp, ins, (w, *extra), shape_only, ste)
-            return out, rec if narrow is None else narrow(rec, ins[0], kept)
+        def bind_forward(training, phase):
+            weighted = weight(phase)
+
+            def run(model, ins, record):
+                w, ste, kept = weighted()
+                out, rec = _step(forward, vjp, ins, (w, *extra), shape_only, ste)
+                return out, rec if narrow is None else narrow(rec, ins[0], kept)
+            return run, False
 
         def bind(model, phase):
             w = eval_weight(model, phase)
             return lambda x: forward(x, w, *extra)[0]
-        return run, bind
+        return bind_forward, bind
 
     def _lower_int8_record(self, node: NodeSpec, vjp, rebuild) -> Callable | None:
         """``narrow(record, x, kept)``, which returns weight-op ``node``'s
@@ -653,25 +649,21 @@ class Model:
 
     @staticmethod
     def _lower_tail_step(op: str, step: Callable) -> Callable:
-        """The ``run`` of a PokeConv tail's DPReLU or multiply (see
-        ``_tail_chains``), given its plain ``run``, ``step``. The DPReLU's
-        record keeps ``(shifted, pos)`` in a list, to which the BN's VJP adds
-        the slope that it rebuilds. In training, the multiply's record keeps
-        a stand-in of the DPReLU output and an empty list, into which the
-        BN's VJP puts that output, rebuilt (see ``_lower_batchnorm``)."""
+        """The ``bind_forward`` of a PokeConv tail's DPReLU or multiply (see
+        ``_tail_chains``), given its eval ``run``, ``step``. In training, the
+        DPReLU's record keeps ``(shifted, pos)`` in a list, to which the BN's
+        VJP adds the slope that it rebuilds, and the multiply's keeps a
+        stand-in of the DPReLU output and an empty list, into which the BN's
+        VJP puts that output, rebuilt (see ``_lower_batchnorm``)."""
         if op == "dprelu":
-            def run(model, ins, ctx, record):
-                out, (vjp, saved, call, ste) = step(model, ins, ctx, record)
+            def run(model, ins, record):
+                out, (vjp, saved, call, ste) = step(model, ins, record)
                 return out, (vjp, list(saved), call, ste)
-            return run
-
-        def run(model, ins, ctx, record):
-            out, rec = step(model, ins, ctx, record)
-            if not ctx.training:
-                return out, rec
-            act, gate = rec[2]
-            return out, (_mul_of_rebuilt, [], (_stand_in(act), gate), None)
-        return run
+        else:
+            def run(model, ins, record):
+                out, (_, _, (act, gate), _) = step(model, ins, record)
+                return out, (_mul_of_rebuilt, [], (_stand_in(act), gate), None)
+        return lambda training, phase: (run if training else step, False)
 
     def _params(self, node: NodeSpec) -> tuple:
         """The arena views of ``node``'s parameters after the weight."""
@@ -683,25 +675,32 @@ class Model:
         binarize, fake_quant = ad._binarize, ad._fake_quant
         if bits is DType.BIN:
             # sign() reads no bound; only a gradient is gated by one
-            return ((lambda model, ins, ctx, record: _ste_step(binarize, ins[0],
-                                                               model.binary_bound)),
-                    _fixed(lambda x: binarize(x, None)[0]))
+            def run(model, ins, record):
+                return _ste_step(binarize, ins[0], model.binary_bound)
+            return _fixed((run, False)), _fixed(lambda x: binarize(x, None)[0])
         scaled = quant.fake_quant_scaled
 
-        def run(model, ins, ctx, record):
+        def observed(model, x):
+            """x, once its EMA has moved the bound, unless that is frozen."""
             state = model.bounds[nid]
-            if ctx.training and not state.frozen:
-                model.bounds[nid] = state = quant.update_ema_bound(state, ins[0])
-            if ctx.phase < 2:
-                return ins[0], None
-            return _ste_step(fake_quant, ins[0], state.bound, bits.bits)
+            if not state.frozen:
+                model.bounds[nid] = quant.update_ema_bound(state, x)
+            return x
+
+        def bind_forward(training, phase):
+            take = observed if training else (lambda model, x: x)
+            if phase < 2:       # the input passes through
+                return (lambda model, ins, record: (take(model, ins[0]), None)), True
+            # take runs before the bound is read, so reads the moved bound
+            return (lambda model, ins, record: _ste_step(
+                fake_quant, take(model, ins[0]), model.bounds[nid].bound, bits.bits)), False
 
         def bind(model, phase):
             if phase < 2:
                 return _identity
             scales = _act_scales(model, nid, bits.bits)
             return lambda x: scaled(x, scales, bits.bits)
-        return run, bind
+        return bind_forward, bind
 
     def _lower_batchnorm(self, node: NodeSpec, params,
                          tail: tuple | None) -> tuple[Callable, Callable]:
@@ -721,34 +720,38 @@ class Model:
             centered -= mean
             return ad._batchnorm_train_vjp(g, (centered, inv), needs, x, *affine)
 
-        def run(model, ins, ctx, record):
-            stats = model.bn_stats[nid]
-            if ctx.training:
+        def evaluated(model, ins, record):
+            return _step(evaluate, ad._batchnorm_eval_vjp, ins,
+                         (*params, *_running(model, nid)), True)
+
+        def bind_forward(training, phase):
+            kept = keep(phase)
+
+            def trained(model, ins, record):
+                stats = model.bn_stats[nid]
                 (out, bm, bv), rec = _step(train, ad._batchnorm_train_vjp, ins,
                                            params, True)
                 m = model.bn_momentum
                 stats["mean"] = _read_only(m * stats["mean"] + (1 - m) * bm)
                 stats["var"] = _read_only(m * stats["var"] + (1 - m) * bv)
-                kept = keep(ins[0], ctx, record)
-                if kept is not None:
-                    rec = (rebuilt, (kept, bm, rec[1][1]), rec[2], None)
-                return out, rec
-            return _step(evaluate, ad._batchnorm_eval_vjp, ins,
-                         (*params, stats["mean"], stats["var"]), True)
+                return out, rec if kept is None else (
+                    rebuilt, (kept(ins[0], record), bm, rec[1][1]), rec[2], None)
+            return (trained if training else evaluated), False
 
         def bind(model, phase):
             running, dtype = _running(model, nid), model.dtype
             mean, _, k = _cached(model._constants, nid, running, lambda:
                                  ad._batchnorm_eval_constants(scale, *running, dtype))
             return lambda x: apply(x, bias, mean, k)[0]
-        return run, bind
+        return bind_forward, bind
 
     def _lower_bn_input(self, node: NodeSpec, tail: tuple | None) -> tuple:
         """``(keep, rebuild)`` for BN ``node``'s training record.
-        ``keep(x, ctx, record)`` returns what the record keeps to rebuild the
-        input x, or None, and then the record keeps ``x - mean``;
-        ``rebuild(kept, dtype)`` returns x from it, in a new array of x's
-        ``dtype`` and layout. Decided from the producing node:
+        ``keep(phase)`` returns ``fn(x, record)``, which returns what the
+        record keeps to rebuild the input x, or None if the record keeps
+        ``x - mean`` in that phase; ``rebuild(kept, dtype)`` returns x from
+        it, in a new array of x's ``dtype`` and layout. Decided from the
+        producing node:
         - In a PokeConv tail, the BN keeps the DPReLU's saved list and the
           multiply's list and gate from their records. Its VJP rebuilds the
           DPReLU's slope and output ``a``, then ``a·gate``, by the forward's
@@ -757,13 +760,13 @@ class Model:
         - From phase 2 on, after a conv2d with a binary weight whose input a
           binary ``quantize_act`` makes, x is an integer of magnitude at most
           kh·kw·C, which int16 holds exactly (int32 above 32,767).
-        - Else ``keep`` returns None."""
+        - Else ``keep`` returns None in every phase."""
         src = self.graph.node(node.inputs[0])
         if tail is not None:
             act, mul, _ = tail
             _, beta, gamma, eta = self._params(self.graph.nodes[act])
 
-            def keep(x, ctx, record):
+            def kept(x, record):
                 _, cell, (_, gate), _ = record[mul]
                 return record[act][1], cell, gate
 
@@ -776,21 +779,24 @@ class Model:
                 saved.append(slope)
                 cell.append(a)
                 return ad._mul(a, gate)[0]
-            return keep, rebuild
+            return _fixed(kept), rebuild
         if (src.op == "conv2d" and src.attrs["weight_bits"] is DType.BIN
                 and _binarized(self.graph, src)):
             reach = math.prod(self.arena.views[f"{src.id}.w"].shape[:3])
             width = np.int16 if reach <= np.iinfo(np.int16).max else np.int32
-            return ((lambda x, ctx, record: x.astype(width) if ctx.phase >= 2 else None),
-                    (lambda kept, dtype: kept.astype(dtype)))
-        return (lambda x, ctx, record: None), None
+
+            def keep(phase):
+                return (lambda x, record: x.astype(width)) if phase >= 2 else None
+            return keep, (lambda kept, dtype: kept.astype(dtype))
+        return _fixed(None), None
 
     def _lower_weight(self, nid: str, bits: DType,
                       depthwise: bool) -> tuple[Callable, Callable, Callable | None]:
-        """``(weight, eval_weight, rebuild)``. ``weight(ctx)`` returns the
-        node's weight as its op reads it, quantized from phase 2 on unless
-        ``bits`` is a float type; the ``(w, bounds)`` of its straight-through
-        gradient; and what a record keeps to rebuild it by ``rebuild(kept)``:
+        """``(weight, eval_weight, rebuild)``. ``weight(phase)`` returns the
+        phase's ``fn()``, which returns the node's weight as its op reads it,
+        quantized from phase 2 on unless ``bits`` is a float type; the ``(w,
+        bounds)`` of its straight-through gradient; and what a record keeps
+        to rebuild it by ``rebuild(kept)``:
         for a binary weight the arena view, which one sign pass rebuilds;
         for an int weight its grid codes as int8, with the down scale, which
         one multiply rebuilds. A code of -0.0, which the rounding gives to a
@@ -801,8 +807,9 @@ class Model:
         same weight for the eval program: from phase 2 on it is computed once
         per arena state and kept, read-only, in ``model._constants``."""
         w = self.arena.views[f"{nid}.w"]
+        plain = _fixed((w, None, None))
         if bits.is_float:
-            return (lambda ctx: (w, None, None)), (lambda model, phase: w), None
+            return _fixed(plain), _fixed(w), None
         binary = bits is DType.BIN
         # one bound per output channel: (C, mult) for depthwise, else the last axis
         channels = w.shape[2:] if depthwise else w.shape[-1:]
@@ -834,8 +841,8 @@ class Model:
                 q *= down
                 return q
 
-        def weight(ctx):
-            return (w, None, None) if ctx.phase < 2 else quantized()
+        def weight(phase):
+            return plain if phase < 2 else quantized
 
         def eval_weight(model, phase):
             if phase < 2:
@@ -844,18 +851,6 @@ class Model:
             return _cached(model._constants, nid, (), lambda: _read_only(
                 rebuild(w) if binary else quantized()[0]))
         return weight, eval_weight, rebuild
-
-    def _lower_fold(self, name: str, steps: list) -> Callable | None:
-        """The ``bind`` of the eval step that runs the plan ``steps``, a
-        chain of the ``graphir.FUSIONS`` entry ``name``, or None if the chain
-        does not fold. The step takes the first step's inputs, then every
-        later step's inputs but its first, and returns the last one's output;
-        its constants are kept in ``_constants`` by ``_cached``, under the ids
-        of the BN, dense and quantizer nodes that they replace."""
-        nodes = [step[0] for step in steps]
-        if name in ("se_gate", "head"):
-            return self._lower_mean_quant(nodes, [step[3] for step in steps])
-        return self._lower_bn_dprelu(nodes)
 
     def _lower_bn_dprelu(self, nodes: list) -> Callable | None:
         """A stem, ``batchnorm -> dprelu``, or a PokeConv tail, ``batchnorm
@@ -936,9 +931,8 @@ class Model:
             top = quant.grid_endpoint(bits2) - quant.DEFAULT_EPSILON
             # each dense layer's weight as forward's phase-2 step reads it
             (w1, b1), (w2, b2) = [
-                (self._lower_weight(fc.id, fc.attrs["weight_bits"], False)[0],
+                (self._lower_weight(fc.id, fc.attrs["weight_bits"], False)[0](2),
                  *self._params(fc)) for fc in (fc1, fc2)]
-            quantized = QuantContext(training=False, phase=2)
 
         def bind(model, phase):
             if phase < 2:
@@ -951,9 +945,9 @@ class Model:
             up2, down2 = _act_scales(model, q2.id, bits2)
             state = (model.bounds[q2.id],)
             w1s, b1s = _cached(model._constants, fc1.id, state, lambda: (
-                _read_only(w1(quantized)[0] * up2), _read_only(b1 * up2)))
+                _read_only(w1()[0] * up2), _read_only(b1 * up2)))
             w2s, b2s = _cached(model._constants, fc2.id, state, lambda: (
-                _read_only(w2(quantized)[0] * (down2 / 6)), _read_only(b2 / 6 + 0.5)))
+                _read_only(w2()[0] * (down2 / 6)), _read_only(b2 / 6 + 0.5)))
 
             def gate(x):
                 h = scaled(np.add.reduce(x, (1, 2), None, None, True), pooled, bits1) @ w1s

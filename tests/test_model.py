@@ -365,18 +365,21 @@ class TestPullback:
     @pytest.mark.parametrize("run", [True, False])
     def test_record_is_freed(self, toy, batch, monkeypatch, run):
         saved, model = [], Model(toy, seed=1, dtype=np.float32)
-        execute = model._execute
+        steps, pullback = model._forward_program(True, 2)
 
-        def watched(values, hooks, ctx, record):
-            out = execute(values, hooks, ctx, record)
-            # every array that a record holds but the arena's views: the
-            # int8 conv inputs, int16 BN inputs, stand-ins of the quantized
-            # weights, DPReLU records, batch means and kept activations
-            saved.extend(weakref.ref(a) for rec in record for a in arrays_in(rec)
-                         if not np.shares_memory(a, model.arena.data))
-            return out
+        def watched(run):
+            def step(model, ins, record):
+                out, rec = run(model, ins, record)
+                # every array that a record holds but the arena's views: the
+                # int8 conv inputs, int16 BN inputs, stand-ins of the quantized
+                # weights, DPReLU records, batch means and kept activations
+                saved.extend(weakref.ref(a) for a in arrays_in(rec)
+                             if not np.shares_memory(a, model.arena.data))
+                return out, rec
+            return step
 
-        monkeypatch.setattr(model, "_execute", watched)
+        model._forwards[True, 2] = ([(watched(run), *rest) for run, *rest in steps],
+                                    pullback)
         gc.disable()
         try:
             logits, backward = model.forward(batch, training=True, phase=2)
@@ -472,10 +475,7 @@ class TestLiveness:
     @pytest.mark.parametrize("training", [False, True])
     def test_shape_only_records_hold_no_input_buffer(self, toy, batch, training):
         model = Model(toy, seed=1, dtype=np.float32)
-        outs, record = {}, [None] * len(toy.nodes)
-        model._execute(model._slots(batch),
-                       [lambda node, out: outs.__setitem__(node.id, out)],
-                       model_module.QuantContext(training, 2), record)
+        record, outs = program_record(model, batch, training, 2)
         checked = set()
         for node, rec in zip(toy.nodes, record):
             kept = self.kept_inputs(toy, node, training)
@@ -560,12 +560,19 @@ def is_stand_in(a):
     return a.strides == (0,) * a.ndim and np.shares_memory(a, model_module._ZEROS)
 
 
+def program_record(model, x, training, phase):
+    """The record, by step, and every node's output of one run of the steps
+    of ``forward``'s program for ``(training, phase)``."""
+    values, record, outs = model._slots(x), [None] * len(model.graph.nodes), {}
+    for i, (run, slots, node, _) in enumerate(model._forward_program(training, phase)[0]):
+        values[i], record[i] = run(model, [values[s] for s in slots], record)
+        outs[node.id] = values[i]
+    return record, outs
+
+
 def training_record(model, x, phase):
     """A training forward's record, by step, and every node's output."""
-    outs, record = {}, [None] * len(model.graph.nodes)
-    model._execute(model._slots(x), [lambda node, out: outs.__setitem__(node.id, out)],
-                   model_module.QuantContext(True, phase), record)
-    return record, outs
+    return program_record(model, x, True, phase)
 
 
 def shifted_model(g, seed, dtype):
@@ -875,6 +882,31 @@ class TestPhases:
         model.freeze_activation_bounds()
         model.forward(10 * batch, training=True, phase=2)
         assert model.activation_bounds() == moved
+
+    @pytest.mark.parametrize("phase", [0, 3])
+    def test_forward_rejects_a_phase_but_1_and_2(self, toy, batch, phase):
+        model = Model(toy, seed=1)
+        with pytest.raises(ValueError, match=f"^phase must be 1 or 2, got {phase}$"):
+            model.forward(batch, phase=phase)
+        assert not model._forwards
+
+    @pytest.mark.parametrize("phase", [0, 7])
+    def test_logits_rejects_a_phase_but_1_and_2(self, toy, batch, phase):
+        model = Model(toy, seed=1)
+        with pytest.raises(ValueError, match=f"^phase must be 1 or 2, got {phase}$"):
+            model.logits(batch, phase=phase)
+        assert not model._programs
+
+    def test_forward_binds_once_per_mode(self, toy, batch):
+        model = Model(toy, seed=1, dtype=np.float32)
+        model.forward(batch, training=True, phase=1)
+        program = model._forwards[True, 1]
+        # the same mode reuses the program, whatever the batch or the state
+        model.freeze_activation_bounds()
+        model.forward(batch[:1], training=1, phase=1)
+        assert model._forwards[True, 1] is program
+        model.forward(batch, training=False, phase=1)
+        assert list(model._forwards) == [(True, 1), (False, 1)]
 
 
 class TestCheckpoint:
@@ -1411,8 +1443,9 @@ class TestQuantizedWeightCache:
     @staticmethod
     def forward_step(model, nid, ins, phase):
         """Node ``nid``'s output from ``forward``'s step in eval mode."""
-        run = next(step[2] for step in model._plan if step[0].id == nid)
-        return run(model, ins, model_module.QuantContext(False, phase), [])[0]
+        steps = model._forward_program(False, phase)[0]
+        run = next(run for run, _, node, _ in steps if node.id == nid)
+        return run(model, ins, [])[0]
 
     @pytest.mark.parametrize("phase", [1, 2])
     def test_hooks_see_every_step_once_in_plan_order(self, toy, batch, phase):
