@@ -221,7 +221,6 @@ def cmd_train_toy(args) -> int:
             print(f"error: teacher file {e}", file=sys.stderr)
             return EXIT_CHECK_FAILED
     result = train.train_loop(model, dataset, cfg, metrics_path=args.metrics)
-    model.load_state_dict(result.state)
     logits = model.logits(dataset.x, phase=2)
     acc = train.top1_accuracy(logits, dataset.y)
     print(f"final accuracy {acc:.4f} after {cfg.total_steps} steps "
