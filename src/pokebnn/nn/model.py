@@ -390,9 +390,10 @@ class Model:
         after the step that reads it last; the record keeps what the VJPs
         read and cannot rebuild exactly, and no more.
         """
-        steps, pullback = self._forward_program(training, phase)
-        values, record = self._slots(x), [None] * len(steps)
+        values = self._slots(x, phase)
         del x       # so that the batch too is freed after its last reader
+        steps, pullback = self._forward_program(training, phase)
+        record = [None] * len(steps)
         for i, (run, slots, node, drops) in enumerate(steps):
             values[i], record[i] = run(self, [values[s] for s in slots], record)
             for hook in hooks:
@@ -425,7 +426,7 @@ class Model:
         that ``arena.version`` and the running-statistic arrays and bound
         states the program was bound from are still the model's, and binds
         it again if not (see ``_program``)."""
-        values = self._slots(x)
+        values = self._slots(x, phase)
         del x       # so that the batch too is freed after its last reader
         for fn, ins, i, node, drops in self._program(phase):
             values[i] = out = fn(ins(values))
@@ -448,8 +449,6 @@ class Model:
         step's constants from ``_constants`` by the per-entry rule of
         ``_cached``, after emptying it if the arena changed since it was
         filled; so a training step recomputes only the BN factors."""
-        if phase not in (1, 2):
-            raise ValueError(f"phase must be 1 or 2, got {phase!r}")
         sources = self._sources()
         program = self._programs.get(phase)
         if (program is not None and program[0] == self.arena.version
@@ -476,10 +475,13 @@ class Model:
         return [*[a for stats in self.bn_stats.values()
                   for a in (stats["mean"], stats["var"])], *self.bounds.values()]
 
-    def _slots(self, x) -> list:
+    def _slots(self, x, phase: int) -> list:
         """The value slots of one call: one per step, empty, then the batch
         ``x`` as an [N, H, W, C] array of the model's dtype. Raises ValueError
-        if it is empty or its shape is not the graph's input shape."""
+        if ``phase`` is not 1 or 2, or if the batch is empty or its shape is
+        not the graph's input shape."""
+        if phase not in (1, 2):
+            raise ValueError(f"phase must be 1 or 2, got {phase!r}")
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
             raise ValueError(f"expected [N, H, W, C] input, got shape {x.shape}")
@@ -499,8 +501,6 @@ class Model:
         order, ``(step, slots, names, needs)`` of each step that takes a
         gradient and does not pass its input through; its input's slot takes
         the gradient of a step that does."""
-        if phase not in (1, 2):
-            raise ValueError(f"phase must be 1 or 2, got {phase!r}")
         mode = (bool(training), phase)
         if mode not in self._forwards:
             reads = [step[1] for step in self._plan] + [()]    # the batch reads none

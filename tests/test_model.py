@@ -563,7 +563,7 @@ def is_stand_in(a):
 def program_record(model, x, training, phase):
     """The record, by step, and every node's output of one run of the steps
     of ``forward``'s program for ``(training, phase)``."""
-    values, record, outs = model._slots(x), [None] * len(model.graph.nodes), {}
+    values, record, outs = model._slots(x, phase), [None] * len(model.graph.nodes), {}
     for i, (run, slots, node, _) in enumerate(model._forward_program(training, phase)[0]):
         values[i], record[i] = run(model, [values[s] for s in slots], record)
         outs[node.id] = values[i]
