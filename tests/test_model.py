@@ -363,13 +363,13 @@ class TestPullback:
         train.train_loop(model, ds, cfg)
 
     @pytest.mark.parametrize("run", [True, False])
-    def test_record_is_freed(self, toy, batch, monkeypatch, run):
+    def test_record_is_freed(self, toy, batch, run):
         saved, model = [], Model(toy, seed=1, dtype=np.float32)
         steps, pullback = model._forward_program(True, 2)
 
-        def watched(run):
+        def watched(fn):
             def step(model, ins, record):
-                out, rec = run(model, ins, record)
+                out, rec = fn(model, ins, record)
                 # every array that a record holds but the arena's views: the
                 # int8 conv inputs, int16 BN inputs, stand-ins of the quantized
                 # weights, DPReLU records, batch means and kept activations
@@ -378,7 +378,7 @@ class TestPullback:
                 return out, rec
             return step
 
-        model._forwards[True, 2] = ([(watched(run), *rest) for run, *rest in steps],
+        model._forwards[True, 2] = ([(watched(fn), *rest) for fn, *rest in steps],
                                     pullback)
         gc.disable()
         try:
