@@ -593,12 +593,12 @@ class Model:
         narrow = self._lower_int8_record(node, vjp, rebuild)
 
         def bind_forward(training, phase):
-            weighted = weight(phase)
+            weighted, narrowed = weight(phase), narrow(phase)
 
             def run(model, ins, record):
                 w, ste, kept = weighted()
                 out, rec = _step(forward, vjp, ins, (w, *extra), shape_only, ste)
-                return out, rec if narrow is None else narrow(rec, ins[0], kept)
+                return out, rec if narrowed is None else narrowed(rec, ins[0], kept)
             return run, False
 
         def bind(model, phase):
@@ -606,11 +606,12 @@ class Model:
             return lambda x: forward(x, w, *extra)[0]
         return bind_forward, bind
 
-    def _lower_int8_record(self, node: NodeSpec, vjp, rebuild) -> Callable | None:
-        """``narrow(record, x, kept)``, which returns weight-op ``node``'s
-        record (see ``_step``), given its input ``x`` and what rebuilds its
-        quantized weight (see ``_lower_weight``), without the float arrays
-        that its VJP can rebuild exactly; or None if it keeps none of them:
+    def _lower_int8_record(self, node: NodeSpec, vjp, rebuild) -> Callable:
+        """``narrow(phase)``, which returns ``fn(record, x, kept)``, which
+        returns weight-op ``node``'s record (see ``_step``), given its input
+        ``x`` and what rebuilds its quantized weight (see ``_lower_weight``),
+        without the float arrays that its VJP can rebuild exactly; or None if
+        in that phase it keeps none of them:
         - a conv2d whose input a binary ``quantize_act`` makes keeps that
           input as int8, as its entries are -1 or +1, in place of its im2col;
         - from phase 2 on, the record keeps ``kept`` and a stand-in of the
@@ -620,8 +621,7 @@ class Model:
         ``rebuild``, and runs ``vjp``. Decided from the producing node, not
         from the conv's own ``act_bits`` label."""
         binary_input = node.op == "conv2d" and _binarized(self.graph, node)
-        if not binary_input and node.attrs["weight_bits"].is_float:
-            return None
+        quantized = not node.attrs["weight_bits"].is_float
         # a weight with no filters: _conv2d then makes its im2col and no product
         no_filters = (np.zeros((*self.arena.views[f"{node.id}.w"].shape[:3], 0), np.int8)
                       if binary_input else None)
@@ -636,16 +636,14 @@ class Model:
                 w = rebuild(kept)
             return vjp(g, saved, needs, x, w, *attrs)
 
-        def narrow(record, x, kept):
+        def narrowed(record, x, kept):
             _, saved, (stand_in, w, *attrs), ste = record
-            if not binary_input and kept is None:
-                return record
             if binary_input:
                 saved = (x.astype(np.int8), saved[1])
             if kept is not None:
                 w = _stand_in(w)
             return rebuilt, (saved, kept), (stand_in, w, *attrs), ste
-        return narrow
+        return lambda phase: narrowed if binary_input or (quantized and phase >= 2) else None
 
     @staticmethod
     def _lower_tail_step(op: str, step: Callable) -> Callable:
