@@ -185,14 +185,21 @@ class IntTensor:
     def __post_init__(self):
         if self.bits.is_float:
             raise KernelError(f"IntTensor needs an integer DType, got {self.bits.value}")
-        self.values = np.asarray(self.values, dtype=np.int32)
-        b = self.bits.bits
-        if self.signed:
-            if np.any(np.abs(self.values) > self.max_abs):
-                raise KernelError(f"values exceed signed {b}-bit range")
-        else:
-            if np.any(self.values < 0) or np.any(self.values > self.max_abs):
-                raise KernelError(f"values exceed unsigned {b}-bit range")
+        # checked before the int32 cast, which would wrap, truncate or
+        # saturate a bad value into a legal one
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "biuf":
+            raise KernelError(f"IntTensor needs numeric values, got dtype {values.dtype}")
+        if values.dtype.kind == "f":
+            if not np.all(np.isfinite(values)):
+                raise KernelError("IntTensor values must be finite")
+            if np.any(values != np.trunc(values)):
+                raise KernelError("IntTensor values must be whole numbers")
+        low = -self.max_abs if self.signed else 0
+        if np.any(values < low) or np.any(values > self.max_abs):
+            kind = "signed" if self.signed else "unsigned"
+            raise KernelError(f"values exceed {kind} {self.bits.bits}-bit range")
+        self.values = values.astype(np.int32)
 
     @property
     def max_abs(self) -> int:

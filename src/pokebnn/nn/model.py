@@ -2,13 +2,15 @@
 
 The executor owns every parameter and calibration state keyed by node id:
 conv/dense weights, BatchNorm affine + running statistics, DPReLU vectors,
-and per-quantizer clipping bounds. ``Model.__init__`` lowers the node list
+and per-quantizer clipping bounds. ``Model.__init__`` finds the chains of
+``graphir.FUSIONS`` once, by ``fused_chains``, and lowers the node list
 once into a plan of steps. ``forward`` runs the program of its (training,
 phase), bound from the plan once with the order in which a pullback visits
 the steps and the step after which each value is read for the last time; it
 drops a value there. It returns the logits with their pullback, which calls
 each step's VJP once; each step's record keeps only what its VJP reads and
-cannot rebuild exactly, in the narrowest type that holds it exactly.
+cannot rebuild exactly, in the narrowest type that holds it exactly; the
+last three steps of a PokeConv tail's chain share what they rebuild.
 ``logits`` runs an eval program bound from the same plan, in which each
 chain of ``graphir.FUSIONS`` (a PokeConv's BN -> DPReLU -> gate -> BN tail,
 an SE gate, the stem's BN -> DPReLU, the head's pooling and quantizer) is one
@@ -161,39 +163,10 @@ def _ste_step(forward, x, bound, *attrs):
                  None)
 
 
-def _mul_of_rebuilt(g, saved, needs, a, b):
-    """``_mul_vjp`` for a record that keeps a stand-in of ``a``: ``saved`` is
-    a list into which the VJP that runs before this one put ``a``, rebuilt."""
-    return ad._mul_vjp(g, None, needs, saved[0], b)
-
-
 def _binarized(graph: GraphSpec, node: NodeSpec) -> bool:
     """Whether a binary ``quantize_act`` makes ``node``'s first input."""
     src = graph.node(node.inputs[0])
     return src.op == "quantize_act" and src.attrs["act_bits"] is DType.BIN
-
-
-def _tail_chains(graph: GraphSpec, index: dict) -> dict:
-    """Each chain ``dprelu -> multiply -> batchnorm`` of ``graph`` in which
-    the DPReLU is the multiply's first input and each of the two is read
-    once, by the next node: a PokeConv's SE multiply and the BN after it.
-    Maps the id of each node of a chain to the chain's step indices, by
-    ``index``. A pullback runs the BN's VJP first, then the multiply's, then
-    the DPReLU's, as each is its producer's only reader."""
-    readers: dict = {}
-    for node in graph.nodes:
-        for s in node.inputs:
-            readers.setdefault(s, []).append(node)
-    chains = {}
-    for mul in graph.nodes:
-        act = graph.node(mul.inputs[0]) if mul.op == "multiply" else None
-        after = readers.get(mul.id, [])
-        if (act is not None and act.op == "dprelu" and readers[act.id] == [mul]
-                and len(after) == 1 and after[0].op == "batchnorm"):
-            nodes = (act, mul, after[0])
-            chains.update(dict.fromkeys([n.id for n in nodes],
-                                        tuple([index[n.id] for n in nodes])))
-    return chains
 
 
 def _freeze_bounds(bounds: dict) -> int:
@@ -295,24 +268,32 @@ class Model:
         index = {node.id: i for i, node in enumerate(graph.nodes)}
         # whether each slot's value depends on a parameter, so takes a gradient
         needs = [False] * (len(graph.nodes) + 1)
-        tails = _tail_chains(graph, index)
+        # the matches of graphir.FUSIONS, found once. The last three steps of
+        # each PokeConv tail take their training steps from _lower_tail
+        chains = fused_chains(graph)
+        tails = {}
+        for fusion, ids in chains:
+            if fusion.name == "pokeconv_tail":
+                steps = [index[nid] for nid in ids[-3:]]
+                tails.update(zip(steps, self._lower_tail(*steps)))
         self._plan = []
         for i, node in enumerate(graph.nodes):
             slots = ((len(graph.nodes),) if node.op == "input"
                      else tuple([index[s] for s in node.inputs]))
             names = tuple([f"{node.id}.{k}" for k in OP_PARAMS.get(node.op, ())])
             needs[i] = bool(names) or any(needs[s] for s in slots)
-            self._plan.append((node, slots, *self._lower(node, tails.get(node.id)), names,
+            bind_forward, bind = self._lower(node)
+            self._plan.append((node, slots, tails.get(i, bind_forward), bind, names,
                                tuple([needs[s] for s in slots]) + (True,) * len(names)))
         self._output = next(i for i, node in enumerate(graph.nodes)
                             if node.op == "output")
         # the eval program's layout: per step, (bind, input slots, output
-        # slot, node). Each chain of graphir.FUSIONS that folds is one step
-        # at its last node, which reads the chain's inputs from outside it
-        # and which hooks see as that node; the chain's other steps are left
-        # out. logits drops each slot after its last reader in this program
+        # slot, node). Each chain that folds is one step at its last node,
+        # which reads the chain's inputs from outside it and which hooks see
+        # as that node; the chain's other steps are left out. logits drops
+        # each slot after its last reader in this program
         folds, inside = {}, set()
-        for fusion, ids in fused_chains(graph):
+        for fusion, ids in chains:
             steps = [self._plan[index[nid]] for nid in ids]
             nodes = [step[0] for step in steps]
             bind = (self._lower_mean_quant(nodes, [step[3] for step in steps])
@@ -541,10 +522,10 @@ class Model:
             for name, g in zip(names, grads_in):
                 views[name] += g
 
-    def _lower(self, node: NodeSpec, tail: tuple | None) -> tuple[Callable, Callable]:
-        """The binders of one node's steps, ``(bind_forward, bind)``;
-        ``tail`` is the step indices of the PokeConv tail that the node is in
-        (see ``_tail_chains``), or None.
+    def _lower(self, node: NodeSpec) -> tuple[Callable, Callable]:
+        """The binders of one node's steps, ``(bind_forward, bind)``. A
+        PokeConv tail's last three nodes take their ``bind_forward`` from
+        ``_lower_tail`` instead.
 
         ``bind_forward(training, phase)`` returns ``(run, through)``:
         ``forward``'s step in that mode, ``run(model, ins, record)``, which
@@ -575,7 +556,7 @@ class Model:
             return self._lower_act_quant(nid, a["act_bits"])
         params = self._params(node)
         if op == "batchnorm":
-            return self._lower_batchnorm(node, params, tail)
+            return self._lower_batchnorm(node, params)
         args = tuple([a[k] for k in _ATTR_ARGS.get(op, ())])
         if op == "avg_pool":
             args += (a.get("divisor"),)
@@ -585,9 +566,7 @@ class Model:
         if op not in WEIGHT_OPS:
             def step(model, ins, record):
                 return _step(forward, vjp, ins, extra, shape_only)
-            bind_forward = (_fixed((step, False)) if tail is None
-                            else self._lower_tail_step(op, step))
-            return bind_forward, _fixed(lambda *ins: forward(*ins, *extra)[0])
+            return _fixed((step, False)), _fixed(lambda *ins: forward(*ins, *extra)[0])
         weight, eval_weight, rebuild = self._lower_weight(
             nid, a["weight_bits"], depthwise=op == "depthwise_conv2d")
         narrow = self._lower_int8_record(node, vjp, rebuild)
@@ -645,24 +624,6 @@ class Model:
             return rebuilt, (saved, kept), (stand_in, w, *attrs), ste
         return lambda phase: narrowed if binary_input or (quantized and phase >= 2) else None
 
-    @staticmethod
-    def _lower_tail_step(op: str, step: Callable) -> Callable:
-        """The ``bind_forward`` of a PokeConv tail's DPReLU or multiply (see
-        ``_tail_chains``), given its eval ``run``, ``step``. In training, the
-        DPReLU's record keeps ``(shifted, pos)`` in a list, to which the BN's
-        VJP adds the slope that it rebuilds, and the multiply's keeps a
-        stand-in of the DPReLU output and an empty list, into which the BN's
-        VJP puts that output, rebuilt (see ``_lower_batchnorm``)."""
-        if op == "dprelu":
-            def run(model, ins, record):
-                out, (vjp, saved, call, ste) = step(model, ins, record)
-                return out, (vjp, list(saved), call, ste)
-        else:
-            def run(model, ins, record):
-                out, (_, _, (act, gate), _) = step(model, ins, record)
-                return out, (_mul_of_rebuilt, [], (_stand_in(act), gate), None)
-        return lambda training, phase: (run if training else step, False)
-
     def _params(self, node: NodeSpec) -> tuple:
         """The arena views of ``node``'s parameters after the weight."""
         return tuple([self.arena.views[f"{node.id}.{k}"]
@@ -700,21 +661,33 @@ class Model:
             return lambda x: scaled(x, scales, bits.bits)
         return bind_forward, bind
 
-    def _lower_batchnorm(self, node: NodeSpec, params,
-                         tail: tuple | None) -> tuple[Callable, Callable]:
-        """A BN step. In training, its record keeps ``x - mean`` as
-        ``_batchnorm_train`` saves it, unless it can rebuild its input x (see
-        ``_lower_bn_input``): it then keeps what rebuilds x, and the batch
-        mean, and its VJP rebuilds ``x - mean`` by the forward's own code."""
+    def _lower_batchnorm(self, node: NodeSpec, params) -> tuple[Callable, Callable]:
+        """A BN step; in training, its record is ``_bn_forward``'s with
+        ``_lower_bn_input``'s ``(keep, rebuild)``."""
         nid = node.id
-        train, evaluate = ad._batchnorm_train, ad._batchnorm_eval
         apply = ad._batchnorm_eval_apply
         scale, bias = params
-        keep, rebuild = self._lower_bn_input(node, tail)
+
+        def bind(model, phase):
+            running, dtype = _running(model, nid), model.dtype
+            mean, _, k = _cached(model._constants, nid, running, lambda:
+                                 ad._batchnorm_eval_constants(scale, *running, dtype))
+            return lambda x: apply(x, bias, mean, k)[0]
+        return self._bn_forward(nid, params, *self._lower_bn_input(node)), bind
+
+    @staticmethod
+    def _bn_forward(nid: str, params, keep, rebuild) -> Callable:
+        """The ``bind_forward`` of BN step ``nid``. In training, its record
+        keeps ``x - mean`` as ``_batchnorm_train`` saves it, unless
+        ``keep(phase)`` returns ``fn(x, record)``: the record then keeps
+        what that returns, from which ``rebuild(kept, dtype)`` returns the
+        input x in a new array of x's ``dtype`` and layout, and the batch
+        mean, and its VJP rebuilds ``x - mean`` by the forward's own code."""
+        train, evaluate = ad._batchnorm_train, ad._batchnorm_eval
 
         def rebuilt(g, saved, needs, x, *affine):
             kept, mean, inv = saved
-            centered = rebuild(kept, x.dtype)   # x, in a new array of its layout
+            centered = rebuild(kept, x.dtype)
             centered -= mean
             return ad._batchnorm_train_vjp(g, (centered, inv), needs, x, *affine)
 
@@ -735,49 +708,16 @@ class Model:
                 return out, rec if kept is None else (
                     rebuilt, (kept(ins[0], record), bm, rec[1][1]), rec[2], None)
             return (trained if training else evaluated), False
+        return bind_forward
 
-        def bind(model, phase):
-            running, dtype = _running(model, nid), model.dtype
-            mean, _, k = _cached(model._constants, nid, running, lambda:
-                                 ad._batchnorm_eval_constants(scale, *running, dtype))
-            return lambda x: apply(x, bias, mean, k)[0]
-        return bind_forward, bind
-
-    def _lower_bn_input(self, node: NodeSpec, tail: tuple | None) -> tuple:
-        """``(keep, rebuild)`` for BN ``node``'s training record.
-        ``keep(phase)`` returns ``fn(x, record)``, which returns what the
-        record keeps to rebuild the input x, or None if the record keeps
-        ``x - mean`` in that phase; ``rebuild(kept, dtype)`` returns x from
-        it, in a new array of x's ``dtype`` and layout. Decided from the
-        producing node:
-        - In a PokeConv tail, the BN keeps the DPReLU's saved list and the
-          multiply's list and gate from their records. Its VJP rebuilds the
-          DPReLU's slope and output ``a``, then ``a·gate``, by the forward's
-          own code, adds the slope to the DPReLU's list and ``a`` to the
-          multiply's, whose VJPs run next and read them.
-        - From phase 2 on, after a conv2d with a binary weight whose input a
-          binary ``quantize_act`` makes, x is an integer of magnitude at most
-          kh·kw·C, which int16 holds exactly (int32 above 32,767).
-        - Else ``keep`` returns None in every phase."""
+    def _lower_bn_input(self, node: NodeSpec) -> tuple:
+        """``(keep, rebuild)`` for BN ``node``'s training record (see
+        ``_bn_forward``), decided from the producing node: from phase 2 on,
+        after a conv2d with a binary weight whose input a binary
+        ``quantize_act`` makes, x is an integer of magnitude at most
+        kh·kw·C, which int16 holds exactly (int32 above 32,767). Else
+        ``keep`` returns None in every phase."""
         src = self.graph.node(node.inputs[0])
-        if tail is not None:
-            act, mul, _ = tail
-            _, beta, gamma, eta = self._params(self.graph.nodes[act])
-
-            def kept(x, record):
-                _, cell, (_, gate), _ = record[mul]
-                return record[act][1], cell, gate
-
-            def rebuild(kept, dtype):
-                saved, cell, gate = kept
-                shifted, pos = saved
-                slope = ad._dprelu_slope(pos, gamma, eta)      # named, as in _dprelu
-                a = slope * shifted
-                a -= beta
-                saved.append(slope)
-                cell.append(a)
-                return ad._mul(a, gate)[0]
-            return _fixed(kept), rebuild
         if (src.op == "conv2d" and src.attrs["weight_bits"] is DType.BIN
                 and _binarized(self.graph, src)):
             reach = math.prod(self.arena.views[f"{src.id}.w"].shape[:3])
@@ -849,6 +789,59 @@ class Model:
             return _cached(model._constants, nid, (), lambda: _read_only(
                 rebuild(w) if binary else quantized()[0]))
         return weight, eval_weight, rebuild
+
+    def _lower_tail(self, act: int, mul: int, bn: int) -> tuple:
+        """The ``bind_forward`` of each of a PokeConv tail's DPReLU, SE
+        multiply and second BN, at step indices ``act``, ``mul`` and ``bn``:
+        the last three nodes of a ``pokeconv_tail`` match of
+        ``graphir.FUSIONS``, each read once, by the next. In eval mode each
+        is the node's own step. In training, the records keep no DPReLU
+        output and no centred input of the BN:
+        - the DPReLU's keeps its ``(shifted, pos)`` in a list;
+        - the multiply's keeps a stand-in of the DPReLU output, the gate and
+          an empty list;
+        - the BN's keeps the two lists, the gate and its batch mean. Its
+          VJP, which runs first, rebuilds the DPReLU's slope and output
+          ``a``, then ``a·gate``, by the forward's own code, and adds the
+          slope to the DPReLU's list and ``a`` to the multiply's. Their VJPs
+          run next, as each node is its producer's only reader, and read
+          them there.
+        ``_lower_bn_dprelu`` folds the same chain for ``logits``."""
+        nodes = self.graph.nodes
+        _, beta, gamma, eta = self._params(nodes[act])
+        # each node's own step, the same in every mode
+        activate, multiply = [self._lower(nodes[i])[0](False, 1)[0] for i in (act, mul)]
+
+        def activate_kept(model, ins, record):
+            out, (vjp, saved, call, ste) = activate(model, ins, record)
+            return out, (vjp, list(saved), call, ste)
+
+        def multiply_kept(model, ins, record):
+            out, (_, _, (a, gate), _) = multiply(model, ins, record)
+            return out, (mul_vjp, [], (_stand_in(a), gate), None)
+
+        def mul_vjp(g, saved, needs, a, gate):
+            return ad._mul_vjp(g, None, needs, saved[0], gate)
+
+        def keep(x, record):
+            _, cell, (_, gate), _ = record[mul]
+            return record[act][1], cell, gate
+
+        def rebuild(kept, dtype):
+            saved, cell, gate = kept
+            shifted, pos = saved
+            slope = ad._dprelu_slope(pos, gamma, eta)      # named, as in _dprelu
+            a = slope * shifted
+            a -= beta
+            saved.append(slope)
+            cell.append(a)
+            return ad._mul(a, gate)[0]
+
+        def by_mode(trained, evaluated):
+            return lambda training, phase: (trained if training else evaluated, False)
+        return (by_mode(activate_kept, activate), by_mode(multiply_kept, multiply),
+                self._bn_forward(nodes[bn].id, self._params(nodes[bn]), _fixed(keep),
+                                 rebuild))
 
     def _lower_bn_dprelu(self, nodes: list) -> Callable | None:
         """A stem, ``batchnorm -> dprelu``, or a PokeConv tail, ``batchnorm

@@ -71,11 +71,6 @@ def int_cast(x, bits: int):
     return _int_cast_into(_float_copy(x), bits)
 
 
-def uint_cast(x, bits: int):
-    """Unsigned cast: floor(clip(x, 0, 2^b - eps)), in [0, 2^b - 1]."""
-    return np.floor(clip(x, 0.0, 2.0 ** bits - DEFAULT_EPSILON))
-
-
 def fake_quant(x, bound, bits: int):
     """Scale to the signed b-bit grid and back: int_b(x * C_b / B) * B / C_b.
 

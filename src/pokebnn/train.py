@@ -327,8 +327,3 @@ def write_metrics(path, records) -> None:
     with open(path, "w") as f:
         for rec in records:
             f.write(json.dumps(rec) + "\n")
-
-
-def read_metrics(path) -> list:
-    with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]

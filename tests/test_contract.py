@@ -10,14 +10,16 @@ test stays green, so these tests pin the outputs themselves:
 - those of the ``pokebnn gradcheck --seed 0`` and ``pokebnn verify-kernels``
   outputs.
 
-Float32 BLAS sums depend on the CPU kernel that the BLAS library picks, so
-the pins are keyed by the BLAS configuration that ``np.show_config()``
-reports. On a configuration with no pins, each test fails with a message
-that prints the configuration and the digest; a new entry then records
-them. A change that moves a digest on purpose updates its pin and says so in
-CHANGES.md.
+Float32 BLAS sums depend on the CPU kernel that the BLAS library picks at
+run time, so the pins are keyed by the configuration that numpy's bundled
+OpenBLAS reports at run time, which names that kernel; with another BLAS, by
+the build-time configuration that ``np.show_config()`` reports. On a
+configuration with no pins, each test fails with a message that prints the
+configuration and the digest; a new entry then records them. A change that
+moves a digest on purpose updates its pin and says so in CHANGES.md.
 """
 
+import ctypes
 import hashlib
 import importlib.util
 import pathlib
@@ -46,19 +48,40 @@ def load_workloads():
 
 
 def blas_configuration() -> str:
+    """The configuration string of the OpenBLAS that numpy bundles, as
+    ``scipy_openblas_get_config64_`` reports it at run time, naming the
+    kernel in use (``OPENBLAS_CORETYPE`` forces one); else, as for another
+    BLAS, numpy's build-time BLAS name, version and configuration."""
+    numpy_dir = pathlib.Path(np.__file__).parent
+    for path in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"),
+                        *numpy_dir.glob(".dylibs/*openblas*")]):
+        try:
+            get_config = ctypes.CDLL(str(path)).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        return get_config().decode()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return " ".join(str(blas.get(key)) for key in
                     ("name", "version", "openblas configuration"))
 
 
-# sha256 prefixes by BLAS configuration
+def _pins(toy_train: str, gradcheck: str) -> dict:
+    return {"toy-train": toy_train, "gradcheck": gradcheck,
+            "verify-kernels": "9a657a4b99724315"}
+
+
+# sha256 prefixes by BLAS configuration. SkylakeX is the kernel that
+# OpenBLAS picks on the CPU where the pins were taken. The other entries were
+# measured on that CPU by forcing a kernel with OPENBLAS_CORETYPE (Prescott
+# runs as Katmai), and are unconfirmed on a CPU whose OpenBLAS picks that
+# kernel itself
+_OPENBLAS = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY {} MAX_THREADS=64"
 PINS = {
-    "scipy-openblas 0.3.31.188.0 OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
-    "NO_AFFINITY Haswell MAX_THREADS=64": {
-        "toy-train": "ba223eb1f4fdbc7a",
-        "gradcheck": "90ae5f1ebc750e8b",
-        "verify-kernels": "9a657a4b99724315",
-    },
+    _OPENBLAS.format("SkylakeX"): _pins("ba223eb1f4fdbc7a", "90ae5f1ebc750e8b"),
+    _OPENBLAS.format("Haswell"): _pins("8e0e064c2482aecc", "2191c4b150686c3f"),
+    _OPENBLAS.format("Sandybridge"): _pins("4d1bec155ed0477d", "0d795411787379aa"),
+    _OPENBLAS.format("Katmai"): _pins("cfa760ae311d168c", "68d4ab38a3d1385c"),
 }
 
 

@@ -199,6 +199,30 @@ class TestIntTensor:
         with pytest.raises(K.KernelError):
             K.IntTensor(np.array([16]), DType.INT4, signed=False)
 
+    def test_range_checked_before_the_int32_cast(self):
+        # 2**32 + 1 wraps to 1 in int32
+        with pytest.raises(K.KernelError, match="signed 8-bit range"):
+            K.IntTensor(np.array([2 ** 32 + 1]), DType.INT8)
+
+    def test_fractions_rejected(self):
+        with pytest.raises(K.KernelError, match="whole numbers"):
+            K.IntTensor([1.7, -2.9], DType.INT8)
+
+    def test_nan_rejected(self):
+        # NaN casts to INT32_MIN, whose np.abs overflows back to INT32_MIN
+        with pytest.raises(K.KernelError, match="finite"):
+            K.IntTensor(np.array([np.nan]), DType.INT8)
+
+    @pytest.mark.parametrize("values", [np.array([1 + 1j]), np.array(["1"])])
+    def test_non_numbers_rejected(self, values):
+        with pytest.raises(K.KernelError, match="numeric values"):
+            K.IntTensor(values, DType.INT8)
+
+    def test_whole_floats_accepted(self):
+        t = K.IntTensor(np.array([-127.0, 0.0, 127.0]), DType.INT8)
+        assert t.values.dtype == np.int32
+        assert t.values.tolist() == [-127, 0, 127]
+
 
 class TestIntKernels:
     def test_dense_example(self):

@@ -22,7 +22,7 @@ from pokebnn.builders import (
 )
 from pokebnn.cost import count_macs, model_size
 from pokebnn.graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphError, GraphSpec,
-                             NodeSpec, fused_chains, validate_graph)
+                             NodeSpec, fused_chains, infer_shapes, validate_graph)
 from pokebnn.kernels import float_conv2d
 from pokebnn.nn import autodiff as ad
 from pokebnn.nn import model as model_module
@@ -147,6 +147,23 @@ class TestForward:
         assert gates
         for nid in gates:
             assert trace[nid].min() >= 0.0 and trace[nid].max() <= 1.0
+
+    @pytest.mark.parametrize("pixels", [16, 17, 23])
+    @pytest.mark.parametrize("groups", [2, 3, 5])
+    @pytest.mark.parametrize("m", ["1/8", "1/4", "3/8"])
+    def test_hooked_shapes_equal_shape_inference(self, m, groups, pixels):
+        g = build_pokebnn_toy(m=Fraction(m), groups=groups,
+                              input_shape=(pixels, pixels, 3))
+        shapes = infer_shapes(g)
+        model = Model(g, seed=0, dtype=np.float32)
+        x = np.random.default_rng(0).normal(size=(2, pixels, pixels, 3))
+        for training in (True, False):
+            for phase in (1, 2):
+                seen = []
+                model.forward(x, training=training, phase=phase, hooks=[
+                    lambda node, out: seen.append((node.id, out.shape))])
+                assert seen == [(n.id, (2, *shapes[n.id])) for n in g.nodes], (
+                    training, phase)
 
 
 class TestPlan:
@@ -817,16 +834,21 @@ class TestNarrowRecord:
         assert kept.dtype == np.int32 and kept.astype(np.float32).tobytes() == outs["c"].tobytes()
         assert_gradients_equal_the_tape(g, x, 2)
 
-    @pytest.mark.parametrize("act", ["dprelu", "relu", "dprelu-read-twice"])
+    @pytest.mark.parametrize("act", ["dprelu", "relu", "dprelu-read-twice",
+                                     "dprelu-outside-a-tail"])
     @pytest.mark.parametrize("phase", [1, 2])
     def test_only_a_tail_multiply_drops_its_input(self, act, phase):
-        # act -> multiply by an SE-like gate -> batchnorm; the multiply drops
-        # the activation only if that is a DPReLU that nothing else reads
+        # batchnorm -> add -> act -> multiply by an SE-like gate -> batchnorm;
+        # the multiply drops the activation only if that is a DPReLU that
+        # nothing else reads, in a pokeconv_tail match of graphir.FUSIONS:
+        # without the batchnorm -> add before it, the DPReLU is in none
         conv = dict(kernel=[1, 1], stride=1, padding="same", groups=1,
                     act_bits=DType.FP32, weight_bits=DType.FP32)
         b = _GraphBuilder("gated", (4, 4, 3))
         x = b.emit("c", "conv2d", ["in"], out_channels=10, **conv)
-        a = b.emit("act", act.split("-")[0], [x])
+        s = (x if act == "dprelu-outside-a-tail"
+             else b.emit("short", "add", [b.emit("bn0", "batchnorm", [x]), x]))
+        a = b.emit("act", act.split("-")[0], [s])
         gate = b.emit("gate", "hardsigmoid", [b.emit("mean", "spatial_mean", [x])])
         x = b.emit("bn", "batchnorm", [b.emit("mul", "multiply", [a, gate])])
         if act == "dprelu-read-twice":

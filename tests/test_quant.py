@@ -46,15 +46,6 @@ class TestCasts:
         for b in (2, 3, 4, 8):
             assert quant.int_cast(0.0, b) == 0.0
 
-    def test_uint4_endpoint(self):
-        assert quant.uint_cast(15.9, 4) == 15.0
-
-    def test_uint4_negative(self):
-        assert quant.uint_cast(-2.0, 4) == 0.0
-
-    def test_uint4_floor(self):
-        assert quant.uint_cast(7.3, 4) == 7.0
-
     def test_int_range(self):
         xs = np.linspace(-300, 300, 4001)
         for b in (2, 4, 8):
@@ -62,11 +53,6 @@ class TestCasts:
             lim = 2 ** (b - 1) - 1
             assert np.all(np.abs(out) <= lim)
             assert np.array_equal(out, np.round(out))
-
-    def test_uint_range(self):
-        xs = np.linspace(-10, 40, 1001)
-        out = quant.uint_cast(xs, 4)
-        assert out.min() == 0 and out.max() == 15
 
 
 class TestFakeQuant:
