@@ -113,19 +113,23 @@ class Fusion:
 
     ``ops`` is the chain's op pattern, each node reading the one before as
     its first input; an op ending in ``?`` may be left out, and a
-    ``quantize_act`` is a 4- or 8-bit one. ``absorbs`` names the elementwise
-    kinds of ``cost.count_elementwise`` whose multiplies the fold absorbs
-    into a neighbouring BatchNorm or quantizer scale, so that inference pays
-    for none of them.
+    ``quantize_act`` is a 4- or 8-bit one, or a binary one if ``binary``.
+    ``absorbs`` names the elementwise kinds of ``cost.count_elementwise``
+    whose multiplies the fold absorbs into a neighbouring BatchNorm or
+    quantizer scale, so that inference pays for none of them.
     """
 
     name: str
     ops: tuple
     absorbs: frozenset
+    binary: bool = False
 
 
 # The one fusion table: ``cost.elementwise_ace`` bills no multiply of an
 # absorbed kind, and ``nn.Model``'s eval program runs each match as one step.
+# A binary conv absorbs no kind: its step computes the conv from the sign
+# bits of its input, with one correction for the zero padding, as Larq
+# Compute Engine does (Bannink et al., arXiv:2011.09398).
 FUSIONS = (
     Fusion("pokeconv_tail", ("batchnorm", "add", "add?", "dprelu", "multiply",
                              "batchnorm"), frozenset({"dprelu", "se_final_mul"})),
@@ -134,6 +138,7 @@ FUSIONS = (
            frozenset({"se_spatial_mean", "se_activations"})),
     Fusion("stem", ("batchnorm", "dprelu"), frozenset({"dprelu"})),
     Fusion("head", ("spatial_mean", "quantize_act"), frozenset({"global_pool"})),
+    Fusion("binary_conv", ("quantize_act", "conv2d"), frozenset(), binary=True),
 )
 
 
@@ -154,7 +159,8 @@ def fused_chains(g: GraphSpec) -> list:
             node, ids = start, []
             for op in fusion.ops:
                 if (node is None or node.id in taken or node.op != op.rstrip("?")
-                        or (op == "quantize_act" and node.attrs["act_bits"] is DType.BIN)):
+                        or (op == "quantize_act"
+                            and (node.attrs["act_bits"] is DType.BIN) is not fusion.binary)):
                     if op.endswith("?"):
                         continue
                     break

@@ -322,19 +322,19 @@ def _conv2d_vjp(g, saved, needs, x, w, stride=1, padding="same"):
     return gx, gw
 
 
-_PAIR_PATH = ("einsum_path", (0, 1))
-
-
 def _depthwise_conv2d(x, w, stride=1, padding="same"):
     """Depthwise convolution with channel multiplier, w [kh,kw,C,mult]."""
     kh, kw, c, m = w.shape
     if x.shape[-1] != c:
         raise ValueError(f"depthwise channel mismatch: input {x.shape[-1]}, weight {c}")
     win, pads = windows(x, kh, kw, stride, padding)
-    # the path that optimize=True finds for two operands, without its search
-    out = np.einsum("nhwckl,klcm->nhwcm", win, w, optimize=_PAIR_PATH)
-    n, ho, wo = out.shape[:3]
-    return out.reshape(n, ho, wo, c * m), (win, pads)
+    n, ho, wo = win.shape[:3]
+    # one [mult, taps] @ [taps, positions] product per channel, with the
+    # bits of np.einsum("nhwckl,klcm->nhwcm", win, w, optimize=True) for
+    # mult >= 2 and its channel-major layout, without its per-call parsing
+    out = np.matmul(w.reshape(kh * kw, c, m).transpose(1, 2, 0),
+                    win.transpose(3, 4, 5, 0, 1, 2).reshape(c, kh * kw, n * ho * wo))
+    return out.transpose(2, 0, 1).reshape(n, ho, wo, c * m), (win, pads)
 
 
 def _depthwise_conv2d_vjp(g, saved, needs, x, w, stride=1, padding="same"):
@@ -380,7 +380,9 @@ def _avg_pool(x, kernel=(3, 3), stride=2, padding="same", divisor=None):
     kh, kw = kernel
     div = float(divisor) if divisor else 1.0 / (kh * kw)
     win, pads = windows(x, kh, kw, stride, padding)
-    return win.sum(axis=(4, 5)) * div, (pads, div)
+    out = np.add.reduce(win, (4, 5))
+    out *= div
+    return out, (pads, div)
 
 
 def _avg_pool_vjp(g, saved, needs, x, kernel=(3, 3), stride=2, padding="same",
@@ -447,7 +449,10 @@ def _tile_channels(x, out_channels):
     if out_channels < c:
         raise ValueError(f"tile_channels cannot shrink {c} -> {out_channels}")
     reps = -(-out_channels // c)
-    return np.tile(x, (1,) * (x.ndim - 1) + (reps,))[..., :out_channels], reps
+    out = np.empty(x.shape[:-1] + (out_channels,), dtype=x.dtype)
+    for start in range(0, out_channels, c):
+        out[..., start:start + c] = x[..., :out_channels - start]
+    return out, reps
 
 
 def _tile_channels_vjp(g, reps, needs, x, out_channels):

@@ -51,6 +51,9 @@ def _index_entry(entry, blob_size: int):
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         raise CheckpointError(f"index entry {entry!r} has no name")
     name = entry["name"]
+    if not isinstance(entry.get("dtype"), str):
+        raise CheckpointError(f"tensor {name!r}: dtype must be a string, "
+                              f"got {entry.get('dtype')!r}")
     try:
         dtype = np.dtype(entry["dtype"])
         shape = tuple(entry["shape"])
@@ -59,6 +62,9 @@ def _index_entry(entry, blob_size: int):
         raise CheckpointError(f"tensor {name!r}: bad index entry ({e})") from None
     if dtype.hasobject or dtype.itemsize == 0:
         raise CheckpointError(f"tensor {name!r}: dtype {dtype} cannot be read from bytes")
+    if dtype.newbyteorder("<") != dtype:
+        raise CheckpointError(f"tensor {name!r}: dtype {entry['dtype']!r} is big-endian; "
+                              f"the format is little-endian")
     counts = (*shape, offset, nbytes)
     if not all(type(v) is int and v >= 0 for v in counts):
         raise CheckpointError(f"tensor {name!r}: shape, offset and nbytes must be "
@@ -99,6 +105,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     tensors = {}
     for entry in index:
         name, dtype, shape, offset, nbytes = _index_entry(entry, len(blob))
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r}: named twice in the index")
         arr = np.frombuffer(blob, dtype=dtype, count=nbytes // dtype.itemsize,
                             offset=offset)
         tensors[name] = arr.reshape(shape).copy()

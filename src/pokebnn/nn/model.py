@@ -34,7 +34,8 @@ import numpy as np
 
 from .. import quant
 from ..graphir import (OP_PARAMS, WEIGHT_OPS, DType, GraphError, GraphSpec,
-                       NodeSpec, check_graph, fused_chains, param_shapes)
+                       NodeSpec, check_graph, conv_out_size, fused_chains,
+                       pad_amounts, param_shapes, windows)
 from . import autodiff as ad
 
 
@@ -131,6 +132,14 @@ def _dprelu_folded(t, a, b):
     return t
 
 
+def _round_half_away(q):
+    """``quant``'s rounding half away from zero, written over the float array
+    ``q``, in three passes, not five: the same codes, but that a code of -0.0
+    stays -0.0 where ``quant`` gives +0.0."""
+    q += np.copysign(0.5, q)
+    return np.trunc(q, out=q)
+
+
 # eight zero bytes, read-only: the buffer of every stand-in (see _stand_in)
 _ZEROS = _read_only(np.zeros(8, dtype=np.uint8))
 
@@ -161,6 +170,19 @@ def _ste_step(forward, x, bound, *attrs):
     out, _ = forward(x, bound, *attrs)
     return out, (ad._ste_vjp, ad._ste_mask(x, bound), (_stand_in(x), bound, *attrs),
                  None)
+
+
+def _live_span(size: int, kernel: int, stride: int, padding: str) -> tuple:
+    """Along one axis of a window of ``kernel`` taps over ``size`` inputs:
+    the taps that read an input at some output position, as a slice; how
+    many inputs, from the first, those taps read; and how much padding
+    (before, after) they read."""
+    before = pad_amounts(size, kernel, stride, padding)[0]
+    out = conv_out_size(size, kernel, stride, padding)
+    first, stop = max(0, before - (out - 1) * stride), min(kernel, before + size)
+    # one past the last input position those taps read, counted from input 0
+    end = (out - 1) * stride + stop - before
+    return slice(first, stop), min(end, size), (before - first, max(end - size, 0))
 
 
 def _binarized(graph: GraphSpec, node: NodeSpec) -> bool:
@@ -295,9 +317,10 @@ class Model:
         folds, inside = {}, set()
         for fusion, ids in chains:
             steps = [self._plan[index[nid]] for nid in ids]
-            nodes = [step[0] for step in steps]
-            bind = (self._lower_mean_quant(nodes, [step[3] for step in steps])
-                    if fusion.name in ("se_gate", "head") else self._lower_bn_dprelu(nodes))
+            nodes, binds = [step[0] for step in steps], [step[3] for step in steps]
+            bind = (self._lower_mean_quant(nodes, binds) if fusion.name in ("se_gate", "head")
+                    else self._lower_binary_conv(nodes, binds)
+                    if fusion.name == "binary_conv" else self._lower_bn_dprelu(nodes))
             if bind is not None:
                 slots = steps[0][1] + tuple([s for step in steps[1:] for s in step[1][1:]])
                 folds[index[ids[-1]]] = (bind, slots)
@@ -848,9 +871,11 @@ class Model:
         -> add (1 or 2) -> dprelu -> multiply -> batchnorm``. The step
         computes ``t = x·k + (each add's other input) + c``, with the first
         BN's eval factor k and ``c = bias - mean·k - alpha``, then the rest as
-        ``t·A + |t|·B + D`` (see ``_dprelu_folded``): in a tail, the gate and
-        the second BN fold into the per-sample A, B and D. None if the
-        chain's output is larger than its input, which ``t`` cannot hold."""
+        ``t·a + |t|·b - beta`` (see ``_dprelu_folded``); in a tail, with the
+        second BN's eval factor k2 folded into ``ka = k2·a``, ``kb = k2·b``
+        and ``kbeta = k2·beta``, as ``gate·(t·ka + |t|·kb - kbeta) + d``. None
+        if the chain's output is larger than its input, which ``t`` cannot
+        hold."""
         bn1, act = nodes[0], next(n for n in nodes if n.op == "dprelu")
         if self.shapes[nodes[-1].id] != self.shapes[bn1.inputs[0]]:
             return None
@@ -896,10 +921,69 @@ class Model:
                 for s in shortcuts:
                     t += s
                 t += c
-                t = _dprelu_folded(t, gate * ka, gate * kb)
-                t += d - gate * kbeta
+                t = _dprelu_folded(t, ka, kb)
+                t -= kbeta
+                t *= gate
+                t += d
                 return t
             return tail
+        return bind
+
+    def _lower_binary_conv(self, nodes: list, binds: list) -> Callable:
+        """A ``quantize_act -> conv2d`` whose quantizer is binary. From phase 2
+        on, with a binary weight W, the step computes the conv of the signs
+        ``2b - 1`` of its input, with ``b = (x >= 0)``, as ``b @ 2W -
+        border``, where ``border`` is each filter's sum of W over the taps it
+        keeps: one GEMM of the im2col of b, with a column of ones, and of 2W
+        with a row of ``-border``, bound once. The padding reads b = 1/2,
+        whose sign, 2b - 1, is the zero that the chain's conv reads there;
+        and a tap that reads only padding at every output position is
+        dropped when binding. Every term and sum is a whole number, which the
+        float type holds exactly, so the output is bitwise the chain's.
+        Otherwise the step runs the chain's own steps, ``binds``, in turn:
+        sign, then the conv."""
+        conv = nodes[1]
+        a = conv.attrs
+        if a["weight_bits"] is not DType.BIN:
+            return lambda model, phase: _chained([b(model, phase) for b in binds])
+        h, w, c = self.shapes[conv.inputs[0]]
+        ho, wo, f = self.shapes[conv.id]
+        stride = a["stride"]
+        (taps_h, read_h, (pt, pb)), (taps_w, read_w, (pl, pr)) = (
+            _live_span(size, k, stride, a["padding"]) for size, k in zip((h, w), a["kernel"]))
+        kh, kw = taps_h.stop - taps_h.start, taps_w.stop - taps_w.start
+        padded, depth = (read_h + pt + pb, read_w + pl + pr, c), kh * kw * c
+        # if each output reads one input, the one at its position, b is
+        # written into the im2col at once
+        rows = kh == kw == 1 and padded[:2] == (ho, wo)
+        weight = self.arena.views[f"{conv.id}.w"]
+
+        def signs():
+            s = ad._binarize(weight, None)[0][taps_h, taps_w].reshape(depth, f)
+            return _read_only(np.concatenate([s + s, -s.sum(axis=0, keepdims=True)]))
+
+        def bind(model, phase):
+            if phase < 2:
+                return _chained([b(model, phase) for b in binds])
+            w2, dtype = _cached(model._constants, conv.id, (), signs), model.dtype
+
+            def step(x):
+                n, x = len(x), x[:, :read_h, :read_w]
+                cols = np.empty((n * ho * wo, depth + 1), dtype)
+                cols[:, depth] = 1
+                if rows:
+                    np.greater_equal(x, 0, out=cols[:, :depth].reshape(x.shape))
+                else:
+                    if pt or pb or pl or pr:
+                        b = np.full((n, *padded), 0.5, dtype)
+                        np.greater_equal(x, 0, out=b[:, pt:pt + read_h, pl:pl + read_w])
+                    else:
+                        b = x >= 0
+                    win = windows(b, kh, kw, stride, "valid")[0]
+                    cols[:, :depth].reshape(n, ho, wo, kh, kw, c)[...] = win.transpose(
+                        0, 1, 2, 4, 5, 3)
+                return (cols @ w2).reshape(n, ho, wo, f)
+            return step
         return bind
 
     def _lower_mean_quant(self, nodes: list, binds: list) -> Callable:
@@ -915,6 +999,7 @@ class Model:
         mean, q1 = nodes[:2]
         count = math.prod(self.shapes[mean.inputs[0]][:2])
         bits1, scaled = q1.attrs["act_bits"].bits, quant.fake_quant_scaled
+        top1 = quant.grid_endpoint(bits1) - quant.DEFAULT_EPSILON
         gated = len(nodes) > 2
         if gated:
             fc1, q2, fc2 = nodes[2], nodes[4], nodes[5]
@@ -929,10 +1014,10 @@ class Model:
             if phase < 2:
                 return _chained([b(model, phase) for b in binds])
             up, down = _act_scales(model, q1.id, bits1)
-            pooled = (up / count, down)
+            up = up / count
             if not gated:
                 return lambda x: scaled(np.add.reduce(x, (1, 2), None, None, True),
-                                        pooled, bits1)
+                                        (up, down), bits1)
             up2, down2 = _act_scales(model, q2.id, bits2)
             state = (model.bounds[q2.id],)
             w1s, b1s = _cached(model._constants, fc1.id, state, lambda: (
@@ -941,7 +1026,16 @@ class Model:
                 _read_only(w2()[0] * (down2 / 6)), _read_only(b2 / 6 + 0.5)))
 
             def gate(x):
-                h = scaled(np.add.reduce(x, (1, 2), None, None, True), pooled, bits1) @ w1s
+                # the first quantizer of the mean: fake_quant_scaled's clip,
+                # then its rounding in three passes, whose -0.0 for a code of
+                # -0.0 only the matmul reads (see _round_half_away)
+                q = np.add.reduce(x, (1, 2), None, None, True)
+                q *= up
+                np.maximum(q, -top1, out=q)
+                np.minimum(q, top1, out=q)
+                q = _round_half_away(q)
+                q *= down
+                h = q @ w1s
                 h += b1s
                 # relu, then int_cast's clip to the grid's top and its round
                 # half away from zero, which is floor(h + 0.5) as h >= 0

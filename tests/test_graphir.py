@@ -349,7 +349,8 @@ class TestFusions:
         counts = Counter(fusion.name for fusion, _ in fused_chains(build_named(name)))
         per_block = 12 if name == "pokebnn-toy" else 48
         want = ({} if name.startswith("resnet") else
-                {"pokeconv_tail": per_block, "se_gate": per_block, "stem": 2, "head": 1})
+                {"pokeconv_tail": per_block, "se_gate": per_block, "stem": 2, "head": 1,
+                 "binary_conv": per_block})
         assert counts == want
 
     @pytest.mark.parametrize("name", ["pokebnn-toy", "pokebnn-0.5x"])
@@ -365,6 +366,9 @@ class TestFusions:
                 options = ([o + [op.rstrip("?")] for o in options]
                            + (options if op.endswith("?") else []))
             assert [nodes[nid].op for nid in ids] in options, ids
+            # its quantizers are binary if the entry says so, else 4/8-bit
+            assert all((nodes[nid].attrs["act_bits"] is DType.BIN) is fusion.binary
+                       for nid in ids if nodes[nid].op == "quantize_act"), ids
             for nid, nxt in zip(ids, ids[1:]):
                 assert readers[nid] == 1 and nodes[nxt].inputs[0] == nid, nid
             seen += ids

@@ -919,6 +919,24 @@ class TestPhases:
             model.logits(batch, phase=phase)
         assert not model._programs
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_phase2_rows_do_not_depend_on_the_batch(self, toy, seed):
+        # the float32 toy as the toy-infer benchmark calibrates it, on its 512
+        # examples: each row of logits at batch 1 is bitwise its row at batch
+        # 64, which that benchmark's output check relies on. It depends on
+        # the GEMM kernel that OpenBLAS picks, so CI runs it under a forced
+        # kernel too
+        data = train.make_toy_dataset(n=512, shape=(16, 16, 3), seed=seed)
+        model = Model(toy, seed=seed, dtype=np.float32)
+        for i in range(3):
+            model.forward(data.x[i * 64:(i + 1) * 64], training=True, phase=1)
+        model.freeze_activation_bounds()
+        for start in range(0, 512, 64):
+            full = model.logits(data.x[start:start + 64])
+            for row, want in enumerate(full):
+                one = model.logits(data.x[start + row:start + row + 1])
+                assert one[0].tobytes() == want.tobytes(), start + row
+
     def test_forward_binds_once_per_mode(self, toy, batch):
         model = Model(toy, seed=1, dtype=np.float32)
         model.forward(batch, training=True, phase=1)
@@ -1011,6 +1029,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(f"tensor 'a': ")):
             load_tensors(path)
         with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_tensors(path)
+
+    def test_dtype_that_is_not_a_string_names_the_tensor(self, tmp_path):
+        # np.dtype(None) is float64, which save_tensors never writes as null
+        path, index, blob = self.two_tensors(tmp_path)
+        index[0]["dtype"] = None
+        self.rewrite(path, index, blob)
+        with pytest.raises(CheckpointError,
+                           match=re.escape("tensor 'a': dtype must be a string, got None")):
+            load_tensors(path)
+
+    def test_big_endian_dtype_names_the_tensor(self, tmp_path):
+        path, index, blob = self.two_tensors(tmp_path)
+        index[1]["dtype"] = ">i4"
+        self.rewrite(path, index, blob)
+        with pytest.raises(CheckpointError,
+                           match=re.escape("tensor 'b': dtype '>i4' is big-endian")):
+            load_tensors(path)
+
+    def test_repeated_name_names_the_tensor(self, tmp_path):
+        path, index, blob = self.two_tensors(tmp_path)
+        index[1]["name"] = "a"
+        self.rewrite(path, index, blob)
+        with pytest.raises(CheckpointError,
+                           match=re.escape("tensor 'a': named twice in the index")):
             load_tensors(path)
 
     def test_checkpoint_error_is_a_value_error(self, tmp_path):
@@ -1530,6 +1573,88 @@ class TestQuantizedWeightCache:
         outs = node_outputs(model.logits, x)
         assert list(outs) == [n.id for n in g.nodes]
         assert outs["out"].tobytes() == output_of(model, x, training=False).tobytes()
+
+
+def binary_conv_model(size, kernel, stride, padding, weight_bits=DType.BIN,
+                      dtype=np.float32):
+    """A binary quantize_act of a [size, size, 5] input, then a conv2d of 6
+    filters: one ``binary_conv`` chain."""
+    b = _GraphBuilder("binary-conv", (size, size, 5))
+    x = b.emit("q", "quantize_act", ["in"], act_bits=DType.BIN)
+    g = b.finish(b.emit("conv", "conv2d", [x], kernel=[kernel, kernel], stride=stride,
+                        padding=padding, out_channels=6, act_bits=DType.BIN,
+                        weight_bits=weight_bits))
+    assert [(f.name, ids) for f, ids in fused_chains(g)] == [("binary_conv", ("q", "conv"))]
+    return Model(g, seed=size + kernel + stride, dtype=dtype)
+
+
+def signs_with_zeros(shape, seed):
+    """Normal draws in which a fifth are 0.0 and a fifth -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    pick = rng.integers(0, 5, size=shape)
+    x[pick == 0], x[pick == 1] = 0.0, -0.0
+    return x
+
+
+# (input size, kernel, stride, padding): 1x1 and 3x3 kernels, strides 1 and
+# 2, on inputs where a 3x3 window reads only padding in some taps
+BINARY_CONVS = [(size, kernel, stride, padding)
+                for size in (1, 2, 5) for kernel in (1, 3) for stride in (1, 2)
+                for padding in ("same", "valid") if padding == "same" or kernel <= size]
+
+
+class TestBinaryConvFold:
+    """``logits`` runs a binary ``quantize_act -> conv2d`` as one step, which
+    from phase 2 on, with a binary weight, computes the conv from the input's
+    sign bits: bitwise what ``binarize`` then ``_conv2d`` give."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("size, kernel, stride, padding", BINARY_CONVS)
+    def test_equals_sign_then_conv(self, size, kernel, stride, padding, phase, dtype):
+        model = binary_conv_model(size, kernel, stride, padding, dtype=dtype)
+        x = signs_with_zeros((3, size, size, 5), seed=size * kernel + stride)
+        w = model.params["conv.w"]
+        signs = ad._binarize(np.asarray(x, dtype=dtype), None)[0]
+        want = ad._conv2d(signs, ad._binarize(w, None)[0] if phase == 2 else w,
+                          stride, padding)[0]
+        outs = node_outputs(functools.partial(model.logits, phase=phase), x)
+        # one step, which hooks see under the conv node
+        assert list(outs) == ["in", "conv", "out"]
+        assert outs["conv"].dtype == dtype
+        assert outs["conv"].tobytes() == want.tobytes()
+        # and forward runs the two steps of the chain
+        assert output_of(model, x, training=False, phase=phase).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_int8_weight_runs_sign_then_conv(self, phase):
+        model = binary_conv_model(5, 3, 1, "same", weight_bits=DType.INT8)
+        x = signs_with_zeros((3, 5, 5, 5), seed=7)
+        outs = node_outputs(functools.partial(model.logits, phase=phase), x)
+        assert list(outs) == ["in", "conv", "out"]
+        want = output_of(model, x, training=False, phase=phase)
+        assert outs["conv"].tobytes() == want.tobytes()
+        if phase == 2:      # the int8-quantized weight, not its signs
+            assert not np.array_equal(
+                want, output_of(binary_conv_model(5, 3, 1, "same"), x, training=False,
+                                phase=2))
+
+    @pytest.mark.parametrize("size, taps", [(1, 1), (2, 4), (4, 9)])
+    def test_taps_that_read_only_padding_are_dropped(self, size, taps):
+        # a stride-2 3x3 window on a 1x1 or 2x2 input reads the input in 1
+        # or 4 of its taps at every output position, and padding in the rest
+        model = binary_conv_model(size, 3, 2, "same")
+        model.logits(signs_with_zeros((1, size, size, 5), seed=size), phase=2)
+        w2 = model._constants["conv"][1]
+        signs = ad._binarize(model.params["conv.w"], None)[0]
+        kept = signs[(slice(1, 2) if size == 1 else slice(0, 3 if size == 4 else 2),) * 2]
+        # twice the kept signs, in place of the signed weight, so no second
+        # copy of it, and a row of minus their sums
+        assert w2.shape == (taps * 5 + 1, 6)
+        assert w2.tobytes() == np.concatenate([2 * kept.reshape(-1, 6),
+                                               -kept.sum(axis=(0, 1, 2))[None]]).tobytes()
+        assert set(model._constants) == {"conv"}
 
 
 def se_model(channels, seed, gated=False):
